@@ -28,7 +28,6 @@ from .ordinals import (
     OrdinalNotation,
     ZERO,
     classify,
-    compare,
     fund_seq,
     parse_ordinal,
     render,
@@ -116,7 +115,7 @@ class GameInstance:
     depth: int
 
     def __post_init__(self) -> None:
-        if compare(self.w.level, self.xi) != 0:
+        if self.w.level != self.xi:
             raise ValueError(
                 f"W lives at level {render(self.w.level)}, expected {render(self.xi)}"
             )
@@ -390,20 +389,33 @@ class CorrectnessChecker:
         self.table = table
         self.limit_window = limit_window
         self._lock = threading.RLock()
-        self._plays: dict = {}
-        self._correct: dict = {}
-        self._strong: dict = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _memoized(self, fill: Callable, y_prefix: Seq, sigma: Node, *args):
+        """The one memo path: the value of fill(self, y, sigma, *args),
+        computed once and stored.  Only the first |sigma| entries of y
+        matter, so y is cut to that length before keying and filling."""
+        if sigma is not PRE_ROOT:
+            sigma = tuple(sigma)
+            y_prefix = tuple(y_prefix[: len(sigma)])
+        else:
+            y_prefix = ()
+        key = (fill, y_prefix, sigma, *args)
+        with self._lock:
+            hit = self._memo.get(key)
+            if hit is None:
+                hit = self._memo[key] = fill(self, y_prefix, sigma, *args)
+            return hit
 
     # -- induced plays ------------------------------------------------
 
     def play(self, y_prefix: Seq, sigma: Node) -> Seq:
         if sigma is PRE_ROOT:
             return ()
-        key = (tuple(y_prefix[: len(sigma)]), tuple(sigma))
-        with self._lock:
-            if key not in self._plays:
-                self._plays[key] = apply_strategy(self.table, key[0], key[1])
-            return self._plays[key]
+        return self._memoized(CorrectnessChecker._play, y_prefix, sigma)
+
+    def _play(self, y_prefix: Seq, sigma: Seq) -> Seq:
+        return apply_strategy(self.table, y_prefix, sigma)
 
     def tri_leq(self, y_prefix: Seq, sigma: Node, tau: Node, alpha: OrdinalNotation) -> bool:
         if not _prefix_of(sigma, tau):
@@ -413,48 +425,43 @@ class CorrectnessChecker:
     # -- correctness --------------------------------------------------
 
     def is_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
-        key = self._key(y_prefix, sigma, alpha)
-        with self._lock:
-            if key in self._correct:
-                return self._correct[key]
-            cls = classify(alpha)
-            if cls.kind == "zero":
-                out = self._zero_correct(y_prefix, sigma)
-            elif cls.kind == "successor":
-                beta = cls.predecessor
-                out = self.is_strongly_correct(y_prefix, sigma, beta)
-                if out:
-                    for tau in _closure(sigma):
-                        if not self.tri_leq(y_prefix, tau, sigma, beta):
-                            continue
-                        if not self.is_strongly_correct(y_prefix, tau, beta):
-                            continue
-                        if not self.tri_leq(y_prefix, tau, sigma, alpha):
-                            out = False
-                            break
-            else:
-                k = self.sys.height(self.play(y_prefix, sigma), alpha)
-                indices = sorted(set(range(self.limit_window)) | {k})
-                out = all(
-                    self.is_correct(y_prefix, sigma, fund_seq(alpha, j))
-                    for j in indices
-                )
-            self._correct[key] = out
-            return out
+        return self._memoized(CorrectnessChecker._is_correct, y_prefix, sigma, alpha)
+
+    def _is_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
+        cls = classify(alpha)
+        if cls.kind == "zero":
+            return self._zero_correct(y_prefix, sigma)
+        if cls.kind == "successor":
+            beta = cls.predecessor
+            if not self.is_strongly_correct(y_prefix, sigma, beta):
+                return False
+            for tau in _closure(sigma):
+                if not self.tri_leq(y_prefix, tau, sigma, beta):
+                    continue
+                if not self.is_strongly_correct(y_prefix, tau, beta):
+                    continue
+                if not self.tri_leq(y_prefix, tau, sigma, alpha):
+                    return False
+            return True
+        k = self.sys.height(self.play(y_prefix, sigma), alpha)
+        indices = sorted(set(range(self.limit_window)) | {k})
+        return all(
+            self.is_correct(y_prefix, sigma, fund_seq(alpha, j)) for j in indices
+        )
 
     def is_strongly_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
-        key = self._key(y_prefix, sigma, alpha)
-        with self._lock:
-            if key in self._strong:
-                return self._strong[key]
-            out = True
-            for tau in _closure(sigma):
-                if self.tri_leq(y_prefix, tau, sigma, alpha):
-                    if not self.is_correct(y_prefix, tau, alpha):
-                        out = False
-                        break
-            self._strong[key] = out
-            return out
+        return self._memoized(
+            CorrectnessChecker._is_strongly_correct, y_prefix, sigma, alpha
+        )
+
+    def _is_strongly_correct(
+        self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation
+    ) -> bool:
+        return all(
+            self.is_correct(y_prefix, tau, alpha)
+            for tau in _closure(sigma)
+            if self.tri_leq(y_prefix, tau, sigma, alpha)
+        )
 
     def _zero_correct(self, y_prefix: Seq, sigma: Node) -> bool:
         if sigma is PRE_ROOT:
@@ -468,12 +475,6 @@ class CorrectnessChecker:
             if verdict.status == "IWon":
                 return False
         return True
-
-    def _key(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> tuple:
-        if sigma is PRE_ROOT:
-            return ((), PRE_ROOT, render(alpha))
-        sigma = tuple(sigma)
-        return (tuple(y_prefix[: len(sigma)]), sigma, render(alpha))
 
     # -- extension search ---------------------------------------------
 

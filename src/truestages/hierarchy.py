@@ -10,7 +10,6 @@ order turns an arbitrary approximation into a witness.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Iterable, Optional
 
 from .jump import Seq
@@ -31,8 +30,6 @@ from .ordinals import (
 from .ordinals import RankedTree
 from .stages import TrueStageSystem
 from .universe import Universe, parse_seq, seq_str
-
-_ord_key = functools.cmp_to_key(compare)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,7 +74,7 @@ def disjointify(
     below its own height and only when no earlier-indexed set claims it."""
     level = successor(alpha)
     for u in upsets:
-        if compare(u.level, level) != 0:
+        if u.level != level:
             raise ValueError(
                 f"expected level {render(level)}, got {render(u.level)}"
             )
@@ -199,8 +196,7 @@ def verify_witness_laws(
             })
     if require_eta_clause:
         for sigma in universe.all_seqs():
-            if (compare(witness.value(sigma), witness.eta) == 0
-                    and fn.value(sigma) != 0):
+            if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
                 violations.append({
                     "clause": "iii", "sigma": list(sigma), "tau": list(sigma),
                     "detail": "o reached eta with a nonzero value",
@@ -226,7 +222,7 @@ def dsets_to_witness(
         raise ValueError(f"unknown gate {gate!r}")
     copy = enum_copy(eta)
     for u in upsets:
-        if compare(u.level, alpha) != 0:
+        if u.level != alpha:
             raise ValueError(
                 f"expected level {render(alpha)}, got {render(u.level)}"
             )
@@ -249,11 +245,10 @@ def dsets_to_witness(
             len(sigma) if gate == "length" else sys.height(sigma, alpha)
         )
         open_positions = [n for n in range(min(bound, len(upsets)))]
-        candidates = sorted(
+        o_val = min(
             (ordinals[n] for n in open_positions if sigma in membership[n]),
-            key=_ord_key,
+            default=eta,
         )
-        o_val = candidates[0] if candidates else eta
         o_table[sigma] = o_val
         f_table[sigma] = int(parity(o_val) != parity(eta))
     return ApproxFn(alpha, f_table), WitnessFn(eta, copy, o_table)
@@ -296,7 +291,7 @@ def witness_to_dsets(
             raise ValueError(
                 f"adjusted witness exceeds eta at {seq_str(sigma)}"
             )
-    if witness.copy is not None and compare(witness.eta, eta) == 0:
+    if witness.copy is not None and witness.eta == eta:
         copy = witness.copy
     else:
         copy = enum_copy(eta)

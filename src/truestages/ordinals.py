@@ -11,6 +11,9 @@ integer coefficients.  The empty sum is zero.  The concrete syntax is
 with no whitespace.  Rendering always emits the minimal form, so
 ``w^1`` renders back as ``w`` and coefficients of one are dropped.
 
+Notations are interned: constructing a notation returns the one object
+for that sum, so ``==`` is identity and a notation is a cheap dict key.
+
 By default constructors accept notations up to ``w^w``; call
 :func:`set_ceiling` to raise or remove the bound.
 """
@@ -35,26 +38,40 @@ class CeilingError(ValueError):
 
 
 _CEILING: Optional["OrdinalNotation"] = None
+_INTERNED: dict[tuple, "OrdinalNotation"] = {}
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False, init=False)
 class OrdinalNotation:
-    """Cantor normal form: a tuple of (exponent, coefficient) pairs."""
+    """Cantor normal form: a tuple of (exponent, coefficient) pairs.
+
+    There is one object per notation, so equality is identity and the
+    hash is the object's.  The terms are validated when a notation is
+    first built; the ceiling is checked on every construction.
+    """
 
     terms: tuple[tuple["OrdinalNotation", int], ...] = ()
 
-    def __post_init__(self):
-        prev = None
-        for exp, coeff in self.terms:
-            if not isinstance(coeff, int) or coeff < 1:
-                raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
-            if prev is not None and compare(exp, prev) >= 0:
-                raise ValueError("exponents must be strictly decreasing")
-            prev = exp
+    def __new__(cls, terms: tuple[tuple["OrdinalNotation", int], ...] = ()):
+        self = _INTERNED.get(terms)
+        if self is None:
+            prev = None
+            for exp, coeff in terms:
+                if not isinstance(coeff, int) or coeff < 1:
+                    raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
+                if prev is not None and compare(exp, prev) >= 0:
+                    raise ValueError("exponents must be strictly decreasing")
+                prev = exp
+            self = object.__new__(cls)
+            object.__setattr__(self, "terms", terms)
         if _CEILING is not None and compare(self, _CEILING) > 0:
             raise CeilingError(
                 f"notation {render(self)} exceeds the ceiling {render(_CEILING)}"
             )
+        return _INTERNED.setdefault(terms, self)
+
+    def __reduce__(self):
+        return OrdinalNotation, (self.terms,)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -12,13 +12,12 @@ the oracle fed back to the operator to climb one level.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import threading
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 from .jump import EnumerationOperator, JumpTrace, Seq, enumerate_jump
-from .ordinals import OrdinalNotation, classify, compare, fund_seq, render, successor
+from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
 from .universe import Universe
 
 
@@ -74,11 +73,17 @@ class TrueStageSystem:
     def __init__(self, operator: EnumerationOperator):
         self.operator = operator
         self._lock = threading.RLock()
-        self._leq: dict[tuple[Seq, Seq, str], bool] = {}
-        self._height: dict[tuple[Seq, str], int] = {}
-        self._chain: dict[tuple[Seq, str], tuple[Seq, ...]] = {}
-        self._guess: dict[tuple[Seq, str], GuessString] = {}
-        self._trace: dict[tuple[Seq, str], JumpTrace] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _memoized(self, fill: Callable, *args):
+        """The one memo path: the value of fill(self, *args), computed
+        once and stored under (fill, *args)."""
+        key = (fill, *args)
+        with self._lock:
+            hit = self._memo.get(key)
+            if hit is None:
+                hit = self._memo[key] = fill(self, *args)
+            return hit
 
     def leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
         sigma, tau = tuple(sigma), tuple(tau)
@@ -86,81 +91,58 @@ class TrueStageSystem:
             return True
         if tau[: len(sigma)] != sigma:
             return False
-        with self._lock:
-            key = (sigma, tau, render(alpha))
-            hit = self._leq.get(key)
-            if hit is not None:
-                return hit
-            cls = classify(alpha)
-            if cls.kind == "zero":
-                result = True
-            elif cls.kind == "successor":
-                beta = cls.predecessor
-                if not self.leq(sigma, tau, beta):
-                    result = False
-                else:
-                    floor = self.p(sigma, beta)
-                    result = all(
-                        self.p(rho, beta) >= floor
-                        for rho in self.chain(tau, beta)
-                        if len(rho) > len(sigma)
-                    )
-            else:
-                k = self.height(sigma, alpha)
-                result = self.leq(sigma, tau, fund_seq(alpha, k))
-            self._leq[key] = result
-            return result
+        return self._memoized(TrueStageSystem._leq, sigma, tau, alpha)
+
+    def _leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
+        cls = classify(alpha)
+        if cls.kind == "zero":
+            return True
+        if cls.kind == "successor":
+            beta = cls.predecessor
+            if not self.leq(sigma, tau, beta):
+                return False
+            floor = self.p(sigma, beta)
+            return all(
+                self.p(rho, beta) >= floor
+                for rho in self.chain(tau, beta)
+                if len(rho) > len(sigma)
+            )
+        k = self.height(sigma, alpha)
+        return self.leq(sigma, tau, fund_seq(alpha, k))
 
     def height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         """Number of strict predecessors; at a limit this recursion only
         ever consults strictly shorter sequences."""
-        sigma = tuple(sigma)
-        with self._lock:
-            key = (sigma, render(alpha))
-            hit = self._height.get(key)
-            if hit is not None:
-                return hit
-            h = sum(
-                1 for i in range(len(sigma)) if self.leq(sigma[:i], sigma, alpha)
-            )
-            self._height[key] = h
-            return h
+        return self._memoized(TrueStageSystem._height, tuple(sigma), alpha)
+
+    def _height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
+        return sum(1 for i in range(len(sigma)) if self.leq(sigma[:i], sigma, alpha))
 
     def chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
-        tau = tuple(tau)
-        with self._lock:
-            key = (tau, render(alpha))
-            hit = self._chain.get(key)
-            if hit is not None:
-                return hit
-            ch = tuple(
-                tau[:i] for i in range(len(tau) + 1) if self.leq(tau[:i], tau, alpha)
-            )
-            self._chain[key] = ch
-            return ch
+        return self._memoized(TrueStageSystem._chain, tuple(tau), alpha)
+
+    def _chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
+        return tuple(
+            tau[:i] for i in range(len(tau) + 1) if self.leq(tau[:i], tau, alpha)
+        )
 
     def guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
-        sigma = tuple(sigma)
-        with self._lock:
-            key = (sigma, render(alpha))
-            hit = self._guess.get(key)
-            if hit is not None:
-                return hit
-            ch = self.chain(sigma, alpha)
-            cls = classify(alpha)
-            blocks = [Block(0)]
-            if cls.kind == "zero":
-                blocks.extend(Block(rho[-1]) for rho in ch[1:])
-            elif cls.kind == "successor":
-                blocks.extend(self._block(rho, cls.predecessor) for rho in ch[1:])
-            else:
-                blocks.extend(
-                    self._block(rho, fund_seq(alpha, self.height(rho, alpha)))
-                    for rho in ch[1:]
-                )
-            g = GuessString(alpha, tuple(blocks))
-            self._guess[key] = g
-            return g
+        return self._memoized(TrueStageSystem._guess, tuple(sigma), alpha)
+
+    def _guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
+        ch = self.chain(sigma, alpha)
+        cls = classify(alpha)
+        blocks = [Block(0)]
+        if cls.kind == "zero":
+            blocks.extend(Block(rho[-1]) for rho in ch[1:])
+        elif cls.kind == "successor":
+            blocks.extend(self._block(rho, cls.predecessor) for rho in ch[1:])
+        else:
+            blocks.extend(
+                self._block(rho, fund_seq(alpha, self.height(rho, alpha)))
+                for rho in ch[1:]
+            )
+        return GuessString(alpha, tuple(blocks))
 
     def _block(self, rho: Seq, level: OrdinalNotation) -> Block:
         bound = self.p(rho, level)
@@ -176,15 +158,10 @@ class TrueStageSystem:
         return self.guess(sigma, alpha).flatten()
 
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
-        sigma = tuple(sigma)
-        with self._lock:
-            key = (sigma, render(alpha))
-            hit = self._trace.get(key)
-            if hit is not None:
-                return hit
-            trace = enumerate_jump(self.operator, self.oracle(sigma, alpha))
-            self._trace[key] = trace
-            return trace
+        return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)
+
+    def _trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
+        return enumerate_jump(self.operator, self.oracle(sigma, alpha))
 
     def p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         return self.trace_at(sigma, alpha).p
@@ -321,7 +298,7 @@ def ts_verify(
 
     # TS5: higher levels refine lower ones (consecutive listed levels).
     res = fresh("TS5")
-    ordered = sorted(levels, key=_level_key)
+    ordered = sorted(levels)
     for lo, hi in zip(ordered, ordered[1:]):
         for sigma, tau in pairs:
             res.checked += 1
@@ -414,6 +391,3 @@ def ts_verify(
                     break
 
     return report
-
-
-_level_key = functools.cmp_to_key(compare)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .hierarchy import UpsetRep, eval_at, upset_from_json, upset_to_json
 from .jump import Seq
-from .ordinals import OrdinalNotation, classify, compare, fund_seq, parse_ordinal, render
+from .ordinals import OrdinalNotation, classify, fund_seq, parse_ordinal, render
 from .stages import TrueStageSystem
 from .universe import Universe, seq_str
 
@@ -42,7 +42,7 @@ def wadge_tree(
     if classify(lam).kind != "limit":
         raise ValueError(f"{render(lam)} is not a limit level")
     for name, w in (("W0", w0), ("W1", w1)):
-        if compare(w.level, lam) != 0:
+        if w.level != lam:
             raise ValueError(
                 f"{name} lives at level {render(w.level)}, expected {render(lam)}"
             )

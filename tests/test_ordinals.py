@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,51 @@ def test_fund_seq_rejects_non_limits():
         fund_seq(from_int(3), 0)
     with pytest.raises(ValueError):
         fund_seq(parse_ordinal("w+1"), 0)
+
+
+def test_equal_notations_are_one_object():
+    assert parse_ordinal("w+1") is successor(OMEGA)
+    assert fund_seq(parse_ordinal("w*2"), 0) is parse_ordinal("w+1")
+    assert classify(from_int(4)).predecessor is parse_ordinal("3")
+    assert OrdinalNotation(((ZERO, 1),)) is ONE
+    assert hash(OMEGA) == object.__hash__(OMEGA)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda nu: pickle.loads(pickle.dumps(nu))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_return_the_interned_object(clone):
+    for text in ["0", "1", "w", "w^2*3+w+4", "w^w"]:
+        nu = parse_ordinal(text)
+        assert clone(nu) is nu
+        assert render(ZERO) == "0"
+        assert render(nu) == text
+    assert OrdinalNotation(((ONE, 1),)) is OMEGA
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [((ZERO, 1), (ONE, 1)), ((ONE, 1), (ONE, 2)), ((ONE, 0),), ((ZERO, -1),)],
+    ids=["increasing", "repeated", "zero-coefficient", "negative"],
+)
+def test_rejected_terms_are_not_interned(terms):
+    # A second attempt must be validated afresh, not served from the table.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            OrdinalNotation(terms)
+
+
+def test_ceiling_is_checked_on_every_construction(unlimited):
+    nu = parse_ordinal("w^w+1")
+    set_ceiling(parse_ordinal("w^w"))
+    with pytest.raises(CeilingError):
+        OrdinalNotation(nu.terms)
+    with pytest.raises(CeilingError):
+        successor(parse_ordinal("w^w"))
+    with pytest.raises(ParseError):
+        parse_ordinal("w^w+1")
 
 
 # Hypothesis: arbitrary notations below w^w have finite exponents.
