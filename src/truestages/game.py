@@ -142,6 +142,10 @@ class RefereeVerdict:
     status: str  # "IWon" or "Continues"
 
 
+# The judging tree and the index set F of one x-play.
+Grade = tuple[PairTree, tuple[int, ...]]
+
+
 def referee(sys: TrueStageSystem, g: GameInstance, play: PartialPlay) -> RefereeVerdict:
     """Grade a position.
 
@@ -157,20 +161,28 @@ def referee(sys: TrueStageSystem, g: GameInstance, play: PartialPlay) -> Referee
         )
     if n < 1:
         raise ValueError("referee needs at least one completed round")
-    xbar = tuple(play.xs)
-    in_w = eval_at(sys, g.w, xbar)
-    if in_w:
-        f = [
-            i for i in range(1, n + 1)
-            if sys.leq(xbar[:i], xbar, g.xi) and eval_at(sys, g.w, xbar[:i])
-        ]
-    else:
-        f = [i for i in range(1, n + 1) if sys.leq(xbar[:i], xbar, g.xi)]
-    ybar = tuple(play.yzs[i][0] for i in range(len(f)))
-    zbar = tuple(play.yzs[a - 1][1] for a in f)
-    tree = g.t1 if in_w else g.t0
+    return _judge(_grade(sys, g, tuple(play.xs)), play.yzs)
+
+
+def _grade(sys: TrueStageSystem, g: GameInstance, xs: Seq) -> Grade:
+    """Player I's half of the referee: the tree that judges II, chosen by
+    x's opinion about W, and the index set F.  Neither reads II's answers,
+    so one grade serves every reply to the same x-play."""
+    in_w = eval_at(sys, g.w, xs)
+    f = tuple(
+        i for i in range(1, len(xs) + 1)
+        if sys.leq(xs[:i], xs, g.xi) and (not in_w or eval_at(sys, g.w, xs[:i]))
+    )
+    return (g.t1 if in_w else g.t0), f
+
+
+def _judge(grade: Grade, yzs: tuple[Pair, ...]) -> RefereeVerdict:
+    """Player II's half of the referee: read the answers through F."""
+    tree, f = grade
+    ybar = tuple(yzs[i][0] for i in range(len(f)))
+    zbar = tuple(yzs[a - 1][1] for a in f)
     status = "Continues" if tree.contains(ybar, zbar) else "IWon"
-    return RefereeVerdict(tuple(f), ybar, zbar, status)
+    return RefereeVerdict(f, ybar, zbar, status)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,6 +276,7 @@ def solve(
         best: Optional[tuple[int, int]] = None
         for x in range(b):
             xs2 = xs + (x,)
+            grade = _grade(sys, g, xs2)
             worst = 0
             surviving: Optional[Pair] = None
             for y in range(b):
@@ -276,8 +289,7 @@ def solve(
                             f"solver exceeded {max_nodes} referee evaluations"
                         )
                     yzs2 = yzs + ((y, z),)
-                    verdict = referee(sys, g, PartialPlay(xs2, yzs2))
-                    if verdict.status == "IWon":
+                    if _judge(grade, yzs2).status == "IWon":
                         worst = max(worst, n + 1)
                         continue
                     sub = value(xs2, yzs2)
@@ -303,12 +315,13 @@ def solve(
             x = i_choice[(xs, yzs)]
             moves[yzs] = x
             xs2 = xs + (x,)
+            # value() searched every reply to the chosen x: a reply that
+            # continued left an i_choice entry, a reply I won left none.
             for y in range(b):
                 for z in range(b):
                     yzs2 = yzs + ((y, z),)
-                    if referee(sys, g, PartialPlay(xs2, yzs2)).status == "IWon":
-                        continue
-                    fill_i(xs2, yzs2)
+                    if (xs2, yzs2) in i_choice:
+                        fill_i(xs2, yzs2)
 
         fill_i((), ())
         return SolveResult("IWins", StrategyTable("I", depth, moves), by_turn=root)
@@ -464,17 +477,14 @@ class CorrectnessChecker:
         )
 
     def _zero_correct(self, y_prefix: Seq, sigma: Node) -> bool:
-        if sigma is PRE_ROOT:
+        # Every round continues: the earlier ones by the memoised answer
+        # for sigma's parent, the last one graded here.
+        if sigma is PRE_ROOT or not sigma:
             return True
-        xs: list[int] = []
-        yzs: tuple[Pair, ...] = ()
-        for i in range(len(sigma)):
-            xs.append(self.table.move_at(yzs))
-            yzs = yzs + ((y_prefix[i], sigma[i]),)
-            verdict = referee(self.sys, self.game, PartialPlay(tuple(xs), yzs))
-            if verdict.status == "IWon":
-                return False
-        return True
+        if not self.is_correct(y_prefix, sigma[:-1], ZERO):
+            return False
+        grade = _grade(self.sys, self.game, self.play(y_prefix, sigma[:-1]))
+        return _judge(grade, tuple(zip(y_prefix, sigma))).status == "Continues"
 
     # -- extension search ---------------------------------------------
 

@@ -10,6 +10,7 @@ order turns an arbitrary approximation into a witness.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .jump import Seq
@@ -300,14 +301,12 @@ def witness_to_dsets(
     else:
         below = [v for v in adjusted.values() if compare(v, eta) < 0]
         positions = max((copy.index_of(v) for v in below), default=-1) + 1
-    family = []
-    for n in range(positions):
-        bound = copy.at_index(n)
-        gens = frozenset(
-            s for s, v in adjusted.items() if compare(v, bound) <= 0
-        )
-        family.append(UpsetRep(alpha, gens))
-    return family
+    ranked = sorted(adjusted, key=adjusted.__getitem__)
+    values = [adjusted[s] for s in ranked]
+    return [
+        UpsetRep(alpha, frozenset(ranked[: bisect_right(values, copy.at_index(n))]))
+        for n in range(positions)
+    ]
 
 
 def difference_value(

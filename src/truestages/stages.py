@@ -113,10 +113,7 @@ class TrueStageSystem:
     def height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         """Number of strict predecessors; at a limit this recursion only
         ever consults strictly shorter sequences."""
-        return self._memoized(TrueStageSystem._height, tuple(sigma), alpha)
-
-    def _height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
-        return sum(1 for i in range(len(sigma)) if self.leq(sigma[:i], sigma, alpha))
+        return len(self.chain(sigma, alpha)) - 1
 
     def chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
         return self._memoized(TrueStageSystem._chain, tuple(tau), alpha)
@@ -127,9 +124,8 @@ class TrueStageSystem:
         )
 
     def guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
-        return self._memoized(TrueStageSystem._guess, tuple(sigma), alpha)
-
-    def _guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
+        """Recomputed on every call: its one caller, oracle, only runs
+        inside the memoised trace_at."""
         ch = self.chain(sigma, alpha)
         cls = classify(alpha)
         blocks = [Block(0)]
@@ -174,34 +170,6 @@ class TrueStageSystem:
             rho for rho in self.chain(sigma, alpha) if self.leq(rho, tau, alpha)
         ]
         return Fraction(1, 2 ** len(common[-1]))
-
-
-# Module-level entry points mirroring the method surface.
-
-def ts_leq(sys: TrueStageSystem, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
-    return sys.leq(sigma, tau, alpha)
-
-
-def ts_height(sys: TrueStageSystem, sigma: Seq, alpha: OrdinalNotation) -> int:
-    return sys.height(sigma, alpha)
-
-
-def ts_chain(sys: TrueStageSystem, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
-    return sys.chain(tau, alpha)
-
-
-def ts_p(sys: TrueStageSystem, sigma: Seq, alpha: OrdinalNotation) -> int:
-    return sys.p(sigma, alpha)
-
-
-def ts_guess(sys: TrueStageSystem, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
-    return sys.guess(sigma, alpha)
-
-
-def ts_distance(
-    sys: TrueStageSystem, sigma: Seq, tau: Seq, alpha: OrdinalNotation
-) -> Fraction:
-    return sys.distance(sigma, tau, alpha)
 
 
 # ---------------------------------------------------------------------------

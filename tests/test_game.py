@@ -180,6 +180,23 @@ def test_solve_node_budget_is_enforced(sys_, quick_win):
         solve(sys_, quick_win, max_nodes=2)
 
 
+@pytest.mark.parametrize("xi, budget", [("0", 1592), ("1", 2408), ("w", 1268)])
+def test_solve_node_count_is_pinned(xi, budget):
+    """Pins the exact number of positions the search visits: a search
+    that skips or revisits a position moves the least budget that
+    succeeds."""
+    level = parse_ordinal(xi)
+    both = pointwise_tree(2, 2, lambda a, b: True)
+    w = UpsetRep(level, frozenset({(0, 1), (1, 0, 1)}))
+    g = GameInstance(level, w, both, both, alphabet=2, depth=4)
+    r = solve(TrueStageSystem(DefaultOperator()), g, max_nodes=budget)
+    assert r.status == "IWins"
+    assert r.by_turn == 3
+    assert len(r.strategy.moves) == 21
+    with pytest.raises(ResourceBoundError, match=f"exceeded {budget - 1} referee"):
+        solve(TrueStageSystem(DefaultOperator()), g, max_nodes=budget - 1)
+
+
 def test_winning_strategy_replay_beats_every_reply(sys_):
     g = y_mismatch_game(ZERO)
     r = solve(sys_, g)
@@ -246,22 +263,23 @@ def test_pre_root_is_strongly_correct_at_every_level(sys_, never_win):
 def test_zero_correct_matches_referee_run(sys_):
     g = y_mismatch_game(ZERO)
     r = solve(sys_, g)
-    table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
-    chk = CorrectnessChecker(sys_, g, table)
-    for y in itertools.product(range(2), repeat=3):
-        for n in range(3):
-            for sigma in itertools.product(range(2), repeat=n):
-                xs: list[int] = []
-                yzs = ()
-                continues = True
-                for i in range(len(sigma)):
-                    xs.append(table.move_at(yzs))
-                    yzs = yzs + ((y[i], sigma[i]),)
-                    v = referee(sys_, g, PartialPlay(tuple(xs), yzs))
-                    if v.status == "IWon":
-                        continues = False
-                        break
-                assert chk.is_correct(y, sigma, ZERO) == continues
+    padded = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
+    for table in (padded, r.strategy):
+        chk = CorrectnessChecker(sys_, g, table)
+        for y in itertools.product(range(2), repeat=3):
+            for n in range(3):
+                for sigma in itertools.product(range(2), repeat=n):
+                    xs: list[int] = []
+                    yzs = ()
+                    continues = True
+                    for i in range(len(sigma)):
+                        xs.append(table.move_at(yzs))
+                        yzs = yzs + ((y[i], sigma[i]),)
+                        v = referee(sys_, g, PartialPlay(tuple(xs), yzs))
+                        if v.status == "IWon":
+                            continues = False
+                            break
+                    assert chk.is_correct(y, sigma, ZERO) == continues
 
 
 def test_correctness_laws_on_sampled_triples(sys_):

@@ -10,12 +10,6 @@ from truestages.stages import (
     Block,
     GuessString,
     TrueStageSystem,
-    ts_chain,
-    ts_distance,
-    ts_guess,
-    ts_height,
-    ts_leq,
-    ts_p,
     ts_verify,
 )
 from truestages.universe import Universe
@@ -29,28 +23,28 @@ def sys_():
 
 
 def test_level_zero_is_the_prefix_order(sys_):
-    assert ts_leq(sys_, (1,), (1, 2), LEVELS["0"])
-    assert ts_leq(sys_, (), (0, 1, 2), LEVELS["0"])
-    assert not ts_leq(sys_, (1, 2), (1,), LEVELS["0"])
-    assert not ts_leq(sys_, (1,), (2, 1), LEVELS["0"])
+    assert sys_.leq((1,), (1, 2), LEVELS["0"])
+    assert sys_.leq((), (0, 1, 2), LEVELS["0"])
+    assert not sys_.leq((1, 2), (1,), LEVELS["0"])
+    assert not sys_.leq((1,), (2, 1), LEVELS["0"])
 
 
 def test_successor_level_examples(sys_):
-    assert ts_leq(sys_, (2,), (2, 2), LEVELS["1"])
-    assert not ts_leq(sys_, (5,), (5, 0), LEVELS["1"])
+    assert sys_.leq((2,), (2, 2), LEVELS["1"])
+    assert not sys_.leq((5,), (5, 0), LEVELS["1"])
 
 
 def test_heights(sys_):
     for name in ["0", "1", "w", "w+1"]:
-        assert ts_height(sys_, (), LEVELS[name]) == 0
-    assert ts_height(sys_, (5, 0), LEVELS["1"]) == 1
-    assert ts_height(sys_, (2, 2), LEVELS["0"]) == 2
+        assert sys_.height((), LEVELS[name]) == 0
+    assert sys_.height((5, 0), LEVELS["1"]) == 1
+    assert sys_.height((2, 2), LEVELS["0"]) == 2
 
 
 def test_chains(sys_):
-    assert ts_chain(sys_, (7,), LEVELS["0"]) == ((), (7,))
-    assert ts_chain(sys_, (2, 2), LEVELS["1"]) == ((), (2,), (2, 2))
-    assert ts_chain(sys_, (5, 0), LEVELS["1"]) == ((), (5, 0))
+    assert sys_.chain((7,), LEVELS["0"]) == ((), (7,))
+    assert sys_.chain((2, 2), LEVELS["1"]) == ((), (2,), (2, 2))
+    assert sys_.chain((5, 0), LEVELS["1"]) == ((), (5, 0))
 
 
 # Each oracle was worked out by hand from the occurrence-counting rule:
@@ -68,13 +62,13 @@ P_LADDER = {
 
 def test_p_ladder(sys_):
     for (lvl, sigma), want in P_LADDER.items():
-        assert ts_p(sys_, sigma, LEVELS[lvl]) == want, (lvl, sigma)
+        assert sys_.p(sigma, LEVELS[lvl]) == want, (lvl, sigma)
 
 
 def test_level_zero_p_matches_kernel(sys_):
-    assert ts_p(sys_, (), LEVELS["0"]) == 0
-    assert ts_p(sys_, (5,), LEVELS["0"]) == 15
-    assert ts_p(sys_, (2, 2), LEVELS["0"]) == 7
+    assert sys_.p((), LEVELS["0"]) == 0
+    assert sys_.p((5,), LEVELS["0"]) == 15
+    assert sys_.p((2, 2), LEVELS["0"]) == 7
 
 
 def test_oracles(sys_):
@@ -86,13 +80,13 @@ def test_oracles(sys_):
 
 def test_guess_examples(sys_):
     for name in ["0", "1", "3", "w"]:
-        g = ts_guess(sys_, (), LEVELS[name])
+        g = sys_.guess((), LEVELS[name])
         assert len(g.blocks) == 1
         assert g.blocks[0] == Block(0)
-    g5 = ts_guess(sys_, (5,), LEVELS["1"])
+    g5 = sys_.guess((5,), LEVELS["1"])
     assert [b.p_bound for b in g5.blocks] == [0, 15]
-    small = ts_guess(sys_, (2,), LEVELS["1"])
-    big = ts_guess(sys_, (2, 2), LEVELS["1"])
+    small = sys_.guess((2,), LEVELS["1"])
+    big = sys_.guess((2, 2), LEVELS["1"])
     assert small.block_prefix_of(big)
     assert not big.block_prefix_of(small)
 
@@ -110,9 +104,9 @@ def test_block_validation():
 
 
 def test_distance(sys_):
-    assert ts_distance(sys_, (1, 2, 3), (1, 2, 5), LEVELS["0"]) == Fraction(1, 4)
-    assert ts_distance(sys_, (5,), (5,), LEVELS["w"]) == 0
-    assert ts_distance(sys_, (5, 0), (5, 1), LEVELS["1"]) == 1
+    assert sys_.distance((1, 2, 3), (1, 2, 5), LEVELS["0"]) == Fraction(1, 4)
+    assert sys_.distance((5,), (5,), LEVELS["w"]) == 0
+    assert sys_.distance((5, 0), (5, 1), LEVELS["1"]) == 1
 
 
 def test_limit_level_defers_to_height_index(sys_):
@@ -120,9 +114,9 @@ def test_limit_level_defers_to_height_index(sys_):
     for tau in Universe(3, 3).all_seqs():
         for i in range(len(tau) + 1):
             sigma = tau[:i]
-            k = ts_height(sys_, sigma, lam)
-            want = ts_leq(sys_, sigma, tau, parse_ordinal(str(k + 1)))
-            assert ts_leq(sys_, sigma, tau, lam) == want
+            k = sys_.height(sigma, lam)
+            want = sys_.leq(sigma, tau, parse_ordinal(str(k + 1)))
+            assert sys_.leq(sigma, tau, lam) == want
 
 
 SEQS = st.lists(st.integers(0, 2), max_size=4).map(tuple)
@@ -133,7 +127,7 @@ LEVEL_NAMES = st.sampled_from(["0", "1", "2", "3", "w", "w+1"])
 @settings(max_examples=150)
 def test_leq_refines_prefix(sigma, tau, name):
     sys_ = _SHARED
-    if ts_leq(sys_, sigma, tau, LEVELS[name]):
+    if sys_.leq(sigma, tau, LEVELS[name]):
         assert tau[: len(sigma)] == sigma
 
 
@@ -142,11 +136,11 @@ def test_leq_refines_prefix(sigma, tau, name):
 def test_guess_blocks_follow_chains(tau, name):
     sys_ = _SHARED
     alpha = LEVELS[name]
-    chain = ts_chain(sys_, tau, alpha)
-    g = ts_guess(sys_, tau, alpha)
+    chain = sys_.chain(tau, alpha)
+    g = sys_.guess(tau, alpha)
     assert len(g.blocks) == len(chain)
     for rho in chain:
-        assert ts_guess(sys_, rho, alpha).block_prefix_of(g)
+        assert sys_.guess(rho, alpha).block_prefix_of(g)
 
 
 @given(SEQS, SEQS, SEQS, LEVEL_NAMES)
@@ -154,10 +148,10 @@ def test_guess_blocks_follow_chains(tau, name):
 def test_distance_is_an_ultrametric(a, b, c, name):
     sys_ = _SHARED
     alpha = LEVELS[name]
-    d_ab = ts_distance(sys_, a, b, alpha)
-    d_bc = ts_distance(sys_, b, c, alpha)
-    d_ac = ts_distance(sys_, a, c, alpha)
-    assert d_ab == ts_distance(sys_, b, a, alpha)
+    d_ab = sys_.distance(a, b, alpha)
+    d_bc = sys_.distance(b, c, alpha)
+    d_ac = sys_.distance(a, c, alpha)
+    assert d_ab == sys_.distance(b, a, alpha)
     assert d_ac <= max(d_ab, d_bc)
 
 
