@@ -216,6 +216,14 @@ class StrategyTable:
         )
 
 
+def _check_y_covers(y_prefix: Seq, sigma: Seq) -> None:
+    """The pair play (y, sigma) needs a y-entry for every sigma-entry."""
+    if len(y_prefix) < len(sigma):
+        raise ValueError(
+            f"need {len(sigma)} values of y, got {len(y_prefix)}"
+        )
+
+
 def apply_strategy(table: StrategyTable, y_prefix: Seq, sigma: Node) -> Seq:
     """The x-sequence player I produces against the pair play (y, sigma).
 
@@ -227,10 +235,7 @@ def apply_strategy(table: StrategyTable, y_prefix: Seq, sigma: Node) -> Seq:
     if sigma is PRE_ROOT:
         return ()
     sigma = tuple(sigma)
-    if len(y_prefix) < len(sigma):
-        raise ValueError(
-            f"need {len(sigma)} values of y, got {len(y_prefix)}"
-        )
+    _check_y_covers(y_prefix, sigma)
     xs: list[int] = []
     yzs: tuple[Pair, ...] = ()
     for i in range(len(sigma) + 1):
@@ -267,6 +272,8 @@ def solve(
     nodes = 0
     i_choice: dict[tuple, int] = {}
     ii_choice: dict[tuple, Pair] = {}
+    # An x-play recurs under every reply sequence of II; grade it once.
+    grades: dict[Seq, Grade] = {}
 
     def value(xs: Seq, yzs: tuple[Pair, ...]) -> Optional[int]:
         nonlocal nodes
@@ -276,7 +283,9 @@ def solve(
         best: Optional[tuple[int, int]] = None
         for x in range(b):
             xs2 = xs + (x,)
-            grade = _grade(sys, g, xs2)
+            grade = grades.get(xs2)
+            if grade is None:
+                grade = grades[xs2] = _grade(sys, g, xs2)
             worst = 0
             surviving: Optional[Pair] = None
             for y in range(b):
@@ -410,6 +419,7 @@ class CorrectnessChecker:
         matter, so y is cut to that length before keying and filling."""
         if sigma is not PRE_ROOT:
             sigma = tuple(sigma)
+            _check_y_covers(y_prefix, sigma)
             y_prefix = tuple(y_prefix[: len(sigma)])
         else:
             y_prefix = ()

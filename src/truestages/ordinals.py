@@ -47,10 +47,14 @@ class OrdinalNotation:
 
     There is one object per notation, so equality is identity and the
     hash is the object's.  The terms are validated when a notation is
-    first built; the ceiling is checked on every construction.
+    first built; the ceiling is checked on every construction.  A
+    notation remembers the last ceiling it passed, so building it again
+    under that same ceiling skips the comparison.
     """
 
     terms: tuple[tuple["OrdinalNotation", int], ...] = ()
+    # Not a field: the ceiling object this notation last passed.
+    _passed = None
 
     def __new__(cls, terms: tuple[tuple["OrdinalNotation", int], ...] = ()):
         self = _INTERNED.get(terms)
@@ -64,10 +68,13 @@ class OrdinalNotation:
                 prev = exp
             self = object.__new__(cls)
             object.__setattr__(self, "terms", terms)
-        if _CEILING is not None and compare(self, _CEILING) > 0:
-            raise CeilingError(
-                f"notation {render(self)} exceeds the ceiling {render(_CEILING)}"
-            )
+        ceiling = _CEILING
+        if ceiling is not None and self._passed is not ceiling:
+            if compare(self, ceiling) > 0:
+                raise CeilingError(
+                    f"notation {render(self)} exceeds the ceiling {render(ceiling)}"
+                )
+            object.__setattr__(self, "_passed", ceiling)
         return _INTERNED.setdefault(terms, self)
 
     def __reduce__(self):
@@ -203,7 +210,10 @@ def fund_seq(lam: OrdinalNotation, k: int) -> OrdinalNotation:
 
 
 def set_ceiling(ceiling: Optional[OrdinalNotation]) -> None:
-    """Set the largest admissible notation; None removes the bound."""
+    """Set the largest admissible notation; None removes the bound.
+
+    A notation that has not passed this ceiling object is checked
+    against it on its next construction."""
     global _CEILING
     _CEILING = ceiling
 

@@ -67,8 +67,11 @@ class GuessString:
 
 class TrueStageSystem:
     """Memoizing evaluator for the level-indexed relations of one
-    enumeration operator.  Memo access is serialized, so one instance
-    may be shared across threads."""
+    enumeration operator.
+
+    One memo holds every relation answer (leq), chain, jump trace and
+    guess block, each computed once per system.  Memo access is
+    serialized, so one instance may be shared across threads."""
 
     def __init__(self, operator: EnumerationOperator):
         self.operator = operator
@@ -124,28 +127,36 @@ class TrueStageSystem:
         )
 
     def guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
-        """Recomputed on every call: its one caller, oracle, only runs
-        inside the memoised trace_at."""
+        """One block per element of sigma's chain.  The string itself is
+        not memoised (its one caller, oracle, runs only inside the
+        memoised trace_at), but each block is: a stage's block is shared
+        by every later stage whose chain contains it."""
         ch = self.chain(sigma, alpha)
         cls = classify(alpha)
         blocks = [Block(0)]
         if cls.kind == "zero":
             blocks.extend(Block(rho[-1]) for rho in ch[1:])
         elif cls.kind == "successor":
-            blocks.extend(self._block(rho, cls.predecessor) for rho in ch[1:])
+            blocks.extend(
+                self._memoized(TrueStageSystem._block, rho, cls.predecessor)
+                for rho in ch[1:]
+            )
         else:
             blocks.extend(
-                self._block(rho, fund_seq(alpha, self.height(rho, alpha)))
+                self._memoized(
+                    TrueStageSystem._block, rho,
+                    fund_seq(alpha, self.height(rho, alpha)),
+                )
                 for rho in ch[1:]
             )
         return GuessString(alpha, tuple(blocks))
 
     def _block(self, rho: Seq, level: OrdinalNotation) -> Block:
-        bound = self.p(rho, level)
-        inside = tuple(
-            sorted(e for e in self.trace_at(rho, level).codes if e < bound)
-        )
-        return Block(bound, inside)
+        """rho's block below level: the bound p and the codes under it.
+        Filled once per (rho, level) through the memo."""
+        trace = self.trace_at(rho, level)
+        bound = trace.p
+        return Block(bound, tuple(sorted(e for e, _ in trace.events if e < bound)))
 
     def oracle(self, sigma: Seq, alpha: OrdinalNotation) -> Seq:
         sigma = tuple(sigma)

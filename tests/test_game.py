@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instance_tools import pointwise_tree, seeded_game_instance, y_mismatch_game
+from truestages import game
 from truestages.game import (
     PRE_ROOT,
     CorrectnessChecker,
@@ -180,21 +181,45 @@ def test_solve_node_budget_is_enforced(sys_, quick_win):
         solve(sys_, quick_win, max_nodes=2)
 
 
+def pinned_game(xi: str) -> GameInstance:
+    """Both trees hold every pair of length <= 2, so player I wins by
+    round 3 and the search covers the whole tree up to there."""
+    level = parse_ordinal(xi)
+    both = pointwise_tree(2, 2, lambda a, b: True)
+    w = UpsetRep(level, frozenset({(0, 1), (1, 0, 1)}))
+    return GameInstance(level, w, both, both, alphabet=2, depth=4)
+
+
 @pytest.mark.parametrize("xi, budget", [("0", 1592), ("1", 2408), ("w", 1268)])
 def test_solve_node_count_is_pinned(xi, budget):
     """Pins the exact number of positions the search visits: a search
     that skips or revisits a position moves the least budget that
     succeeds."""
-    level = parse_ordinal(xi)
-    both = pointwise_tree(2, 2, lambda a, b: True)
-    w = UpsetRep(level, frozenset({(0, 1), (1, 0, 1)}))
-    g = GameInstance(level, w, both, both, alphabet=2, depth=4)
+    g = pinned_game(xi)
     r = solve(TrueStageSystem(DefaultOperator()), g, max_nodes=budget)
     assert r.status == "IWins"
     assert r.by_turn == 3
     assert len(r.strategy.moves) == 21
     with pytest.raises(ResourceBoundError, match=f"exceeded {budget - 1} referee"):
         solve(TrueStageSystem(DefaultOperator()), g, max_nodes=budget - 1)
+
+
+@pytest.mark.parametrize("xi", ["0", "1", "w"])
+def test_solve_grades_each_x_play_once(xi, monkeypatch):
+    graded = []
+
+    def counting_grade(sys, g, xs):
+        graded.append(xs)
+        return grade(sys, g, xs)
+
+    grade = game._grade
+    monkeypatch.setattr(game, "_grade", counting_grade)
+    g = pinned_game(xi)
+    for _ in range(2):  # a second solve grades afresh
+        graded.clear()
+        assert solve(TrueStageSystem(DefaultOperator()), g).status == "IWins"
+        assert graded
+        assert len(graded) == len(set(graded))
 
 
 def test_winning_strategy_replay_beats_every_reply(sys_):
@@ -252,6 +277,16 @@ def test_undefined_play_raises():
 
 
 # -- correctness ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("y, sigma", [((0,), (0, 0)), ((), (1,))])
+def test_correctness_needs_enough_y(sys_, y, sigma):
+    chk = CorrectnessChecker(sys_, y_mismatch_game(ZERO), constant_zero())
+    msg = f"need {len(sigma)} values of y, got {len(y)}"
+    with pytest.raises(ValueError, match=msg):
+        chk.is_correct(y, sigma, ZERO)
+    with pytest.raises(ValueError, match=msg):
+        chk.is_strongly_correct(y, sigma, ZERO)
 
 
 def test_pre_root_is_strongly_correct_at_every_level(sys_, never_win):

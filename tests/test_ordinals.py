@@ -29,9 +29,10 @@ from truestages.ordinals import (
 
 @pytest.fixture
 def unlimited():
+    default = parse_ordinal("w^w")
     set_ceiling(None)
     yield
-    set_ceiling(parse_ordinal("w^w"))
+    set_ceiling(default)
 
 
 ROUND_TRIPS = [
@@ -172,6 +173,18 @@ def test_ceiling_is_checked_on_every_construction(unlimited):
         successor(parse_ordinal("w^w"))
     with pytest.raises(ParseError):
         parse_ordinal("w^w+1")
+
+
+def test_lowered_ceiling_rejects_a_notation_built_before(unlimited):
+    set_ceiling(parse_ordinal("w^w"))
+    nu = parse_ordinal("w^2")
+    assert OrdinalNotation(nu.terms) is nu
+    set_ceiling(OMEGA)
+    with pytest.raises(CeilingError):
+        OrdinalNotation(nu.terms)
+    with pytest.raises(ParseError):
+        parse_ordinal("w^2")
+    assert parse_ordinal("w") is OMEGA
 
 
 # Hypothesis: arbitrary notations below w^w have finite exponents.

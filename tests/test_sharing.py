@@ -61,14 +61,15 @@ def test_shared_system_answers_like_a_fresh_one():
     questions = [(sigma, tau, alpha) for alpha in levels for sigma, tau in pairs]
     shared = TrueStageSystem(DefaultOperator())
 
+    def answers(system, sigma, tau, alpha):
+        return (system.leq(sigma, tau, alpha), system.chain(tau, alpha),
+                system.oracle(tau, alpha), system.p(tau, alpha))
+
     def ask(sigma, tau, alpha):
-        return shared.leq(sigma, tau, alpha), shared.chain(tau, alpha)
+        return answers(shared, sigma, tau, alpha)
 
     fresh = TrueStageSystem(DefaultOperator())
-    want = {
-        (sigma, tau, alpha): (fresh.leq(sigma, tau, alpha), fresh.chain(tau, alpha))
-        for sigma, tau, alpha in questions
-    }
+    want = {q: answers(fresh, *q) for q in questions}
     for got in answers_from_threads(ask, questions):
         assert got == want
 

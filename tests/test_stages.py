@@ -91,6 +91,22 @@ def test_guess_examples(sys_):
     assert not big.block_prefix_of(small)
 
 
+def test_each_guess_block_is_filled_once(monkeypatch):
+    fills = []
+
+    def counting_block(self, rho, level):
+        fills.append((rho, level))
+        return fill(self, rho, level)
+
+    fill = TrueStageSystem._block
+    monkeypatch.setattr(TrueStageSystem, "_block", counting_block)
+    sys_ = TrueStageSystem(DefaultOperator())
+    for sigma in Universe(4, 2).all_seqs():
+        sys_.oracle(sigma, LEVELS["w+1"])
+    assert fills
+    assert len(fills) == len(set(fills))
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         Block(3, (5,))
