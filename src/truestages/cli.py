@@ -43,7 +43,7 @@ from .hierarchy import (
     witness_to_dsets,
     witness_to_json,
 )
-from .jump import DefaultOperator
+from .jump import DefaultOperator, enumerate_jump
 from .ordinals import ParseError, parse_ordinal, render
 from .stages import TrueStageSystem, ts_verify
 from .universe import Universe, seq_str
@@ -158,7 +158,7 @@ def _run_jump(args):
     results = []
     text = []
     for sigma in universe.all_seqs():
-        trace = op.trace(sigma)
+        trace = enumerate_jump(op, sigma)
         results.append({
             "sigma": seq_str(sigma),
             "events": [[e, t] for e, t in trace.events],
@@ -262,19 +262,18 @@ def _run_hk_convert(args):
     return config, [result], [], text
 
 
-def _wadge_setup(data):
+def _wadge_setup(args):
+    data = _load_instance(args.instance)
     lam = _notation(data["lambda"])
     universe = Universe(data["maxLen"], data["alphabet"])
     w0 = upset_from_json(data["W0"])
     w1 = upset_from_json(data["W1"])
-    return lam, universe, w0, w1
+    sys_ = _fresh()
+    return data, universe, sys_, wadge_tree(sys_, w0, w1, lam, universe)
 
 
 def _run_wadge_decompose(args):
-    data = _load_instance(args.instance)
-    lam, universe, w0, w1 = _wadge_setup(data)
-    sys_ = _fresh()
-    tree = wadge_tree(sys_, w0, w1, lam, universe)
+    _, _, _, tree = _wadge_setup(args)
     result = {"rank": tree.rank, "tree": tree_to_json(tree)}
     config = {"instance": args.instance}
     text = [f"rank={tree.rank}", "tree: " + json.dumps(result["tree"], sort_keys=True)]
@@ -282,10 +281,7 @@ def _run_wadge_decompose(args):
 
 
 def _run_wadge_eval(args):
-    data = _load_instance(args.instance)
-    lam, universe, w0, w1 = _wadge_setup(data)
-    sys_ = _fresh()
-    tree = wadge_tree(sys_, w0, w1, lam, universe)
+    data, universe, sys_, tree = _wadge_setup(args)
     queries = [tuple(q) for q in data.get("queries", [])] or universe.maximal()
     results = []
     text = []
@@ -308,15 +304,6 @@ def _total_table(table: StrategyTable) -> StrategyTable:
     # constant extension keeps the induced plays total without touching
     # any position that matters for correctness.
     return StrategyTable(table.side, table.depth, dict(table.moves), fallback=lambda key: 0)
-
-
-def _instance_strategy(data, game, sys_, depth):
-    if "strategy" in data:
-        return _total_table(strategy_from_json(data["strategy"])), None
-    outcome = solve(sys_, game, depth=depth)
-    if outcome.status != "IWins":
-        return None, outcome
-    return _total_table(outcome.strategy), outcome
 
 
 def _run_lsr_solve(args):
@@ -355,47 +342,58 @@ def _run_lsr_referee(args):
     return config, [result], [], text
 
 
-def _run_lsr_separator(args):
+def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: ()):
+    """The shared body of the commands that analyse player I's strategy
+    along the instance's y.
+
+    The command's own fields are read by read_fields(data, game) before
+    any solving.  The strategy is the instance's pinned side I table or,
+    failing that, the one solve finds at solve_depth; without a win for
+    player I the report is the solver status.  Otherwise
+    analyse(checker, y, *fields) gives the result and its text lines.
+    """
     data, game, sys_ = _game_setup(args)
     try:
         y = tuple(data["y"])
     except KeyError as exc:
         raise InputError("instance lacks a y field") from exc
-    table, outcome = _instance_strategy(data, game, sys_, args.depth)
+    fields = read_fields(data, game)
     config = {"instance": args.instance, "depth": args.depth}
-    if table is None:
-        result = {"solver": outcome.status}
-        return config, [result], [], [f"solver={outcome.status}"]
-    checker = CorrectnessChecker(sys_, game, table)
-    found = checker.separator_evidence(y, len(y))
-    result = {
-        "status": found.status,
-        "sigma": None if found.sigma is None else seq_str(found.sigma),
-    }
-    text = [f"status={found.status} sigma={result['sigma']}"]
+    if "strategy" in data:
+        table = strategy_from_json(data["strategy"])
+    else:
+        outcome = solve(sys_, game, depth=solve_depth)
+        if outcome.status != "IWins":
+            return config, [{"solver": outcome.status}], [], [f"solver={outcome.status}"]
+        table = outcome.strategy
+    checker = CorrectnessChecker(sys_, game, _total_table(table))
+    result, text = analyse(checker, y, *fields)
     return config, [result], [], text
+
+
+def _run_lsr_separator(args):
+    def analyse(checker, y):
+        found = checker.separator_evidence(y, len(y))
+        sigma = None if found.sigma is None else seq_str(found.sigma)
+        result = {"status": found.status, "sigma": sigma}
+        return result, [f"status={found.status} sigma={sigma}"]
+
+    return _check_strategy(args, args.depth, analyse)
 
 
 def _run_lsr_adversarial(args):
-    data, game, sys_ = _game_setup(args)
-    try:
-        y = tuple(data["y"])
-    except KeyError as exc:
-        raise InputError("instance lacks a y field") from exc
-    v = tuple(data["v"]) if "v" in data else None
-    bound = data.get("searchBound", 3)
-    depth = args.depth if args.depth is not None else game.depth
-    table, outcome = _instance_strategy(data, game, sys_, None)
-    config = {"instance": args.instance, "depth": args.depth}
-    if table is None:
-        result = {"solver": outcome.status}
-        return config, [result], [], [f"solver={outcome.status}"]
-    checker = CorrectnessChecker(sys_, game, table)
-    transcript = adversarial_play(checker, y, v, depth, bound)
-    result = transcript_to_json(transcript)
-    text = [f"outcome={transcript.outcome} steps={len(transcript.steps)}",
-            "transcript: " + json.dumps(result, sort_keys=True)]
-    return config, [result], [], text
+    def read_fields(data, game):
+        v = tuple(data["v"]) if "v" in data else None
+        depth = args.depth if args.depth is not None else game.depth
+        return v, depth, data.get("searchBound", 3)
+
+    def analyse(checker, y, v, depth, bound):
+        transcript = adversarial_play(checker, y, v, depth, bound)
+        result = transcript_to_json(transcript)
+        return result, [f"outcome={transcript.outcome} steps={len(transcript.steps)}",
+                        "transcript: " + json.dumps(result, sort_keys=True)]
+
+    return _check_strategy(args, None, analyse, read_fields)
 
 
 _HANDLERS = {
@@ -421,10 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     name = args.command if action is None else f"{args.command} {action}"
     try:
         config, results, failures, text = handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except (ParseError, ValueError, KeyError, TypeError) as exc:
+    except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     report = {

@@ -18,12 +18,10 @@ winning strategy are all implemented here at finite scale.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import threading
 from typing import Callable, Optional, Union
 
 from .hierarchy import UpsetRep, eval_at, upset_from_json, upset_to_json
-from .jump import Seq
 from .ordinals import (
     OrdinalNotation,
     ZERO,
@@ -33,7 +31,7 @@ from .ordinals import (
     render,
 )
 from .stages import TrueStageSystem
-from .universe import seq_str
+from .universe import Seq, seq_str, shortlex
 
 
 class StrategyUndefinedError(ValueError):
@@ -382,6 +380,11 @@ class EvidenceResult:
     sigma: Optional[Seq] = None
 
 
+# At a limit level, correctness is checked at the fundamental-sequence
+# levels below this index and at the one the height selects.
+_LIMIT_WINDOW = 4
+
+
 class CorrectnessChecker:
     """Correctness predicates for II's candidate plays against a fixed
     side I strategy.
@@ -391,25 +394,20 @@ class CorrectnessChecker:
     prefix of tau and the induced x-sequences are stage-related.  A
     sequence is 0-correct when the referee lets the induced play run;
     higher levels follow the stage recursion.  At limit levels the
-    unbounded quantifier over lower levels is checked on the first
-    limit_window fundamental-sequence levels plus the one selected by
+    unbounded quantifier over lower levels is checked on the first four
+    fundamental-sequence levels (_LIMIT_WINDOW) plus the one selected by
     the height of the induced play; results are memoised under a lock
     so callers may share a checker across threads.
     """
 
     def __init__(
-        self,
-        sys: TrueStageSystem,
-        game: GameInstance,
-        table: StrategyTable,
-        limit_window: int = 4,
+        self, sys: TrueStageSystem, game: GameInstance, table: StrategyTable
     ) -> None:
         if table.side != "I":
             raise ValueError("correctness analysis needs a side I strategy")
         self.sys = sys
         self.game = game
         self.table = table
-        self.limit_window = limit_window
         self._lock = threading.RLock()
         self._memo: dict[tuple, object] = {}
 
@@ -467,7 +465,7 @@ class CorrectnessChecker:
                     return False
             return True
         k = self.sys.height(self.play(y_prefix, sigma), alpha)
-        indices = sorted(set(range(self.limit_window)) | {k})
+        indices = sorted(set(range(_LIMIT_WINDOW)) | {k})
         return all(
             self.is_correct(y_prefix, sigma, fund_seq(alpha, j)) for j in indices
         )
@@ -532,7 +530,9 @@ class CorrectnessChecker:
         cls = classify(alpha)
         if cls.kind == "zero":
             return ExtendResult("Found", sigma)
-        candidates = list(self._extensions(sigma, search_bound, len(y_prefix)))
+        # Extensions by fewer than search_bound entries that y still covers.
+        room = min(search_bound - 1, len(y_prefix) - len(sigma))
+        candidates = [sigma + s for s in shortlex(room, self.game.alphabet)]
         if minimal_length:
             for tau in candidates:
                 if self.is_strongly_correct(y_prefix, tau, alpha):
@@ -570,13 +570,6 @@ class CorrectnessChecker:
                 return ExtendResult("Found", tau)
         return ExtendResult("BoundExhausted")
 
-    def _extensions(self, sigma: Seq, search_bound: int, y_len: int):
-        for extra in range(search_bound):
-            if len(sigma) + extra > y_len:
-                return
-            for suffix in itertools.product(range(self.game.alphabet), repeat=extra):
-                yield sigma + suffix
-
     # -- evidence for the separating set ------------------------------
 
     def separator_evidence(self, y_prefix: Seq, length_bound: int) -> EvidenceResult:
@@ -584,13 +577,11 @@ class CorrectnessChecker:
         in W, scanning lengths up to length_bound.  NoneWithin is a
         bounded negative, not a nonmembership claim."""
         xi = self.game.xi
-        top = min(length_bound, len(y_prefix))
-        for n in range(top + 1):
-            for sigma in itertools.product(range(self.game.alphabet), repeat=n):
-                if not eval_at(self.sys, self.game.w, self.play(y_prefix, sigma)):
-                    continue
-                if self.is_strongly_correct(y_prefix, sigma, xi):
-                    return EvidenceResult("Evidence", sigma)
+        for sigma in shortlex(min(length_bound, len(y_prefix)), self.game.alphabet):
+            if not eval_at(self.sys, self.game.w, self.play(y_prefix, sigma)):
+                continue
+            if self.is_strongly_correct(y_prefix, sigma, xi):
+                return EvidenceResult("Evidence", sigma)
         return EvidenceResult("NoneWithin")
 
 
@@ -658,14 +649,11 @@ def adversarial_play(
         sigma = found.sigma
     else:
         mode = "T0"
-        sigma = None
-        for n in range(len(y_prefix) + 1):
-            for cand in itertools.product(range(g.alphabet), repeat=n):
-                if checker.is_strongly_correct(y_prefix, cand, xi):
-                    sigma = cand
-                    break
-            if sigma is not None:
-                break
+        sigma = next(
+            (cand for cand in shortlex(len(y_prefix), g.alphabet)
+             if checker.is_strongly_correct(y_prefix, cand, xi)),
+            None,
+        )
         if sigma is None:
             return PlayTranscript(mode, (), "NoStronglyCorrectStart")
 

@@ -13,10 +13,10 @@ import dataclasses
 from bisect import bisect_right
 from typing import Iterable, Optional
 
-from .jump import Seq
 from .ordinals import (
     ComputableCopy,
     OrdinalNotation,
+    RankedTree,
     ZERO,
     classify,
     compare,
@@ -28,9 +28,8 @@ from .ordinals import (
     render,
     successor,
 )
-from .ordinals import RankedTree
 from .stages import TrueStageSystem
-from .universe import Universe, parse_seq, seq_str
+from .universe import Seq, Universe, parse_seq, seq_str
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,7 +14,7 @@ import dataclasses
 import threading
 from typing import Protocol
 
-Seq = tuple[int, ...]
+from .universe import Seq
 
 
 class ContractViolationError(Exception):
@@ -67,24 +67,23 @@ class DefaultOperator:
 def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
     """Run the operator and check the per-call trace invariants."""
     trace = op.trace(tuple(sigma))
-    prev_time = 0
+    prev_e, prev_t = 0, 0
+    seen: set[int] = set()
     for e, t in trace.events:
         if not 1 <= t <= len(sigma):
             raise ContractViolationError(
                 f"event ({e},{t}) out of bounds for a sequence of length {len(sigma)}"
             )
-        if t < prev_time:
+        if t < prev_t:
             raise ContractViolationError(f"event times out of order at ({e},{t})")
-        prev_time = t
-    for i in range(1, len(trace.events)):
-        (e0, t0), (e1, t1) = trace.events[i - 1], trace.events[i]
-        if t0 == t1 and e0 >= e1:
+        if t == prev_t and prev_e >= e:
             raise ContractViolationError(
-                f"events at time {t0} not sorted by code: {e0} before {e1}"
+                f"events at time {t} not sorted by code: {prev_e} before {e}"
             )
-    codes = [e for e, _ in trace.events]
-    if len(set(codes)) != len(codes):
-        raise ContractViolationError("duplicate code enumerated")
+        if e in seen:
+            raise ContractViolationError("duplicate code enumerated")
+        seen.add(e)
+        prev_e, prev_t = e, t
     return trace
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class ParseError(ValueError):
@@ -352,7 +352,7 @@ def enum_copy(eta: OrdinalNotation) -> ComputableCopy:
 
 def _below(eta: OrdinalNotation) -> Iterator[OrdinalNotation]:
     for length in itertools.count(1):
-        for nu in _w_headed(length):
+        for nu in sorted(_w_headed(length), key=lambda nu: _string_key(render(nu))):
             if compare(nu, eta) < 0:
                 yield nu
         lo = 0 if length == 1 else 10 ** (length - 1)
@@ -371,10 +371,16 @@ def _try_terms(
         return None
 
 
-def _w_headed(length: int) -> list[OrdinalNotation]:
-    """All notations whose rendering has the given length and starts with w."""
+def _w_headed(
+    length: int, bound: Optional[OrdinalNotation] = None
+) -> list[OrdinalNotation]:
+    """All notations whose rendering has the given length and starts
+    with w, in no fixed order; with a bound, only those whose leading
+    exponent is below it."""
     out = []
     for first, used in _w_terms(length):
+        if bound is not None and compare(first[0], bound) >= 0:
+            continue
         if used == length:
             nu = _try_terms((first,))
             if nu is not None:
@@ -384,7 +390,6 @@ def _w_headed(length: int) -> list[OrdinalNotation]:
                 nu = _try_terms((first,) + rest.terms)
                 if nu is not None:
                     out.append(nu)
-    out.sort(key=lambda nu: _string_key(render(nu)))
     return out
 
 
@@ -422,18 +427,7 @@ def _bounded_exprs(length: int, bound: OrdinalNotation) -> list[OrdinalNotation]
         lo = 1 if length == 1 else 10 ** (length - 1)
         for n in range(lo, 10 ** length):
             out.append(from_int(n))
-    for first, used in _w_terms(length):
-        if compare(first[0], bound) >= 0:
-            continue
-        if used == length:
-            nu = _try_terms((first,))
-            if nu is not None:
-                out.append(nu)
-        elif used + 2 <= length:
-            for rest in _bounded_exprs(length - used - 1, first[0]):
-                nu = _try_terms((first,) + rest.terms)
-                if nu is not None:
-                    out.append(nu)
+    out.extend(_w_headed(length, bound))
     return out
 
 
@@ -444,18 +438,12 @@ Node = tuple[int, ...]
 
 
 class RankedTree:
-    """A finite tree over sequence-labelled nodes with an explicit parent map
-    and a sibling order."""
+    """A finite tree over sequence-labelled nodes with an explicit parent
+    map; siblings are ordered shortest first, then lexicographically."""
 
-    def __init__(
-        self,
-        nodes: tuple[Node, ...],
-        parent: dict[Node, Optional[Node]],
-        child_key: Optional[Callable[[Node], object]] = None,
-    ):
+    def __init__(self, nodes: tuple[Node, ...], parent: dict[Node, Optional[Node]]):
         self.nodes = tuple(nodes)
         self.parent = dict(parent)
-        self.child_key = child_key or (lambda node: (len(node), node))
         roots = [n for n in self.nodes if self.parent.get(n) is None]
         if len(roots) != 1:
             raise ValueError(f"expected a single root, found {len(roots)}")
@@ -473,7 +461,7 @@ class RankedTree:
             if p is not None:
                 self._children[p].append(n)
         for kids in self._children.values():
-            kids.sort(key=self.child_key)
+            kids.sort(key=lambda node: (len(node), node))
         # Reaching the root from every node rules out cycles.
         for n in self.nodes:
             seen = set()

@@ -16,9 +16,9 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .jump import EnumerationOperator, JumpTrace, Seq, enumerate_jump
+from .jump import EnumerationOperator, JumpTrace, enumerate_jump
 from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
-from .universe import Universe
+from .universe import Seq, Universe
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,10 +213,14 @@ class PropertyReport:
         return lines
 
 
-def _example(res: PropertyResult, cap: int, **data) -> None:
+# Counterexamples kept per property; `failures` counts every one.
+_MAX_COUNTEREXAMPLES = 5
+
+
+def _example(res: PropertyResult, **data) -> None:
     res.passed = False
     res.failures += 1
-    if len(res.counterexamples) < cap:
+    if len(res.counterexamples) < _MAX_COUNTEREXAMPLES:
         res.counterexamples.append(
             {k: (render(v) if isinstance(v, OrdinalNotation) else
                  list(v) if isinstance(v, tuple) else v)
@@ -229,17 +233,15 @@ def ts_verify(
     universe: Universe,
     levels: Iterable[OrdinalNotation],
     window: int = 4,
-    max_counterexamples: int = 5,
 ) -> PropertyReport:
     """Exhaustively check the order axioms on a finite universe.
 
     Failures are recorded, never raised; a corrupted operator shows up
-    as counterexample entries in the report.
+    as counterexample entries in the report, at most five per property.
     """
     levels = list(levels)
     seqs = universe.all_seqs()
     pairs = list(universe.prefix_pairs())
-    cap = max_counterexamples
     report = PropertyReport(results={})
 
     def fresh(name: str) -> PropertyResult:
@@ -254,7 +256,7 @@ def ts_verify(
             for tau in seqs:
                 res.checked += 1
                 if sys.leq(sigma, tau, alpha) and tau[: len(sigma)] != sigma:
-                    _example(res, cap, alpha=alpha, sigma=sigma, tau=tau,
+                    _example(res, alpha=alpha, sigma=sigma, tau=tau,
                              detail="related but not a prefix")
 
     # TS2: predecessor sets are chains rooted at the empty sequence.
@@ -264,14 +266,14 @@ def ts_verify(
             ch = sys.chain(tau, alpha)
             res.checked += 1
             if not ch or ch[0] != ():
-                _example(res, cap, alpha=alpha, tau=tau,
+                _example(res, alpha=alpha, tau=tau,
                          detail="chain does not start at the root")
                 continue
             for i in range(len(ch)):
                 for j in range(i + 1, len(ch)):
                     res.checked += 1
                     if not sys.leq(ch[i], ch[j], alpha):
-                        _example(res, cap, alpha=alpha, tau=tau,
+                        _example(res, alpha=alpha, tau=tau,
                                  sigma=ch[i], rho=ch[j],
                                  detail="chain elements incomparable")
 
@@ -282,7 +284,7 @@ def ts_verify(
         for sigma, tau in pairs:
             res.checked += 1
             if sys.leq(sigma, tau, hi) and not sys.leq(sigma, tau, lo):
-                _example(res, cap, low=lo, high=hi, sigma=sigma, tau=tau,
+                _example(res, low=lo, high=hi, sigma=sigma, tau=tau,
                          detail="related at the higher level only")
 
     # TS7-consistency: successor levels re-derived straight-line, and
@@ -310,7 +312,7 @@ def ts_verify(
                         if len(rho) > len(sigma)
                     )
             if sys.leq(sigma, tau, alpha) != expected:
-                _example(res, cap, alpha=alpha, sigma=sigma, tau=tau,
+                _example(res, alpha=alpha, sigma=sigma, tau=tau,
                          detail="successor formula disagrees")
     for alpha in levels:
         for sigma, tau in pairs:
@@ -318,7 +320,7 @@ def ts_verify(
                 continue
             res.checked += 1
             if not sys.trace_at(tau, alpha).extends(sys.trace_at(sigma, alpha)):
-                _example(res, cap, alpha=alpha, sigma=sigma, tau=tau,
+                _example(res, alpha=alpha, sigma=sigma, tau=tau,
                          detail="jump trace not extended along the chain")
 
     # Club: between levels alpha and alpha+1, truth cannot skip over an
@@ -332,7 +334,7 @@ def ts_verify(
                 for j in range(i + 1, len(ch)):
                     res.checked += 1
                     if sys.leq(ch[i], tau, up) and not sys.leq(ch[i], ch[j], up):
-                        _example(res, cap, alpha=alpha, sigma=ch[i],
+                        _example(res, alpha=alpha, sigma=ch[i],
                                  rho=ch[j], tau=tau,
                                  detail="skipped an intermediate stage")
 
@@ -347,7 +349,7 @@ def ts_verify(
                     res.checked += 1
                     if not (sys.leq(ch[i], ch[j], alpha)
                             or sys.leq(ch[j], ch[i], alpha)):
-                        _example(res, cap, alpha=alpha, tau=tau,
+                        _example(res, alpha=alpha, tau=tau,
                                  sigma=ch[i], rho=ch[j],
                                  detail="true stages incomparable")
 
@@ -365,7 +367,7 @@ def ts_verify(
             base = sys.leq(sigma, tau, fund_seq(lam, k))
             for j in range(k + 1, k + window + 1):
                 if sys.leq(sigma, tau, fund_seq(lam, j)) != base:
-                    _example(res, cap, lam=lam, sigma=sigma, tau=tau,
+                    _example(res, lam=lam, sigma=sigma, tau=tau,
                              k=k, j=j, detail="answer flickers past the height")
                     break
 

@@ -10,6 +10,14 @@ from typing import Iterator
 Seq = tuple[int, ...]
 
 
+def shortlex(max_len: int, alphabet: int) -> Iterator[Seq]:
+    """Every sequence over range(alphabet) of length at most max_len,
+    shortest first and lexicographic within a length.  Lazy, so a scan
+    that stops early never builds the rest."""
+    for n in range(max_len + 1):
+        yield from itertools.product(range(alphabet), repeat=n)
+
+
 @dataclasses.dataclass(frozen=True)
 class Universe:
     max_len: int
@@ -22,11 +30,8 @@ class Universe:
             raise ValueError("alphabet must contain at least one value")
 
     def all_seqs(self) -> list[Seq]:
-        """All members, shortest first, lexicographic within a length."""
-        out: list[Seq] = []
-        for n in range(self.max_len + 1):
-            out.extend(itertools.product(range(self.alphabet), repeat=n))
-        return out
+        """All members, in shortlex order."""
+        return list(shortlex(self.max_len, self.alphabet))
 
     def maximal(self) -> list[Seq]:
         return list(itertools.product(range(self.alphabet), repeat=self.max_len))
@@ -37,23 +42,12 @@ class Universe:
             for i in range(len(tau) + 1):
                 yield tau[:i], tau
 
-    def extensions(self, sigma: Seq) -> list[Seq]:
-        if len(sigma) >= self.max_len:
-            return []
-        return [sigma + (v,) for v in range(self.alphabet)]
-
     def __contains__(self, seq: object) -> bool:
         return (
             isinstance(seq, tuple)
             and len(seq) <= self.max_len
             and all(isinstance(v, int) and 0 <= v < self.alphabet for v in seq)
         )
-
-    @property
-    def size(self) -> int:
-        if self.alphabet == 1:
-            return self.max_len + 1
-        return (self.alphabet ** (self.max_len + 1) - 1) // (self.alphabet - 1)
 
 
 def seq_str(seq: Seq) -> str:

@@ -14,10 +14,9 @@ import dataclasses
 from typing import Optional
 
 from .hierarchy import UpsetRep, eval_at, upset_from_json, upset_to_json
-from .jump import Seq
 from .ordinals import OrdinalNotation, classify, fund_seq, parse_ordinal, render
 from .stages import TrueStageSystem
-from .universe import Universe, seq_str
+from .universe import Seq, Universe, seq_str
 
 
 @dataclasses.dataclass(frozen=True)

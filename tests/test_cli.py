@@ -5,23 +5,26 @@ import sys
 import pytest
 
 from truestages import cli
+from truestages.jump import ContractViolationError, JumpTrace
 from truestages.universe import Universe
+
+QUICKWIN = {
+    "xi": "0",
+    "W": {"level": "0", "generators": [[]]},
+    "T0": {"full": True},
+    "T1": {"pairs": [[[], []]]},
+    "bounds": {"alphabet": 2, "depth": 3},
+    "play": {"xs": [0, 1], "yzs": [[0, 0], [1, 0]]},
+    "y": [0, 0, 0, 0],
+    "v": [0, 0, 0, 0],
+    "searchBound": 3,
+}
 
 
 @pytest.fixture(scope="module")
 def quickwin_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "quickwin.json"
-    path.write_text(json.dumps({
-        "xi": "0",
-        "W": {"level": "0", "generators": [[]]},
-        "T0": {"full": True},
-        "T1": {"pairs": [[[], []]]},
-        "bounds": {"alphabet": 2, "depth": 3},
-        "play": {"xs": [0, 1], "yzs": [[0, 0], [1, 0]]},
-        "y": [0, 0, 0, 0],
-        "v": [0, 0, 0, 0],
-        "searchBound": 3,
-    }))
+    path.write_text(json.dumps(QUICKWIN))
     return str(path)
 
 
@@ -101,6 +104,31 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("action", ["separator", "adversarial"])
+def test_lsr_without_y_exits_two(capsys, tmp_path, action):
+    inst = tmp_path / "no-y.json"
+    inst.write_text(json.dumps({k: v for k, v in QUICKWIN.items() if k != "y"}))
+    code, out, err = run_main(capsys, "lsr", action, "--instance", str(inst))
+    assert code == 2
+    assert out == ""
+    assert "instance lacks a y field" in err
+
+
+class DuplicateCodeOperator:
+    """Enumerates code 4 at every time, so every trace of length 2 or
+    more repeats a code."""
+
+    def trace(self, sigma):
+        return JumpTrace(tuple((4, t) for t in range(1, len(sigma) + 1)))
+
+
+def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
+    # An operator bug is internal, not bad input: it must not become exit 2.
+    monkeypatch.setattr(cli, "DefaultOperator", DuplicateCodeOperator)
+    with pytest.raises(ContractViolationError, match="duplicate code"):
+        cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
 
 
 def test_exit_one_when_a_check_fails(capsys, monkeypatch):

@@ -71,12 +71,19 @@ def test_determinism_and_p_membership(seq):
         assert trace.p == 0
 
 
+# Each bad operator breaks one invariant and names the message it must get.
+
+
 class _OutOfBounds:
+    message = r"event \(1,7\) out of bounds for a sequence of length 2"
+
     def trace(self, sigma):
         return JumpTrace(((1, len(sigma) + 5),))
 
 
 class _Unsorted:
+    message = r"event times out of order at \(2,1\)"
+
     def trace(self, sigma):
         if len(sigma) < 2:
             return JumpTrace(())
@@ -84,15 +91,28 @@ class _Unsorted:
 
 
 class _Duplicated:
+    message = "duplicate code enumerated"
+
     def trace(self, sigma):
         if len(sigma) < 2:
             return JumpTrace(())
         return JumpTrace(((4, 1), (4, 2)))
 
 
-@pytest.mark.parametrize("bad", [_OutOfBounds(), _Unsorted(), _Duplicated()])
+class _CodesUnsorted:
+    message = "events at time 1 not sorted by code: 2 before 1"
+
+    def trace(self, sigma):
+        if len(sigma) < 2:
+            return JumpTrace(())
+        return JumpTrace(((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "bad", [_OutOfBounds(), _Unsorted(), _Duplicated(), _CodesUnsorted()]
+)
 def test_local_contract_violations(bad):
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=f"^{bad.message}$"):
         enumerate_jump(bad, (3, 3))
 
 
