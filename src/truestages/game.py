@@ -168,8 +168,8 @@ def _grade(sys: TrueStageSystem, g: GameInstance, xs: Seq) -> Grade:
     so one grade serves every reply to the same x-play."""
     in_w = eval_at(sys, g.w, xs)
     f = tuple(
-        i for i in range(1, len(xs) + 1)
-        if sys.leq(xs[:i], xs, g.xi) and (not in_w or eval_at(sys, g.w, xs[:i]))
+        len(rho) for rho in sys.chain(xs, g.xi)
+        if rho and (not in_w or eval_at(sys, g.w, rho))
     )
     return (g.t1 if in_w else g.t0), f
 
@@ -266,40 +266,60 @@ def solve(
     """
     if depth is None:
         depth = g.depth
-    b = g.alphabet
-    nodes = 0
-    i_choice: dict[tuple, int] = {}
-    ii_choice: dict[tuple, Pair] = {}
-    # An x-play recurs under every reply sequence of II; grade it once.
-    grades: dict[Seq, Grade] = {}
+    search = _Search(sys, g, depth, max_nodes)
+    root = search.value((), ())
+    moves: dict = {}
+    if root is not None:
+        search.fill_i(moves, (), ())
+        return SolveResult("IWins", StrategyTable("I", depth, moves), by_turn=root)
+    search.fill_ii(moves, (), ())
+    return SolveResult("Undetermined", StrategyTable("II", depth, moves))
 
-    def value(xs: Seq, yzs: tuple[Pair, ...]) -> Optional[int]:
-        nonlocal nodes
+
+class _Search:
+    """One solve's backward induction.  The recursive steps are methods,
+    not closures: a closure that calls itself keeps itself, and with it
+    sys and its memo, alive until a full garbage collection."""
+
+    def __init__(self, sys: TrueStageSystem, g: GameInstance, depth: int,
+                 max_nodes: int):
+        self.sys = sys
+        self.g = g
+        self.depth = depth
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self.i_choice: dict[tuple, int] = {}
+        self.ii_choice: dict[tuple, Pair] = {}
+        # An x-play recurs under every reply sequence of II; grade it once.
+        self.grades: dict[Seq, Grade] = {}
+
+    def value(self, xs: Seq, yzs: tuple[Pair, ...]) -> Optional[int]:
         n = len(xs)
-        if n == depth:
+        if n == self.depth:
             return None
+        b = self.g.alphabet
         best: Optional[tuple[int, int]] = None
         for x in range(b):
             xs2 = xs + (x,)
-            grade = grades.get(xs2)
+            grade = self.grades.get(xs2)
             if grade is None:
-                grade = grades[xs2] = _grade(sys, g, xs2)
+                grade = self.grades[xs2] = _grade(self.sys, self.g, xs2)
             worst = 0
             surviving: Optional[Pair] = None
             for y in range(b):
                 if surviving is not None:
                     break
                 for z in range(b):
-                    nodes += 1
-                    if nodes > max_nodes:
+                    self.nodes += 1
+                    if self.nodes > self.max_nodes:
                         raise ResourceBoundError(
-                            f"solver exceeded {max_nodes} referee evaluations"
+                            f"solver exceeded {self.max_nodes} referee evaluations"
                         )
                     yzs2 = yzs + ((y, z),)
                     if _judge(grade, yzs2).status == "IWon":
                         worst = max(worst, n + 1)
                         continue
-                    sub = value(xs2, yzs2)
+                    sub = self.value(xs2, yzs2)
                     if sub is None:
                         surviving = (y, z)
                         break
@@ -308,43 +328,32 @@ def solve(
                 if best is None or (worst, x) < best:
                     best = (worst, x)
             else:
-                ii_choice[(xs, yzs, x)] = surviving
+                self.ii_choice[(xs, yzs, x)] = surviving
         if best is None:
             return None
-        i_choice[(xs, yzs)] = best[1]
+        self.i_choice[(xs, yzs)] = best[1]
         return best[0]
 
-    root = value((), ())
-    if root is not None:
-        moves: dict = {}
+    def fill_i(self, moves: dict, xs: Seq, yzs: tuple[Pair, ...]) -> None:
+        b = self.g.alphabet
+        x = self.i_choice[(xs, yzs)]
+        moves[yzs] = x
+        xs2 = xs + (x,)
+        # value() searched every reply to the chosen x: a reply that
+        # continued left an i_choice entry, a reply I won left none.
+        for y in range(b):
+            for z in range(b):
+                yzs2 = yzs + ((y, z),)
+                if (xs2, yzs2) in self.i_choice:
+                    self.fill_i(moves, xs2, yzs2)
 
-        def fill_i(xs: Seq, yzs: tuple[Pair, ...]) -> None:
-            x = i_choice[(xs, yzs)]
-            moves[yzs] = x
-            xs2 = xs + (x,)
-            # value() searched every reply to the chosen x: a reply that
-            # continued left an i_choice entry, a reply I won left none.
-            for y in range(b):
-                for z in range(b):
-                    yzs2 = yzs + ((y, z),)
-                    if (xs2, yzs2) in i_choice:
-                        fill_i(xs2, yzs2)
-
-        fill_i((), ())
-        return SolveResult("IWins", StrategyTable("I", depth, moves), by_turn=root)
-
-    moves = {}
-
-    def fill_ii(xs: Seq, yzs: tuple[Pair, ...]) -> None:
-        if len(xs) == depth:
+    def fill_ii(self, moves: dict, xs: Seq, yzs: tuple[Pair, ...]) -> None:
+        if len(xs) == self.depth:
             return
-        for x in range(b):
-            reply = ii_choice[(xs, yzs, x)]
+        for x in range(self.g.alphabet):
+            reply = self.ii_choice[(xs, yzs, x)]
             moves[xs + (x,)] = reply
-            fill_ii(xs + (x,), yzs + (reply,))
-
-    fill_ii((), ())
-    return SolveResult("Undetermined", StrategyTable("II", depth, moves))
+            self.fill_ii(moves, xs + (x,), yzs + (reply,))
 
 
 def extract_reduction(

@@ -54,14 +54,15 @@ def upset_close(
     closed = frozenset(
         tau
         for tau in universe.all_seqs()
-        if any(sys.leq(g, tau, alpha) for g in gens)
+        if not gens.isdisjoint(sys.chain(tau, alpha))
     )
     return UpsetRep(alpha, closed)
 
 
 def eval_at(sys: TrueStageSystem, upset: UpsetRep, x_prefix: Seq) -> bool:
-    x_prefix = tuple(x_prefix)
-    return any(sys.leq(g, x_prefix, upset.level) for g in upset.generators)
+    """Whether some generator lies at or below x_prefix: a generator g
+    does exactly when g is on x_prefix's chain."""
+    return not upset.generators.isdisjoint(sys.chain(x_prefix, upset.level))
 
 
 def disjointify(

@@ -3,7 +3,10 @@
 At level 0 the relation is the prefix order.  At a successor level,
 sigma stays true to tau when no intermediate stage's p-value dips below
 sigma's own.  At a limit level the relation defers to the member of the
-fundamental sequence picked out by sigma's height.  A guess string
+fundamental sequence picked out by sigma's height.  The system computes
+each relation as the chain of a sequence, the prefixes that look true to
+it: a successor chain is one suffix-minimum pass over the chain a level
+below, and a relation answer is membership in a chain.  A guess string
 packages, per chain element, a bound on the lower-level jump together
 with the numbers known to lie inside it; flattening a guess produces
 the oracle fed back to the operator to climb one level.
@@ -69,9 +72,10 @@ class TrueStageSystem:
     """Memoizing evaluator for the level-indexed relations of one
     enumeration operator.
 
-    One memo holds every relation answer (leq), chain, jump trace and
-    guess block, each computed once per system.  Memo access is
-    serialized, so one instance may be shared across threads."""
+    One memo holds every chain, jump trace and guess block, each
+    computed once per system.  No leq answer is stored: leq reads
+    membership in a memoised chain.  Memo access is serialized, so one
+    instance may be shared across threads."""
 
     def __init__(self, operator: EnumerationOperator):
         self.operator = operator
@@ -94,24 +98,7 @@ class TrueStageSystem:
             return True
         if tau[: len(sigma)] != sigma:
             return False
-        return self._memoized(TrueStageSystem._leq, sigma, tau, alpha)
-
-    def _leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
-        cls = classify(alpha)
-        if cls.kind == "zero":
-            return True
-        if cls.kind == "successor":
-            beta = cls.predecessor
-            if not self.leq(sigma, tau, beta):
-                return False
-            floor = self.p(sigma, beta)
-            return all(
-                self.p(rho, beta) >= floor
-                for rho in self.chain(tau, beta)
-                if len(rho) > len(sigma)
-            )
-        k = self.height(sigma, alpha)
-        return self.leq(sigma, tau, fund_seq(alpha, k))
+        return sigma in self.chain(tau, alpha)
 
     def height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         """Number of strict predecessors; at a limit this recursion only
@@ -119,12 +106,32 @@ class TrueStageSystem:
         return len(self.chain(sigma, alpha)) - 1
 
     def chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
+        """The prefixes of tau that look true to tau at level alpha,
+        shortest first, tau itself last."""
         return self._memoized(TrueStageSystem._chain, tuple(tau), alpha)
 
     def _chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
+        cls = classify(alpha)
+        if cls.kind == "zero":
+            return tuple(tau[:i] for i in range(len(tau) + 1))
+        if cls.kind == "successor":
+            # A suffix minimum: rho stays when no later stage of the
+            # chain below has a smaller p.
+            beta = cls.predecessor
+            kept: list[Seq] = []
+            floor = None
+            for rho in reversed(self.chain(tau, beta)):
+                p = self.p(rho, beta)
+                if floor is None or p <= floor:
+                    kept.append(rho)
+                    floor = p
+            return tuple(reversed(kept))
+        # A proper prefix stays when it is on tau's chain at the member of
+        # the fundamental sequence that its own height picks.
         return tuple(
-            tau[:i] for i in range(len(tau) + 1) if self.leq(tau[:i], tau, alpha)
-        )
+            rho for rho in (tau[:i] for i in range(len(tau)))
+            if rho in self.chain(tau, fund_seq(alpha, self.height(rho, alpha)))
+        ) + (tau,)
 
     def guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
         """One block per element of sigma's chain.  The string itself is

@@ -52,37 +52,46 @@ def wadge_tree(
         if not (eval_at(sys, w0, x) or eval_at(sys, w1, x)):
             raise ValueError(f"maximal sequence {seq_str(x)} is uncovered")
 
-    seqs = universe.all_seqs()
+    return _build(sys, w0, w1, lam, universe.all_seqs(), ())
 
-    def build(node: Seq) -> DecompositionTree:
-        k = sys.height(node, lam)
-        if eval_at(sys, w1, node):
-            return DecompositionTree(node, "leaf", 0, value=1,
-                                     witness_level=fund_seq(lam, k))
-        if eval_at(sys, w0, node):
-            return DecompositionTree(node, "leaf", 0, value=0,
-                                     witness_level=fund_seq(lam, k))
-        kids = sorted(
-            tau for tau in seqs
-            if len(tau) > len(node)
-            and sys.height(tau, lam) == k + 1
-            and sys.leq(node, tau, lam)
-        )
-        if not kids:
-            raise ValueError(
-                f"undecided stage {seq_str(node)} has no extensions to split on"
-            )
-        level = fund_seq(lam, k + 1)
-        subtrees = tuple(build(tau) for tau in kids)
-        separators = tuple(
-            UpsetRep(level, frozenset({tau})) for tau in kids
-        )
-        rank = 1 + max(t.rank for t in subtrees)
-        return DecompositionTree(node, "internal", rank,
-                                 children=subtrees, separators=separators,
-                                 separator_level=level)
 
-    return build(())
+def _build(
+    sys: TrueStageSystem,
+    w0: UpsetRep,
+    w1: UpsetRep,
+    lam: OrdinalNotation,
+    seqs: list[Seq],
+    node: Seq,
+) -> DecompositionTree:
+    """The subtree at node.  A module function, not a closure: a closure
+    that calls itself keeps itself, and with it sys and its memo, alive
+    until a full garbage collection."""
+    k = sys.height(node, lam)
+    if eval_at(sys, w1, node):
+        return DecompositionTree(node, "leaf", 0, value=1,
+                                 witness_level=fund_seq(lam, k))
+    if eval_at(sys, w0, node):
+        return DecompositionTree(node, "leaf", 0, value=0,
+                                 witness_level=fund_seq(lam, k))
+    kids = sorted(
+        tau for tau in seqs
+        if len(tau) > len(node)
+        and sys.height(tau, lam) == k + 1
+        and sys.leq(node, tau, lam)
+    )
+    if not kids:
+        raise ValueError(
+            f"undecided stage {seq_str(node)} has no extensions to split on"
+        )
+    level = fund_seq(lam, k + 1)
+    subtrees = tuple(_build(sys, w0, w1, lam, seqs, tau) for tau in kids)
+    separators = tuple(
+        UpsetRep(level, frozenset({tau})) for tau in kids
+    )
+    rank = 1 + max(t.rank for t in subtrees)
+    return DecompositionTree(node, "internal", rank,
+                             children=subtrees, separators=separators,
+                             separator_level=level)
 
 
 def decomposition_eval(

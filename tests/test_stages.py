@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truestages.hierarchy import eval_at, upset_close
 from truestages.jump import DefaultOperator, JumpTrace
-from truestages.ordinals import parse_ordinal, render
+from truestages.ordinals import classify, fund_seq, parse_ordinal, render
 from truestages.stages import (
     Block,
     GuessString,
@@ -133,6 +134,60 @@ def test_limit_level_defers_to_height_index(sys_):
             k = sys_.height(sigma, lam)
             want = sys_.leq(sigma, tau, parse_ordinal(str(k + 1)))
             assert sys_.leq(sigma, tau, lam) == want
+
+
+def ref_leq(sys_, sigma, tau, alpha):
+    """The relations straight from their definitions, with no memo and no
+    chain: only sys_.p is read."""
+    if tau[: len(sigma)] != sigma:
+        return False
+    if sigma == tau:
+        return True
+    cls = classify(alpha)
+    if cls.kind == "zero":
+        return True
+    if cls.kind == "successor":
+        beta = cls.predecessor
+        return ref_leq(sys_, sigma, tau, beta) and all(
+            sys_.p(rho, beta) >= sys_.p(sigma, beta)
+            for rho in (tau[:i] for i in range(len(sigma) + 1, len(tau) + 1))
+            if ref_leq(sys_, rho, tau, beta)
+        )
+    return ref_leq(sys_, sigma, tau, fund_seq(alpha, ref_height(sys_, sigma, alpha)))
+
+
+def ref_height(sys_, sigma, alpha):
+    return sum(ref_leq(sys_, sigma[:i], sigma, alpha) for i in range(len(sigma)))
+
+
+REF_UNIVERSE = Universe(4, 2)
+REF_LEVELS = ["0", "1", "2", "w", "w+1", "w+2", "w*2"]
+
+
+@pytest.mark.parametrize("name", REF_LEVELS)
+def test_relations_match_the_reference(sys_, name):
+    alpha = parse_ordinal(name)
+    seqs = REF_UNIVERSE.all_seqs()
+    for tau in seqs:
+        want = tuple(
+            tau[:i] for i in range(len(tau) + 1)
+            if ref_leq(sys_, tau[:i], tau, alpha)
+        )
+        assert sys_.chain(tau, alpha) == want, tau
+        assert sys_.height(tau, alpha) == ref_height(sys_, tau, alpha), tau
+        for sigma in seqs:
+            assert sys_.leq(sigma, tau, alpha) == ref_leq(sys_, sigma, tau, alpha), (sigma, tau)
+
+
+@pytest.mark.parametrize("name", REF_LEVELS)
+def test_eval_at_is_a_generator_below(sys_, name):
+    alpha = parse_ordinal(name)
+    seqs = REF_UNIVERSE.all_seqs()
+    for gens in ([()], [(1,)], [(0, 1), (1, 1, 0)], [s for s in seqs if len(s) == 2]):
+        u = upset_close(sys_, gens, alpha, REF_UNIVERSE)
+        for x in seqs:
+            want = any(sys_.leq(g, x, u.level) for g in u.generators)
+            assert eval_at(sys_, u, x) == want, (gens, x)
 
 
 SEQS = st.lists(st.integers(0, 2), max_size=4).map(tuple)
