@@ -12,6 +12,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys as _sys
@@ -54,6 +55,9 @@ class InputError(Exception):
     """Unusable input: missing file, malformed JSON, bad notation."""
 
 
+# Built once per process: parsing reads the parser and never changes it,
+# and every default is immutable, so every call may share it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="truestages",

@@ -159,7 +159,10 @@ def referee(sys: TrueStageSystem, g: GameInstance, play: PartialPlay) -> Referee
         )
     if n < 1:
         raise ValueError("referee needs at least one completed round")
-    return _judge(_grade(sys, g, tuple(play.xs)), play.yzs)
+    tree, f = _grade(sys, g, tuple(play.xs))
+    ybar, zbar = _read(f, play.yzs)
+    status = "Continues" if tree.contains(ybar, zbar) else "IWon"
+    return RefereeVerdict(f, ybar, zbar, status)
 
 
 def _grade(sys: TrueStageSystem, g: GameInstance, xs: Seq) -> Grade:
@@ -174,13 +177,17 @@ def _grade(sys: TrueStageSystem, g: GameInstance, xs: Seq) -> Grade:
     return (g.t1 if in_w else g.t0), f
 
 
-def _judge(grade: Grade, yzs: tuple[Pair, ...]) -> RefereeVerdict:
-    """Player II's half of the referee: read the answers through F."""
+def _read(f: tuple[int, ...], yzs: tuple[Pair, ...]) -> tuple[Seq, Seq]:
+    """Player II's half of the referee: the y-entries of the first |F|
+    rounds and the z-entries of exactly the rounds in F."""
+    return tuple([y for y, _ in yzs[: len(f)]]), tuple([yzs[a - 1][1] for a in f])
+
+
+def _continues(grade: Grade, yzs: tuple[Pair, ...]) -> bool:
+    """Whether II's answers survive the grade: the referee's status,
+    without building a verdict, for the solver and the checker."""
     tree, f = grade
-    ybar = tuple(yzs[i][0] for i in range(len(f)))
-    zbar = tuple(yzs[a - 1][1] for a in f)
-    status = "Continues" if tree.contains(ybar, zbar) else "IWon"
-    return RefereeVerdict(f, ybar, zbar, status)
+    return tree.contains(*_read(f, yzs))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -316,7 +323,7 @@ class _Search:
                             f"solver exceeded {self.max_nodes} referee evaluations"
                         )
                     yzs2 = yzs + ((y, z),)
-                    if _judge(grade, yzs2).status == "IWon":
+                    if not _continues(grade, yzs2):
                         worst = max(worst, n + 1)
                         continue
                     sub = self.value(xs2, yzs2)
@@ -501,7 +508,7 @@ class CorrectnessChecker:
         if not self.is_correct(y_prefix, sigma[:-1], ZERO):
             return False
         grade = _grade(self.sys, self.game, self.play(y_prefix, sigma[:-1]))
-        return _judge(grade, tuple(zip(y_prefix, sigma))).status == "Continues"
+        return _continues(grade, tuple(zip(y_prefix, sigma)))
 
     # -- extension search ---------------------------------------------
 

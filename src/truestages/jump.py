@@ -5,7 +5,8 @@ events (e, t): number e enters the jump set at time t, with
 1 <= t <= len(sigma).  Traces must grow monotonically along prefixes.
 The default operator enumerates pair(i, k) when the (k+1)-th occurrence
 of value i appears, which makes the running "last number enumerated"
-drop and recover as sequences extend.
+drop and recover as sequences extend.  It computes the pairing inline;
+`cantor_pair` is the reference definition it must agree with.
 """
 
 from __future__ import annotations
@@ -55,24 +56,33 @@ class DefaultOperator:
     of value i in the sequence."""
 
     def trace(self, sigma: Seq) -> JumpTrace:
+        # cantor_pair(i, k) inlined: this loop runs once per event.  A
+        # first occurrence (k = 0) is the triangular number of i.
         seen: dict[int, int] = {}
-        events = []
+        get = seen.get
+        events: list[tuple[int, int]] = []
+        append = events.append
         for t, i in enumerate(sigma, start=1):
-            k = seen.get(i, 0)
+            k = get(i, 0)
             seen[i] = k + 1
-            events.append((cantor_pair(i, k), t))
+            if k:
+                n = i + k
+                append((n * (n + 1) // 2 + k, t))
+            else:
+                append((i * (i + 1) // 2, t))
         return JumpTrace(tuple(events))
 
 
 def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
     """Run the operator and check the per-call trace invariants."""
     trace = op.trace(tuple(sigma))
+    n = len(sigma)
     prev_e, prev_t = 0, 0
     seen: set[int] = set()
     for e, t in trace.events:
-        if not 1 <= t <= len(sigma):
+        if not 1 <= t <= n:
             raise ContractViolationError(
-                f"event ({e},{t}) out of bounds for a sequence of length {len(sigma)}"
+                f"event ({e},{t}) out of bounds for a sequence of length {n}"
             )
         if t < prev_t:
             raise ContractViolationError(f"event times out of order at ({e},{t})")

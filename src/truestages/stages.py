@@ -15,6 +15,7 @@ the oracle fed back to the operator to climb one level.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import threading
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -33,9 +34,10 @@ class Block:
     members: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if list(self.members) != sorted(set(self.members)):
+        m = self.members
+        if not all(map(operator.lt, m, m[1:])):
             raise ValueError("members must be strictly increasing")
-        if self.members and self.members[-1] >= self.p_bound:
+        if m and m[-1] >= self.p_bound:
             raise ValueError("members must lie below the bound")
 
     def decides(self, e: int) -> bool:
@@ -163,7 +165,7 @@ class TrueStageSystem:
         Filled once per (rho, level) through the memo."""
         trace = self.trace_at(rho, level)
         bound = trace.p
-        return Block(bound, tuple(sorted(e for e, _ in trace.events if e < bound)))
+        return Block(bound, tuple(sorted([e for e, _ in trace.events if e < bound])))
 
     def oracle(self, sigma: Seq, alpha: OrdinalNotation) -> Seq:
         sigma = tuple(sigma)

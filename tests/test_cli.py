@@ -79,6 +79,17 @@ def test_verify_runs_clean(capsys):
     assert "TS1: pass" in out
 
 
+def test_shared_parser_keeps_its_defaults(capsys):
+    """The parser is built once per process, so one call's flags must not
+    become a later call's values."""
+    assert cli.build_parser() is cli.build_parser()
+    _, out, _ = run_main(capsys, "verify", "--max-len", "2", "--levels", "0",
+                         "--format", "json")
+    assert json.loads(out)["config"]["maxLen"] == 2
+    _, out, _ = run_main(capsys, "verify", "--levels", "0", "--format", "json")
+    assert json.loads(out)["config"]["maxLen"] == 3
+
+
 def test_missing_instance_exits_two(capsys):
     code, _, err = run_main(capsys, "lsr", "solve", "--instance", "missing.json")
     assert code == 2

@@ -222,6 +222,25 @@ def test_solve_grades_each_x_play_once(xi, monkeypatch):
         assert len(graded) == len(set(graded))
 
 
+@pytest.mark.parametrize("xi", ["0", "1", "w"])
+def test_solver_judging_agrees_with_referee(xi):
+    """The solver and the correctness checker judge through the boolean
+    _continues; on every play of up to 3 rounds it must say what the
+    referee's verdict says."""
+    g = pinned_game(xi)
+    sys_ = TrueStageSystem(DefaultOperator())
+    pairs = list(itertools.product(range(g.alphabet), repeat=2))
+    seen = set()
+    for n in range(1, 4):
+        for xs in itertools.product(range(g.alphabet), repeat=n):
+            grade = game._grade(sys_, g, xs)
+            for yzs in itertools.product(pairs, repeat=n):
+                status = referee(sys_, g, PartialPlay(xs, yzs)).status
+                assert game._continues(grade, yzs) == (status == "Continues")
+                seen.add(status)
+    assert seen == {"Continues", "IWon"}
+
+
 def test_winning_strategy_replay_beats_every_reply(sys_):
     g = y_mismatch_game(ZERO)
     r = solve(sys_, g)

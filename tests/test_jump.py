@@ -37,6 +37,28 @@ def test_default_traces():
     assert enumerate_jump(op, (5, 1)).events == ((15, 1), (1, 2))
 
 
+def straight_line_trace(sigma):
+    """The default operator's events, built from cantor_pair itself."""
+    occurrences = {}
+    events = []
+    for t, i in enumerate(sigma, start=1):
+        k = occurrences.get(i, 0)
+        occurrences[i] = k + 1
+        events.append((cantor_pair(i, k), t))
+    return tuple(events)
+
+
+# Draws from a small pool, so values repeat, and big values occur.
+_pooled_seqs = st.lists(
+    st.integers(0, 6) | st.integers(0, 2**4000), min_size=1, max_size=5
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=16))
+
+
+@given(_pooled_seqs)
+def test_default_operator_pairs_like_cantor_pair(seq):
+    assert DefaultOperator().trace(tuple(seq)).events == straight_line_trace(seq)
+
+
 def test_p_values():
     op = DefaultOperator()
     assert p_value(op, ()) == 0

@@ -113,6 +113,8 @@ def test_block_validation():
         Block(3, (5,))
     with pytest.raises(ValueError):
         Block(9, (4, 2))
+    with pytest.raises(ValueError):
+        Block(9, (2, 2))
     b = Block(9, (2, 4))
     assert b.bit(2) == 1 and b.bit(3) == 0
     assert not b.decides(9)
