@@ -6,7 +6,7 @@ separation game.  Every run emits a single report, as indented JSON or
 as text lines with the same content, and identical flags always
 produce identical bytes.  Exit status: 0 on success, 1 when a checked
 property failed (the report lists counterexamples), 2 on usage or
-input errors.
+input errors, 3 when the game solver exhausted its node budget.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Optional
 from .game import (
     CorrectnessChecker,
     PartialPlay,
+    ResourceBoundError,
     StrategyTable,
     adversarial_play,
-    extract_reduction,
     game_from_json,
     referee,
     solve,
@@ -426,6 +426,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except ResourceBoundError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 3
     report = {
         "command": name,
         "config": config,

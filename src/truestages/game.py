@@ -459,6 +459,17 @@ class CorrectnessChecker:
             return False
         return self.sys.leq(self.play(y_prefix, sigma), self.play(y_prefix, tau), alpha)
 
+    def _related(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> list[Node]:
+        """The nodes tau with tri_leq(y, tau, sigma, alpha), shortest
+        first, read off one chain.  The strategy replays move by move, so
+        play(tau) is the prefix of play(sigma) of length |tau| + 1: the
+        chain element of length 0 is the pre-root token and the one of
+        length L is sigma[:L-1]."""
+        return [
+            sigma[: len(x) - 1] if x else PRE_ROOT
+            for x in self.sys.chain(self.play(y_prefix, sigma), alpha)
+        ]
+
     # -- correctness --------------------------------------------------
 
     def is_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
@@ -472,12 +483,15 @@ class CorrectnessChecker:
             beta = cls.predecessor
             if not self.is_strongly_correct(y_prefix, sigma, beta):
                 return False
-            for tau in _closure(sigma):
-                if not self.tri_leq(y_prefix, tau, sigma, beta):
+            # sigma is on its own chain at every level, so the alpha chain
+            # is read only once a strongly beta-correct proper node needs it.
+            kept: Optional[list[Node]] = None
+            for tau in self._related(y_prefix, sigma, beta):
+                if not self.is_strongly_correct(y_prefix, tau, beta) or tau == sigma:
                     continue
-                if not self.is_strongly_correct(y_prefix, tau, beta):
-                    continue
-                if not self.tri_leq(y_prefix, tau, sigma, alpha):
+                if kept is None:
+                    kept = self._related(y_prefix, sigma, alpha)
+                if tau not in kept:
                     return False
             return True
         k = self.sys.height(self.play(y_prefix, sigma), alpha)
@@ -496,8 +510,7 @@ class CorrectnessChecker:
     ) -> bool:
         return all(
             self.is_correct(y_prefix, tau, alpha)
-            for tau in _closure(sigma)
-            if self.tri_leq(y_prefix, tau, sigma, alpha)
+            for tau in self._related(y_prefix, sigma, alpha)
         )
 
     def _zero_correct(self, y_prefix: Seq, sigma: Node) -> bool:
@@ -519,17 +532,12 @@ class CorrectnessChecker:
         sigma: Seq,
         alpha: OrdinalNotation,
         search_bound: int,
-        minimal_length: bool = False,
     ) -> ExtendResult:
-        """Search for a strongly alpha-correct extension of sigma.
-
-        The default search follows the extension argument: recurse one
-        level down, then minimise the p-value at a successor or take a
-        related-minimal candidate at a limit, verifying the pick and
-        falling back to a shortest-first scan.  With minimal_length the
-        shortest-first scan is used directly, which is what the
-        defeating-play construction needs.  BoundExhausted reports an
-        exhausted search space, not nonexistence.
+        """The shortest strongly alpha-correct extension of sigma, the
+        least in shortlex order among those by fewer than search_bound
+        entries that y still covers.  This is what the defeating-play
+        construction needs.  BoundExhausted reports an exhausted search
+        space, not nonexistence.
         """
         sigma = tuple(sigma)
         if rho is PRE_ROOT:
@@ -543,47 +551,12 @@ class CorrectnessChecker:
             raise ValueError(f"rho is not strongly {render(alpha)}-correct")
         if not self.is_correct(y_prefix, sigma, ZERO):
             raise ValueError("sigma is not 0-correct")
-        cls = classify(alpha)
-        if cls.kind == "zero":
+        if classify(alpha).kind == "zero":
             return ExtendResult("Found", sigma)
-        # Extensions by fewer than search_bound entries that y still covers.
         room = min(search_bound - 1, len(y_prefix) - len(sigma))
-        candidates = [sigma + s for s in shortlex(room, self.game.alphabet)]
-        if minimal_length:
-            for tau in candidates:
-                if self.is_strongly_correct(y_prefix, tau, alpha):
-                    return ExtendResult("Found", tau)
-            return ExtendResult("BoundExhausted")
-        if cls.kind == "successor":
-            beta = cls.predecessor
-            pool = [
-                tau for tau in candidates
-                if self.is_strongly_correct(y_prefix, tau, beta)
-            ]
-            if pool:
-                best = min(
-                    pool,
-                    key=lambda t: (self.sys.p(self.play(y_prefix, t), beta), len(t), t),
-                )
-                if self.is_strongly_correct(y_prefix, best, alpha):
-                    return ExtendResult("Found", best)
-        else:
-            k = self.sys.height(self.play(y_prefix, rho), alpha) + 1
-            level = fund_seq(alpha, k)
-            pool = [
-                tau for tau in candidates
-                if self.is_strongly_correct(y_prefix, tau, level)
-            ]
-            minimal = [
-                t for t in pool
-                if not any(u != t and self.tri_leq(y_prefix, u, t, level) for u in pool)
-            ]
-            if minimal:
-                if self.is_strongly_correct(y_prefix, minimal[0], alpha):
-                    return ExtendResult("Found", minimal[0])
-        for tau in pool:
-            if self.is_strongly_correct(y_prefix, tau, alpha):
-                return ExtendResult("Found", tau)
+        for s in shortlex(room, self.game.alphabet):
+            if self.is_strongly_correct(y_prefix, sigma + s, alpha):
+                return ExtendResult("Found", sigma + s)
         return ExtendResult("BoundExhausted")
 
     # -- evidence for the separating set ------------------------------
@@ -608,15 +581,6 @@ def _prefix_of(sigma: Node, tau: Node) -> bool:
         return False
     sigma, tau = tuple(sigma), tuple(tau)
     return tau[: len(sigma)] == sigma
-
-
-def _closure(sigma: Node) -> list[Node]:
-    """The pre-root token and every prefix of sigma, sigma included."""
-    out: list[Node] = [PRE_ROOT]
-    if sigma is not PRE_ROOT:
-        sigma = tuple(sigma)
-        out.extend(sigma[:i] for i in range(len(sigma) + 1))
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -703,9 +667,7 @@ def adversarial_play(
                 outcome = "PlayerIWon"
                 failed = sigma + (g.alphabet - 1,)
                 break
-        ext = checker.extend_correct(
-            y_prefix, sigma, tau, xi, search_bound, minimal_length=True
-        )
+        ext = checker.extend_correct(y_prefix, sigma, tau, xi, search_bound)
         if ext.status != "Found":
             outcome = "BoundExhausted"
             break
@@ -730,16 +692,13 @@ def _record(
         appended_matches = None
     else:
         appended_matches = sigma[len(sigmas[-2])] == appended
-    related = set()
-    for i in range(len(sigma) + 1):
-        rho = sigma[:i]
-        if not checker.tri_leq(y_prefix, rho, sigma, xi):
-            continue
-        if mode == "T1" and not eval_at(
-            checker.sys, checker.game.w, checker.play(y_prefix, rho)
-        ):
-            continue
-        related.add(rho)
+    related = {
+        rho for rho in checker._related(y_prefix, sigma, xi)
+        if rho is not PRE_ROOT and (
+            mode == "T0"
+            or eval_at(checker.sys, checker.game.w, checker.play(y_prefix, rho))
+        )
+    }
     witness_set_matches = related == set(sigmas)
     if mode == "T1" and index > 0:
         witness_consistent = checker.game.t1.contains(

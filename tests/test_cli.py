@@ -1,10 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from truestages import cli
+from truestages import cli, game
 from truestages.jump import ContractViolationError, JumpTrace
 from truestages.universe import Universe
 
@@ -140,6 +141,16 @@ def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DefaultOperator", DuplicateCodeOperator)
     with pytest.raises(ContractViolationError, match="duplicate code"):
         cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
+
+
+@pytest.mark.parametrize("action", ["solve", "separator", "adversarial"])
+def test_exhausted_solver_budget_exits_three(capsys, monkeypatch, quickwin_file, action):
+    # Running out of budget is neither a failed property nor bad input.
+    monkeypatch.setattr(cli, "solve", functools.partial(game.solve, max_nodes=2))
+    code, out, err = run_main(capsys, "lsr", action, "--instance", quickwin_file)
+    assert code == 3
+    assert out == ""
+    assert err == "error: solver exceeded 2 referee evaluations\n"
 
 
 def test_exit_one_when_a_check_fails(capsys, monkeypatch):

@@ -33,8 +33,9 @@ from truestages.game import (
 )
 from truestages.hierarchy import UpsetRep, eval_at
 from truestages.jump import DefaultOperator
-from truestages.ordinals import ZERO, compare, parse_ordinal, render
+from truestages.ordinals import ZERO, classify, compare, fund_seq, parse_ordinal, render
 from truestages.stages import TrueStageSystem
+from truestages.universe import Universe
 
 LEVELS = {s: parse_ordinal(s) for s in ["0", "1", "2", "w"]}
 ROOT_ONLY = PairTree.from_pairs([((), ())])
@@ -374,6 +375,102 @@ def test_correctness_laws_on_sampled_triples(sys_):
             assert chk.is_strongly_correct(y, PRE_ROOT, alpha)
 
 
+class ReferenceCorrectness:
+    """Correctness along one y from the definitions, independent of the
+    checker's memo and of the chains it reads.
+
+    One table per level gives every node's (correct, strongly correct)
+    pair and is built straight from the tables below it: tri_leq asked
+    about the pre-root token and every prefix, 0-correctness graded
+    round by round with the referee, and at a limit the first four
+    fundamental-sequence levels plus the one sys.height selects, as the
+    checker documents.  The nodes must be closed under prefixes.
+    """
+
+    def __init__(self, chk: CorrectnessChecker, y: tuple, nodes: list):
+        self.chk = chk
+        self.y = y
+        self.nodes = nodes
+        self.tables: dict = {}
+
+    def related(self, sigma, alpha):
+        prefixes = [] if sigma is PRE_ROOT else [sigma[:i] for i in range(len(sigma) + 1)]
+        return [
+            tau for tau in [PRE_ROOT] + prefixes
+            if self.chk.tri_leq(self.y, tau, sigma, alpha)
+        ]
+
+    def table(self, alpha) -> dict:
+        if alpha not in self.tables:
+            correct = {sigma: self.correct(sigma, alpha) for sigma in self.nodes}
+            self.tables[alpha] = {
+                sigma: (correct[sigma],
+                        all(correct[tau] for tau in self.related(sigma, alpha)))
+                for sigma in self.nodes
+            }
+        return self.tables[alpha]
+
+    def correct(self, sigma, alpha) -> bool:
+        chk, y = self.chk, self.y
+        cls = classify(alpha)
+        if cls.kind == "zero":
+            rounds = 0 if sigma is PRE_ROOT else len(sigma)
+            return all(
+                referee(chk.sys, chk.game, PartialPlay(
+                    apply_strategy(chk.table, y, sigma[: i - 1]),
+                    tuple(zip(y[:i], sigma[:i])),
+                )).status == "Continues"
+                for i in range(1, rounds + 1)
+            )
+        if cls.kind == "successor":
+            below = self.table(cls.predecessor)
+            if not below[sigma][1]:
+                return False
+            related = self.related(sigma, alpha)
+            return all(
+                tau in related
+                for tau in self.related(sigma, cls.predecessor)
+                if below[tau][1]
+            )
+        xs = () if sigma is PRE_ROOT else apply_strategy(chk.table, y, sigma)
+        k = chk.sys.height(xs, alpha)
+        return all(
+            self.table(fund_seq(alpha, j))[sigma][0] for j in sorted({0, 1, 2, 3, k})
+        )
+
+
+@pytest.mark.parametrize("table_kind", ["constant", "solved", "copy"])
+@pytest.mark.parametrize("xi", ["1", "w"])
+def test_checker_matches_straight_line_reference(xi, table_kind):
+    """The constant strategy induces one play for every node, so its
+    chains never tell nodes apart; the copying one (I plays II's last z)
+    makes the induced plays, and their chains, differ from node to node."""
+    g = pinned_game(xi)
+    sys2 = TrueStageSystem(DefaultOperator())
+    if table_kind == "constant":
+        table = constant_zero()
+    elif table_kind == "copy":
+        table = StrategyTable("I", 8, {}, fallback=lambda k: k[-1][1] if k else 0)
+    else:
+        r = solve(sys2, g)
+        assert r.status == "IWins"
+        table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
+    chk = CorrectnessChecker(sys2, g, table)
+    nodes = [PRE_ROOT] + Universe(3, 2).all_seqs()
+    levels = [parse_ordinal(s) for s in ["0", "1", "2", "w", "w+1"]]
+    seen = set()
+    for y in itertools.product(range(2), repeat=3):
+        ref = ReferenceCorrectness(chk, y, nodes)
+        for alpha in levels:
+            want = ref.table(alpha)
+            for sigma in nodes:
+                got = (chk.is_correct(y, sigma, alpha),
+                       chk.is_strongly_correct(y, sigma, alpha))
+                assert got == want[sigma], (y, sigma, render(alpha))
+                seen.add(got)
+    assert {(False, False), (True, True)} <= seen
+
+
 def test_limit_level_correctness_runs(sys_):
     base = seeded_game_instance(7)
     w = LEVELS["w"]
@@ -385,6 +482,10 @@ def test_limit_level_correctness_runs(sys_):
     r = chk.extend_correct(y, PRE_ROOT, (), w, search_bound=3)
     assert r.status == "Found"
     assert chk.is_strongly_correct(y, r.tau, w)
+    assert r.tau == next(
+        tau for n in range(3) for tau in itertools.product(range(2), repeat=n)
+        if chk.is_strongly_correct(y, tau, w)
+    )
 
 
 # -- extension search -----------------------------------------------------
@@ -415,7 +516,7 @@ def test_extend_found_is_independently_verified(sys_):
         tau for n in range(3) for tau in itertools.product(range(2), repeat=n)
         if chk.is_strongly_correct(y, tau, one)
     ]
-    assert r.tau in exhaustive
+    assert r.tau == exhaustive[0]  # the first in shortlex order
 
 
 def test_extend_precondition_errors(sys_, quick_win):
