@@ -377,7 +377,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
 
 def _run_lsr_separator(args):
     def analyse(checker, y):
-        found = checker.separator_evidence(y, len(y))
+        found = checker.separator_evidence(y)
         sigma = None if found.sigma is None else seq_str(found.sigma)
         result = {"status": found.status, "sigma": sigma}
         return result, [f"status={found.status} sigma={sigma}"]

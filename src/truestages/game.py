@@ -483,11 +483,12 @@ class CorrectnessChecker:
             beta = cls.predecessor
             if not self.is_strongly_correct(y_prefix, sigma, beta):
                 return False
-            # sigma is on its own chain at every level, so the alpha chain
-            # is read only once a strongly beta-correct proper node needs it.
+            # sigma ends its own beta chain and was just found strongly
+            # correct, so only the proper nodes are asked; the alpha chain
+            # is read only once a strongly beta-correct one needs it.
             kept: Optional[list[Node]] = None
-            for tau in self._related(y_prefix, sigma, beta):
-                if not self.is_strongly_correct(y_prefix, tau, beta) or tau == sigma:
+            for tau in self._related(y_prefix, sigma, beta)[:-1]:
+                if not self.is_strongly_correct(y_prefix, tau, beta):
                     continue
                 if kept is None:
                     kept = self._related(y_prefix, sigma, alpha)
@@ -561,12 +562,12 @@ class CorrectnessChecker:
 
     # -- evidence for the separating set ------------------------------
 
-    def separator_evidence(self, y_prefix: Seq, length_bound: int) -> EvidenceResult:
+    def separator_evidence(self, y_prefix: Seq) -> EvidenceResult:
         """Shortest strongly xi-correct sigma whose induced play lands
-        in W, scanning lengths up to length_bound.  NoneWithin is a
+        in W, scanning every length that y covers.  NoneWithin is a
         bounded negative, not a nonmembership claim."""
         xi = self.game.xi
-        for sigma in shortlex(min(length_bound, len(y_prefix)), self.game.alphabet):
+        for sigma in shortlex(len(y_prefix), self.game.alphabet):
             if not eval_at(self.sys, self.game.w, self.play(y_prefix, sigma)):
                 continue
             if self.is_strongly_correct(y_prefix, sigma, xi):
@@ -623,7 +624,7 @@ def adversarial_play(
     xi = g.xi
     if v_prefix is not None:
         mode = "T1"
-        found = checker.separator_evidence(y_prefix, len(y_prefix))
+        found = checker.separator_evidence(y_prefix)
         if found.status != "Evidence":
             return PlayTranscript(mode, (), "NoEvidence")
         sigma = found.sigma

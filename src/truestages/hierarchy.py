@@ -175,7 +175,6 @@ def verify_witness_laws(
     fn: ApproxFn,
     witness: WitnessFn,
     universe: Universe,
-    require_eta_clause: bool = True,
 ) -> list[dict]:
     """Check the three monotonicity laws over every comparable pair;
     returns one record per violation."""
@@ -195,13 +194,12 @@ def verify_witness_laws(
                 "clause": "ii", "sigma": list(sigma), "tau": list(tau),
                 "detail": f"value changed but o kept {render(ot)}",
             })
-    if require_eta_clause:
-        for sigma in universe.all_seqs():
-            if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
-                violations.append({
-                    "clause": "iii", "sigma": list(sigma), "tau": list(sigma),
-                    "detail": "o reached eta with a nonzero value",
-                })
+    for sigma in universe.all_seqs():
+        if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
+            violations.append({
+                "clause": "iii", "sigma": list(sigma), "tau": list(sigma),
+                "detail": "o reached eta with a nonzero value",
+            })
     return violations
 
 
@@ -211,16 +209,13 @@ def dsets_to_witness(
     eta: OrdinalNotation,
     alpha: OrdinalNotation,
     universe: Universe,
-    gate: str = "length",
 ) -> tuple[ApproxFn, WitnessFn]:
     """From an increasing difference family to (approximation, witness).
 
     The candidate pool for a stage opens up one copy index per unit of
-    length (or of height, under gate="height"); eta itself is always a
-    candidate and the full universe stands behind it.
+    length; eta itself is always a candidate and the full universe
+    stands behind it.
     """
-    if gate not in ("length", "height"):
-        raise ValueError(f"unknown gate {gate!r}")
     copy = enum_copy(eta)
     for u in upsets:
         if u.level != alpha:
@@ -242,12 +237,9 @@ def dsets_to_witness(
     f_table: dict[Seq, int] = {}
     o_table: dict[Seq, OrdinalNotation] = {}
     for sigma in seqs:
-        bound = (
-            len(sigma) if gate == "length" else sys.height(sigma, alpha)
-        )
-        open_positions = [n for n in range(min(bound, len(upsets)))]
         o_val = min(
-            (ordinals[n] for n in open_positions if sigma in membership[n]),
+            (ordinals[n] for n in range(min(len(sigma), len(upsets)))
+             if sigma in membership[n]),
             default=eta,
         )
         o_table[sigma] = o_val
@@ -329,19 +321,11 @@ def difference_value(
     return int(parity(best) != parity(eta))
 
 
-class MindChangeTree(RankedTree):
-    """The stages whose guess differs from their immediate predecessor's,
-    wired up by longest tree predecessor."""
-
-    def __init__(self, nodes: tuple[Seq, ...], parent: dict[Seq, Optional[Seq]],
-                 level: OrdinalNotation):
-        super().__init__(nodes, parent)
-        self.level = level
-
-
 def mind_change_tree(
     sys: TrueStageSystem, fn: ApproxFn, universe: Universe
-) -> MindChangeTree:
+) -> RankedTree:
+    """The stages whose guess differs from their immediate predecessor's,
+    wired up by longest tree predecessor."""
     alpha = fn.level
     nodes: list[Seq] = [()]
     for sigma in universe.all_seqs():
@@ -358,7 +342,7 @@ def mind_change_tree(
         chain = sys.chain(sigma, alpha)
         above = [rho for rho in chain[:-1] if rho in node_set]
         parent[sigma] = above[-1]
-    return MindChangeTree(tuple(nodes), parent, alpha)
+    return RankedTree(tuple(nodes), parent)
 
 
 def approx_to_witness(

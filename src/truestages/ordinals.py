@@ -14,8 +14,8 @@ with no whitespace.  Rendering always emits the minimal form, so
 Notations are interned: constructing a notation returns the one object
 for that sum, so ``==`` is identity and a notation is a cheap dict key.
 
-By default constructors accept notations up to ``w^w``; call
-:func:`set_ceiling` to raise or remove the bound.
+The ceiling is fixed at ``w^w``: constructing a notation above it raises
+:class:`CeilingError`, and every notation below it has finite exponents.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ class ParseError(ValueError):
 
 
 class CeilingError(ValueError):
-    """Raised when a constructed notation exceeds the configured ceiling."""
+    """Raised when a constructed notation exceeds the ceiling w^w."""
 
 
+# w^w, set as soon as ZERO, ONE and OMEGA exist to build it.
 _CEILING: Optional["OrdinalNotation"] = None
 _INTERNED: dict[tuple, "OrdinalNotation"] = {}
 
@@ -46,35 +47,29 @@ class OrdinalNotation:
     """Cantor normal form: a tuple of (exponent, coefficient) pairs.
 
     There is one object per notation, so equality is identity and the
-    hash is the object's.  The terms are validated when a notation is
-    first built; the ceiling is checked on every construction.  A
-    notation remembers the last ceiling it passed, so building it again
-    under that same ceiling skips the comparison.
+    hash is the object's.  The terms and the ceiling are checked when a
+    notation is first built; a notation that fails is never interned.
     """
 
     terms: tuple[tuple["OrdinalNotation", int], ...] = ()
-    # Not a field: the ceiling object this notation last passed.
-    _passed = None
 
     def __new__(cls, terms: tuple[tuple["OrdinalNotation", int], ...] = ()):
         self = _INTERNED.get(terms)
-        if self is None:
-            prev = None
-            for exp, coeff in terms:
-                if not isinstance(coeff, int) or coeff < 1:
-                    raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
-                if prev is not None and compare(exp, prev) >= 0:
-                    raise ValueError("exponents must be strictly decreasing")
-                prev = exp
-            self = object.__new__(cls)
-            object.__setattr__(self, "terms", terms)
-        ceiling = _CEILING
-        if ceiling is not None and self._passed is not ceiling:
-            if compare(self, ceiling) > 0:
-                raise CeilingError(
-                    f"notation {render(self)} exceeds the ceiling {render(ceiling)}"
-                )
-            object.__setattr__(self, "_passed", ceiling)
+        if self is not None:
+            return self
+        prev = None
+        for exp, coeff in terms:
+            if not isinstance(coeff, int) or coeff < 1:
+                raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
+            if prev is not None and compare(exp, prev) >= 0:
+                raise ValueError("exponents must be strictly decreasing")
+            prev = exp
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        if _CEILING is not None and compare(self, _CEILING) > 0:
+            raise CeilingError(
+                f"notation {render(self)} exceeds the ceiling {render(_CEILING)}"
+            )
         return _INTERNED.setdefault(terms, self)
 
     def __reduce__(self):
@@ -115,6 +110,7 @@ class OrdinalNotation:
 ZERO = OrdinalNotation()
 ONE = OrdinalNotation(((ZERO, 1),))
 OMEGA = OrdinalNotation(((ONE, 1),))
+_CEILING = OrdinalNotation(((OMEGA, 1),))
 
 
 def from_int(n: int) -> OrdinalNotation:
@@ -207,15 +203,6 @@ def fund_seq(lam: OrdinalNotation, k: int) -> OrdinalNotation:
             return OrdinalNotation(base + ((ZERO, k + 1),))
         return OrdinalNotation(base + ((gamma, k + 1),))
     return OrdinalNotation(base + ((fund_seq(exp, k), 1),))
-
-
-def set_ceiling(ceiling: Optional[OrdinalNotation]) -> None:
-    """Set the largest admissible notation; None removes the bound.
-
-    A notation that has not passed this ceiling object is checked
-    against it on its next construction."""
-    global _CEILING
-    _CEILING = ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -362,34 +349,21 @@ def _below(eta: OrdinalNotation) -> Iterator[OrdinalNotation]:
                 yield nu
 
 
-def _try_terms(
-    terms: tuple[tuple[OrdinalNotation, int], ...]
-) -> Optional[OrdinalNotation]:
-    try:
-        return OrdinalNotation(terms)
-    except CeilingError:
-        return None
-
-
 def _w_headed(
     length: int, bound: Optional[OrdinalNotation] = None
 ) -> list[OrdinalNotation]:
-    """All notations whose rendering has the given length and starts
-    with w, in no fixed order; with a bound, only those whose leading
-    exponent is below it."""
+    """The notations below w^w whose rendering has the given length and
+    starts with w, in no fixed order; with a bound, only those whose
+    leading exponent is below it."""
     out = []
     for first, used in _w_terms(length):
         if bound is not None and compare(first[0], bound) >= 0:
             continue
         if used == length:
-            nu = _try_terms((first,))
-            if nu is not None:
-                out.append(nu)
+            out.append(OrdinalNotation((first,)))
         elif used + 2 <= length:
             for rest in _bounded_exprs(length - used - 1, first[0]):
-                nu = _try_terms((first,) + rest.terms)
-                if nu is not None:
-                    out.append(nu)
+                out.append(OrdinalNotation((first,) + rest.terms))
     return out
 
 
@@ -410,14 +384,11 @@ def _w_terms(maxlen: int) -> Iterator[tuple[tuple[OrdinalNotation, int], int]]:
                     yield (exp, c), 3 + explen + digits
 
 
-def _exponents(length: int) -> list[OrdinalNotation]:
-    """Notations valid as a rendered ^-exponent: anything but 0 and 1."""
-    out = []
+def _exponents(length: int) -> Iterator[OrdinalNotation]:
+    """Rendered ^-exponents of the given length below w^w: the naturals
+    from 2, since a w-headed exponent gives w^w or more."""
     lo = 2 if length == 1 else 10 ** (length - 1)
-    for n in range(lo, 10 ** length):
-        out.append(from_int(n))
-    out.extend(_w_headed(length))
-    return out
+    return map(from_int, range(lo, 10 ** length))
 
 
 def _bounded_exprs(length: int, bound: OrdinalNotation) -> list[OrdinalNotation]:
@@ -493,6 +464,3 @@ def kb_rank(tree: RankedTree) -> tuple[OrdinalNotation, dict[Node, int]]:
             for child in reversed(tree.children(node)):
                 stack.append((child, False))
     return from_int(len(tree.nodes)), ranks
-
-
-_CEILING = OrdinalNotation(((OMEGA, 1),))  # default ceiling: w^w

@@ -140,15 +140,15 @@ class TrueStageSystem:
         not memoised (its one caller, oracle, runs only inside the
         memoised trace_at), but each block is: a stage's block is shared
         by every later stage whose chain contains it."""
-        ch = self.chain(sigma, alpha)
         cls = classify(alpha)
         blocks = [Block(0)]
         if cls.kind == "zero":
-            blocks.extend(Block(rho[-1]) for rho in ch[1:])
+            # Every prefix is on a level-0 chain: one block per entry.
+            blocks.extend(map(Block, sigma))
         elif cls.kind == "successor":
             blocks.extend(
                 self._memoized(TrueStageSystem._block, rho, cls.predecessor)
-                for rho in ch[1:]
+                for rho in self.chain(sigma, alpha)[1:]
             )
         else:
             blocks.extend(
@@ -156,7 +156,7 @@ class TrueStageSystem:
                     TrueStageSystem._block, rho,
                     fund_seq(alpha, self.height(rho, alpha)),
                 )
-                for rho in ch[1:]
+                for rho in self.chain(sigma, alpha)[1:]
             )
         return GuessString(alpha, tuple(blocks))
 
@@ -168,9 +168,6 @@ class TrueStageSystem:
         return Block(bound, tuple(sorted([e for e, _ in trace.events if e < bound])))
 
     def oracle(self, sigma: Seq, alpha: OrdinalNotation) -> Seq:
-        sigma = tuple(sigma)
-        if alpha.is_zero():
-            return sigma
         return self.guess(sigma, alpha).flatten()
 
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
@@ -183,12 +180,12 @@ class TrueStageSystem:
         return self.trace_at(sigma, alpha).p
 
     def distance(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> Fraction:
+        """2^-|rho| for the longest rho on both chains; 0 when equal."""
         sigma, tau = tuple(sigma), tuple(tau)
         if sigma == tau:
             return Fraction(0)
-        common = [
-            rho for rho in self.chain(sigma, alpha) if self.leq(rho, tau, alpha)
-        ]
+        on_tau = self.chain(tau, alpha)
+        common = [rho for rho in self.chain(sigma, alpha) if rho in on_tau]
         return Fraction(1, 2 ** len(common[-1]))
 
 
@@ -224,6 +221,9 @@ class PropertyReport:
 
 # Counterexamples kept per property; `failures` counts every one.
 _MAX_COUNTEREXAMPLES = 5
+# TS9 compares the limit answer at this many fundamental-sequence
+# levels past the height index.
+_TS9_WINDOW = 4
 
 
 def _example(res: PropertyResult, **data) -> None:
@@ -241,7 +241,6 @@ def ts_verify(
     sys: TrueStageSystem,
     universe: Universe,
     levels: Iterable[OrdinalNotation],
-    window: int = 4,
 ) -> PropertyReport:
     """Exhaustively check the order axioms on a finite universe.
 
@@ -374,7 +373,7 @@ def ts_verify(
             res.checked += 1
             k = sys.height(sigma, lam)
             base = sys.leq(sigma, tau, fund_seq(lam, k))
-            for j in range(k + 1, k + window + 1):
+            for j in range(k + 1, k + _TS9_WINDOW + 1):
                 if sys.leq(sigma, tau, fund_seq(lam, j)) != base:
                     _example(res, lam=lam, sigma=sigma, tau=tau,
                              k=k, j=j, detail="answer flickers past the height")

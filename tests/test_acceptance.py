@@ -90,7 +90,6 @@ def test_criterion_01_verification_suite():
         TrueStageSystem(_Rewriter()),
         Universe(3, 2),
         [LEVELS[s] for s in ["0", "1", "2"]],
-        window=3,
     )
     assert not broken.all_passed
     assert broken.results["TS7-consistency"].counterexamples
@@ -149,9 +148,7 @@ def test_criterion_04_witness_laws_hold():
         for _ in range(15):
             fn = ApproxFn(alpha, {s: rng.randrange(2) for s in uni.all_seqs()})
             eta, witness = approx_to_witness(SYS, fn, uni)
-            violations += verify_witness_laws(
-                SYS, fn, witness, uni, require_eta_clause=False
-            )
+            violations += verify_witness_laws(SYS, fn, witness, uni)
             for value in witness.table.values():
                 if compare(value, eta) >= 0:
                     violations.append({"clause": "below-eta", "value": value})
@@ -404,7 +401,7 @@ def test_criterion_09_separation_dichotomy():
         assert depth <= 4
         carriers = list(_t1_witnesses(g, depth))
         for y, _ in carriers:
-            assert checker.separator_evidence(y, depth).status == "NoneWithin"
+            assert checker.separator_evidence(y).status == "NoneWithin"
         rng = random.Random(9)
         sample = carriers if len(carriers) <= 4 else rng.sample(carriers, 4)
         for y, v in sample:

@@ -535,13 +535,13 @@ def test_extend_precondition_errors(sys_, quick_win):
 
 def test_evidence_on_full_w(sys_, quick_win):
     chk = CorrectnessChecker(sys_, quick_win, constant_zero())
-    assert chk.separator_evidence((0, 0, 0), 3) == EvidenceResult("Evidence", ())
+    assert chk.separator_evidence((0, 0, 0)) == EvidenceResult("Evidence", ())
 
 
 def test_no_evidence_on_empty_w(sys_, never_win):
     chk = CorrectnessChecker(sys_, never_win, constant_zero())
     for bound in (0, 1, 2, 3):
-        assert chk.separator_evidence((0, 0, 0), bound).status == "NoneWithin"
+        assert chk.separator_evidence((0, 0, 0)[:bound]).status == "NoneWithin"
 
 
 def test_evidence_separates_on_winning_instance(sys_):
@@ -549,9 +549,9 @@ def test_evidence_separates_on_winning_instance(sys_):
     r = solve(sys_, g)
     table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
     chk = CorrectnessChecker(sys_, g, table)
-    ev1 = chk.separator_evidence((1, 1, 1, 1), 4)
+    ev1 = chk.separator_evidence((1, 1, 1, 1))
     assert ev1.status == "NoneWithin"
-    ev0 = chk.separator_evidence((0, 0, 0, 0), 4)
+    ev0 = chk.separator_evidence((0, 0, 0, 0))
     assert ev0.status == "Evidence"
     assert chk.is_strongly_correct((0, 0, 0, 0), ev0.sigma, g.xi)
 
@@ -565,6 +565,12 @@ def test_adversarial_halts_on_winning_instance(sys_, quick_win):
     assert len(t.steps) == 1
     assert t.steps[0].sigma == ()
     assert t.failed_extension == (0,)
+    # In T0 mode no entry stays 0-correct, so the failed extension is the
+    # last one tried: the largest entry of the alphabet.
+    t = adversarial_play(chk, (0, 0, 0), None, depth=3, search_bound=3)
+    assert (t.mode, t.outcome) == ("T0", "PlayerIWon")
+    assert [s.sigma for s in t.steps] == [()]
+    assert t.failed_extension == (1,)
 
 
 def test_adversarial_survives_on_undetermined_instance(sys_, never_win):
@@ -576,6 +582,10 @@ def test_adversarial_survives_on_undetermined_instance(sys_, never_win):
         assert step.strongly_correct
         assert step.witness_set_matches
     assert [s.appended_matches for s in t.steps] == [None, True, True, True]
+    # y has four entries, so a fifth step has no y-entry to answer.
+    t = adversarial_play(chk, (0, 0, 0, 0), None, depth=5, search_bound=2)
+    assert t.outcome == "WitnessExhausted"
+    assert [s.sigma for s in t.steps] == [(0,) * n for n in range(5)]
 
 
 def test_adversarial_t1_mode_tracks_witness(sys_, never_win):
@@ -590,12 +600,34 @@ def test_adversarial_t1_mode_tracks_witness(sys_, never_win):
         assert step.strongly_correct
         assert step.witness_set_matches
         assert step.witness_consistent in (None, True)
+    # v has four entries, so a fifth step has no v-entry to append.
+    t = adversarial_play(chk, (1, 0, 1, 0), (1, 1, 0, 0), depth=5, search_bound=2)
+    assert t.outcome == "WitnessExhausted"
+    assert [s.sigma for s in t.steps] == [(1, 1, 0, 0)[:n] for n in range(5)]
+
+
+class _Rootless(TrueStageSystem):
+    """Drops the root from every chain of a nonempty sequence above
+    level 0, against TS2.  No nonempty play then keeps the pre-root
+    token at level 1, so nothing but the pre-root is 1-correct."""
+
+    def chain(self, tau, alpha):
+        ch = super().chain(tau, alpha)
+        return ch[1:] if tau and not alpha.is_zero() else ch
 
 
 def test_adversarial_without_evidence_reports_it(sys_, never_win):
     chk = CorrectnessChecker(sys_, never_win, constant_zero())
     t = adversarial_play(chk, (0, 0, 0), (0, 0, 0), depth=2, search_bound=2)
     assert t.outcome == "NoEvidence"
+    assert t.steps == ()
+    # The empty sequence is strongly correct under any lawful system, so
+    # the T0 start is missing only when the system breaks TS2.
+    w = UpsetRep(LEVELS["1"], frozenset())
+    g = GameInstance(LEVELS["1"], w, FULL, ROOT_ONLY, alphabet=2, depth=3)
+    chk = CorrectnessChecker(_Rootless(DefaultOperator()), g, constant_zero())
+    t = adversarial_play(chk, (0, 0, 0), None, depth=2, search_bound=2)
+    assert t.outcome == "NoStronglyCorrectStart"
     assert t.steps == ()
 
 
@@ -673,7 +705,7 @@ def test_finite_depth_evidence_artifact(sys_):
         if all(g.t1.contains(y[:j], v[:j]) for j in range(1, 4))
     )
     y, v = carrier
-    assert chk.separator_evidence(y, 3) == EvidenceResult("Evidence", ())
+    assert chk.separator_evidence(y) == EvidenceResult("Evidence", ())
     # every 0-correct sigma is still shorter than byTurn, and the
     # adversarial run never survives to the depth bound
     for n in range(4):

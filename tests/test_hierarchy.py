@@ -195,18 +195,6 @@ def test_dsets_to_witness_empty_set(sys_):
     assert set(f.table.values()) == {0}
 
 
-def test_dsets_to_witness_height_gate(sys_):
-    eta = from_int(2)
-    family = [
-        upset_close(sys_, [(0,)], A0, UNI),
-        upset_close(sys_, [()], A0, UNI),
-    ]
-    f, o = dsets_to_witness(sys_, family, eta, A0, UNI, gate="height")
-    assert render(o.value((0,))) == "0"
-    with pytest.raises(ValueError):
-        dsets_to_witness(sys_, family, eta, A0, UNI, gate="bogus")
-
-
 def test_dsets_to_witness_rejects_non_increasing(sys_):
     full = upset_close(sys_, [()], A0, UNI)
     small = upset_close(sys_, [(0,)], A0, UNI)
@@ -215,16 +203,18 @@ def test_dsets_to_witness_rejects_non_increasing(sys_):
 
 
 def test_witness_to_dsets_round_trip_membership(sys_):
-    eta = from_int(2)
     family = [
         upset_close(sys_, [(0,)], A0, UNI),
         upset_close(sys_, [()], A0, UNI),
     ]
-    f, o = dsets_to_witness(sys_, family, eta, A0, UNI)
-    back = witness_to_dsets(sys_, f, o, eta, A0, UNI)
-    assert len(back) == 2
-    for x in UNI.all_seqs():
-        assert difference_value(sys_, back, eta, x) == f.value(x)
+    # A finite eta gives one set per copy index; eta = w stops after the
+    # largest copy index the witness uses.
+    for eta in (from_int(2), parse_ordinal("w")):
+        f, o = dsets_to_witness(sys_, family, eta, A0, UNI)
+        back = witness_to_dsets(sys_, f, o, eta, A0, UNI)
+        assert len(back) == 2
+        for x in UNI.all_seqs():
+            assert difference_value(sys_, back, eta, x) == f.value(x)
 
 
 def test_witness_to_dsets_names_violated_clause(sys_):
@@ -293,7 +283,7 @@ def test_round_trip_reproduces_stable_limits(bits, a):
     seqs = UNI.all_seqs()
     fn = ApproxFn(alpha, {s: (bits >> i) & 1 for i, s in enumerate(seqs)})
     eta, o = approx_to_witness(sys_, fn, UNI)
-    assert verify_witness_laws(sys_, fn, o, UNI, require_eta_clause=False) == []
+    assert verify_witness_laws(sys_, fn, o, UNI) == []
     fam = witness_to_dsets(sys_, fn, o, eta, alpha, UNI)
     for x in UNI.maximal():
         value, stable = approx_limit(sys_, fn, x)

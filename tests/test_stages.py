@@ -170,15 +170,22 @@ REF_LEVELS = ["0", "1", "2", "w", "w+1", "w+2", "w*2"]
 def test_relations_match_the_reference(sys_, name):
     alpha = parse_ordinal(name)
     seqs = REF_UNIVERSE.all_seqs()
-    for tau in seqs:
-        want = tuple(
+    ref_chain = {
+        tau: tuple(
             tau[:i] for i in range(len(tau) + 1)
             if ref_leq(sys_, tau[:i], tau, alpha)
         )
-        assert sys_.chain(tau, alpha) == want, tau
+        for tau in seqs
+    }
+    for tau in seqs:
+        assert sys_.chain(tau, alpha) == ref_chain[tau], tau
         assert sys_.height(tau, alpha) == ref_height(sys_, tau, alpha), tau
         for sigma in seqs:
             assert sys_.leq(sigma, tau, alpha) == ref_leq(sys_, sigma, tau, alpha), (sigma, tau)
+            # 2^-|rho| for the longest rho on both reference chains.
+            common = max(len(rho) for rho in ref_chain[sigma] if rho in ref_chain[tau])
+            want = 0 if sigma == tau else Fraction(1, 2 ** common)
+            assert sys_.distance(sigma, tau, alpha) == want, (sigma, tau)
 
 
 @pytest.mark.parametrize("name", REF_LEVELS)
@@ -236,7 +243,6 @@ def test_verifier_passes_on_small_universe():
         TrueStageSystem(DefaultOperator()),
         Universe(3, 2),
         [LEVELS[n] for n in ["0", "1", "2", "w"]],
-        window=3,
     )
     assert report.all_passed, report.summary_lines()
 
@@ -260,7 +266,6 @@ def test_verifier_reports_corrupted_operator():
         TrueStageSystem(_Rewriter()),
         Universe(3, 2),
         [LEVELS[n] for n in ["0", "1", "2"]],
-        window=3,
     )
     assert not report.all_passed
     res = report.results["TS7-consistency"]
@@ -268,6 +273,48 @@ def test_verifier_reports_corrupted_operator():
     assert res.failures > 0
     assert res.counterexamples
     assert any("trace" in ce["detail"] for ce in res.counterexamples)
+
+
+class _Flipped(TrueStageSystem):
+    """Gives the wrong leq answer on one (sigma, tau, level).  The
+    relations are computed from chains, which stay right, so only the
+    verifier reads the fault."""
+
+    def __init__(self, sigma, tau, level):
+        super().__init__(DefaultOperator())
+        self.fault = (sigma, tau, parse_ordinal(level))
+
+    def leq(self, sigma, tau, alpha):
+        right = super().leq(sigma, tau, alpha)
+        return right != ((tuple(sigma), tuple(tau), alpha) == self.fault)
+
+
+# One planted fault per property: the flipped leq answer, and the
+# failure the verifier must record for it.  Level w+1 is read only by
+# the club check, and level 4 only by TS9.
+PLANTED = {
+    "TS1": (((0,), (1,), "0"), "related but not a prefix"),
+    "TS2": (((0, 0), (0, 0, 0), "0"), "chain elements incomparable"),
+    "TS5": (((1,), (1, 0), "w"), "related at the higher level only"),
+    "TS7-consistency": (((1,), (1, 0), "1"), "successor formula disagrees"),
+    "club": (((0,), (0, 0), "w+1"), "skipped an intermediate stage"),
+    "TS3-finite": (((), (0,), "0"), "true stages incomparable"),
+    "TS9-stabilization": (((), (0,), "4"), "answer flickers past the height"),
+}
+
+
+@pytest.mark.parametrize("prop", list(PLANTED))
+def test_verifier_reports_each_planted_fault(prop):
+    fault, detail = PLANTED[prop]
+    report = ts_verify(
+        _Flipped(*fault), Universe(3, 2), [LEVELS[n] for n in ["0", "1", "2", "w"]]
+    )
+    res = report.results[prop]
+    assert not res.passed and not report.all_passed
+    assert res.counterexamples
+    assert any(ce["detail"] == detail for ce in res.counterexamples)
+    line = f"{prop}: FAIL ({res.failures} of {res.checked} checks)"
+    assert line in report.summary_lines()
 
 
 def test_report_lines_shape():
