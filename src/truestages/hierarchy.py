@@ -17,8 +17,6 @@ from .ordinals import (
     ComputableCopy,
     OrdinalNotation,
     RankedTree,
-    ZERO,
-    classify,
     compare,
     enum_copy,
     from_int,

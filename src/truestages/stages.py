@@ -6,16 +6,15 @@ sigma's own.  At a limit level the relation defers to the member of the
 fundamental sequence picked out by sigma's height.  The system computes
 each relation as the chain of a sequence, the prefixes that look true to
 it: a successor chain is one suffix-minimum pass over the chain a level
-below, and a relation answer is membership in a chain.  A guess string
-packages, per chain element, a bound on the lower-level jump together
-with the numbers known to lie inside it; flattening a guess produces
-the oracle fed back to the operator to climb one level.
+below, and a relation answer is membership in a chain.  The oracle
+that climbs one level lists, for each chain element past the root, a
+segment: a bound on the lower-level jump, the count of codes known to
+lie below it, and those codes in increasing order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import operator
 import threading
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -25,56 +24,11 @@ from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
 from .universe import Seq, Universe
 
 
-@dataclasses.dataclass(frozen=True)
-class Block:
-    """One chain element's guess: every e below the bound is declared in
-    or out of the lower-level jump set by the members list."""
-
-    p_bound: int
-    members: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        m = self.members
-        if not all(map(operator.lt, m, m[1:])):
-            raise ValueError("members must be strictly increasing")
-        if m and m[-1] >= self.p_bound:
-            raise ValueError("members must lie below the bound")
-
-    def decides(self, e: int) -> bool:
-        return 0 <= e < self.p_bound
-
-    def bit(self, e: int) -> int:
-        if not self.decides(e):
-            raise ValueError(f"{e} is not below the bound {self.p_bound}")
-        return int(e in self.members)
-
-
-@dataclasses.dataclass(frozen=True)
-class GuessString:
-    level: OrdinalNotation
-    blocks: tuple[Block, ...]
-
-    def flatten(self) -> Seq:
-        """Injective sequence encoding; the root block is dropped so the
-        empty stage has an empty oracle at every level."""
-        if self.level.is_zero():
-            return tuple(b.p_bound for b in self.blocks[1:])
-        out: list[int] = []
-        for b in self.blocks[1:]:
-            out.append(b.p_bound)
-            out.append(len(b.members))
-            out.extend(b.members)
-        return tuple(out)
-
-    def block_prefix_of(self, other: "GuessString") -> bool:
-        return self.blocks == other.blocks[: len(self.blocks)]
-
-
 class TrueStageSystem:
     """Memoizing evaluator for the level-indexed relations of one
     enumeration operator.
 
-    One memo holds every chain, jump trace and guess block, each
+    One memo holds every chain, jump trace and oracle segment, each
     computed once per system.  No leq answer is stored: leq reads
     membership in a memoised chain.  Memo access is serialized, so one
     instance may be shared across threads."""
@@ -135,40 +89,30 @@ class TrueStageSystem:
             if rho in self.chain(tau, fund_seq(alpha, self.height(rho, alpha)))
         ) + (tau,)
 
-    def guess(self, sigma: Seq, alpha: OrdinalNotation) -> GuessString:
-        """One block per element of sigma's chain.  The string itself is
-        not memoised (its one caller, oracle, runs only inside the
-        memoised trace_at), but each block is: a stage's block is shared
-        by every later stage whose chain contains it."""
+    def oracle(self, sigma: Seq, alpha: OrdinalNotation) -> Seq:
+        """The sequence fed back to the operator to climb one level: sigma
+        itself at level 0; above it, the segments of sigma's chain
+        elements past the root, in chain order."""
         cls = classify(alpha)
-        blocks = [Block(0)]
         if cls.kind == "zero":
-            # Every prefix is on a level-0 chain: one block per entry.
-            blocks.extend(map(Block, sigma))
-        elif cls.kind == "successor":
-            blocks.extend(
-                self._memoized(TrueStageSystem._block, rho, cls.predecessor)
-                for rho in self.chain(sigma, alpha)[1:]
-            )
-        else:
-            blocks.extend(
-                self._memoized(
-                    TrueStageSystem._block, rho,
-                    fund_seq(alpha, self.height(rho, alpha)),
-                )
-                for rho in self.chain(sigma, alpha)[1:]
-            )
-        return GuessString(alpha, tuple(blocks))
+            return tuple(sigma)
+        out: list[int] = []
+        for rho in self.chain(sigma, alpha)[1:]:
+            level = (cls.predecessor if cls.kind == "successor"
+                     else fund_seq(alpha, self.height(rho, alpha)))
+            out.extend(self._memoized(TrueStageSystem._segment, rho, level))
+        return tuple(out)
 
-    def _block(self, rho: Seq, level: OrdinalNotation) -> Block:
-        """rho's block below level: the bound p and the codes under it.
-        Filled once per (rho, level) through the memo."""
+    def _segment(self, rho: Seq, level: OrdinalNotation) -> tuple[int, ...]:
+        """rho's segment below level: the bound p, the number n of codes
+        under it, then those codes in increasing order.  A segment is
+        shared by every later stage whose chain contains rho, so it is
+        filled once per (rho, level) through the memo."""
         trace = self.trace_at(rho, level)
         bound = trace.p
-        return Block(bound, tuple(sorted([e for e, _ in trace.events if e < bound])))
-
-    def oracle(self, sigma: Seq, alpha: OrdinalNotation) -> Seq:
-        return self.guess(sigma, alpha).flatten()
+        below = [e for e, _ in trace.events if e < bound]
+        below.sort()
+        return (bound, len(below), *below)
 
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
         return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)

@@ -11,8 +11,6 @@ import subprocess
 import sys as _sys
 import time
 
-import pytest
-
 from instance_tools import (
     seeded_game_instance,
     seeded_wadge_instance,
@@ -46,7 +44,7 @@ from truestages.jump import DefaultOperator, JumpTrace, p_value
 from truestages.ordinals import ZERO, compare, from_int, parse_ordinal
 from truestages.stages import TrueStageSystem, ts_verify
 from truestages.universe import Universe
-from truestages.wadge import decomposition_eval, wadge_tree
+from truestages.wadge import decomposition_eval
 
 SYS = TrueStageSystem(DefaultOperator())
 LEVELS = {s: parse_ordinal(s) for s in ["0", "1", "2", "3", "w", "w+1"]}

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from test_stages import _Rewriter
 from truestages import cli, game
 from truestages.jump import ContractViolationError, JumpTrace
 from truestages.universe import Universe
@@ -154,13 +155,20 @@ def test_exhausted_solver_budget_exits_three(capsys, monkeypatch, quickwin_file,
 
 
 def test_exit_one_when_a_check_fails(capsys, monkeypatch):
-    def broken(args):
-        return {}, [], [{"property": "demo", "detail": "planted"}], ["demo failed"]
-
-    monkeypatch.setitem(cli._HANDLERS, ("verify", None), broken)
+    # The tampering operator breaks trace extension, so the real verify
+    # body assembles a failure report from ts_verify's counterexamples.
+    monkeypatch.setattr(cli, "DefaultOperator", _Rewriter)
+    code, out, _ = run_main(capsys, "verify", "--format", "json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 5
+    assert {f["property"] for f in failures} == {"TS7-consistency"}
     code, out, _ = run_main(capsys, "verify")
     assert code == 1
-    assert "failures: 1" in out
+    lines = out.splitlines()
+    assert "TS7-consistency: FAIL (19 of 171 checks)" in lines
+    assert sum(l.startswith("counterexample: ") for l in lines) == 5
+    assert "failures: 5" in lines
 
 
 # -- report content -------------------------------------------------------

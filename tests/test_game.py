@@ -16,7 +16,6 @@ from truestages.game import (
     PairTree,
     PartialPlay,
     ResourceBoundError,
-    SolveResult,
     StrategyTable,
     StrategyUndefinedError,
     adversarial_play,

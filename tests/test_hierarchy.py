@@ -217,14 +217,26 @@ def test_witness_to_dsets_round_trip_membership(sys_):
             assert difference_value(sys_, back, eta, x) == f.value(x)
 
 
-def test_witness_to_dsets_names_violated_clause(sys_):
-    fn = ApproxFn(A0, {s: 0 for s in UNI.all_seqs()})
-    rising = WitnessFn(
-        from_int(3), None,
-        {s: from_int(min(len(s), 2)) for s in UNI.all_seqs()},
-    )
-    with pytest.raises(ValueError, match=r"\(i\)"):
-        witness_to_dsets(sys_, fn, rising, from_int(3), A0, UNI)
+# (f, witness eta, o, eta passed in, the error named) on UNI at level 0.
+BAD_WITNESSES = {
+    "clause-i": (lambda s: 0, 3, lambda s: min(len(s), 2), 3, r"law \(i\)"),
+    "clause-ii": (lambda s: len(s) % 2, 3, lambda s: 0, 3, r"law \(ii\)"),
+    "clause-iii": (lambda s: 1, 3, lambda s: 3, 3, r"law \(iii\)"),
+    "two-valued": (lambda s: 2, 3, lambda s: 0, 3,
+                   "two-valued approximation required"),
+    "exceeds-eta": (lambda s: 0, 5, lambda s: 3, 2,
+                    "adjusted witness exceeds eta"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WITNESSES))
+def test_witness_to_dsets_names_violated_clause(sys_, case):
+    f, witness_eta, o, eta, message = BAD_WITNESSES[case]
+    seqs = UNI.all_seqs()
+    fn = ApproxFn(A0, {s: f(s) for s in seqs})
+    witness = WitnessFn(from_int(witness_eta), None, {s: from_int(o(s)) for s in seqs})
+    with pytest.raises(ValueError, match=message):
+        witness_to_dsets(sys_, fn, witness, from_int(eta), A0, UNI)
 
 
 def test_witness_adjustment_rules(sys_):

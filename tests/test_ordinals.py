@@ -234,6 +234,9 @@ def test_enum_copy_batches_by_rendered_length():
     )
     assert copy.index_of(parse_ordinal("w*2")) == 101
     assert copy.index_of(parse_ordinal("w^2")) == 118
+    # A w^e*c term with e and c both 2 or more, and its neighbours.
+    assert copy.index_of(parse_ordinal("w^2*2")) == 12368
+    assert [render(copy.at_index(i)) for i in (12367, 12369)] == ["w^299", "w^2*3"]
 
 
 @given(st.integers(0, 200))

@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 
 from truestages.hierarchy import eval_at, upset_close
 from truestages.jump import DefaultOperator, JumpTrace
-from truestages.ordinals import classify, fund_seq, parse_ordinal, render
-from truestages.stages import (
-    Block,
-    GuessString,
-    TrueStageSystem,
-    ts_verify,
-)
+from truestages.ordinals import classify, fund_seq, parse_ordinal
+from truestages.stages import TrueStageSystem, ts_verify
 from truestages.universe import Universe
 
 LEVELS = {s: parse_ordinal(s) for s in ["0", "1", "2", "3", "4", "5", "w", "w+1"]}
@@ -49,8 +44,8 @@ def test_chains(sys_):
 
 
 # Each oracle was worked out by hand from the occurrence-counting rule:
-# the level-1 guess for (2,) carries one block (bound 3, nothing below),
-# flattening to (3, 0), and so on up the ladder.
+# the level-1 oracle for (2,) carries one segment (bound 3, nothing
+# below), so it reads (3, 0), and so on up the ladder.
 P_LADDER = {
     ("1", (2,)): 0, ("1", (2, 2)): 11,
     ("2", (2,)): 2, ("2", (2, 2)): 21,
@@ -79,47 +74,39 @@ def test_oracles(sys_):
     assert sys_.oracle((), LEVELS["5"]) == ()
 
 
+def segments(oracle):
+    """Split an oracle above level 0 into its (bound, codes) segments."""
+    out, i = [], 0
+    while i < len(oracle):
+        bound, n = oracle[i], oracle[i + 1]
+        out.append((bound, oracle[i + 2: i + 2 + n]))
+        i += 2 + n
+    return out
+
+
 def test_guess_examples(sys_):
     for name in ["0", "1", "3", "w"]:
-        g = sys_.guess((), LEVELS[name])
-        assert len(g.blocks) == 1
-        assert g.blocks[0] == Block(0)
-    g5 = sys_.guess((5,), LEVELS["1"])
-    assert [b.p_bound for b in g5.blocks] == [0, 15]
-    small = sys_.guess((2,), LEVELS["1"])
-    big = sys_.guess((2, 2), LEVELS["1"])
-    assert small.block_prefix_of(big)
-    assert not big.block_prefix_of(small)
+        assert sys_.oracle((), LEVELS[name]) == ()
+    assert [b for b, _ in segments(sys_.oracle((5,), LEVELS["1"]))] == [15]
+    small = sys_.oracle((2,), LEVELS["1"])
+    big = sys_.oracle((2, 2), LEVELS["1"])
+    assert big[: len(small)] == small and len(big) > len(small)
 
 
 def test_each_guess_block_is_filled_once(monkeypatch):
     fills = []
 
-    def counting_block(self, rho, level):
+    def counting_segment(self, rho, level):
         fills.append((rho, level))
         return fill(self, rho, level)
 
-    fill = TrueStageSystem._block
-    monkeypatch.setattr(TrueStageSystem, "_block", counting_block)
+    fill = TrueStageSystem._segment
+    monkeypatch.setattr(TrueStageSystem, "_segment", counting_segment)
     sys_ = TrueStageSystem(DefaultOperator())
     for sigma in Universe(4, 2).all_seqs():
         sys_.oracle(sigma, LEVELS["w+1"])
     assert fills
     assert len(fills) == len(set(fills))
-
-
-def test_block_validation():
-    with pytest.raises(ValueError):
-        Block(3, (5,))
-    with pytest.raises(ValueError):
-        Block(9, (4, 2))
-    with pytest.raises(ValueError):
-        Block(9, (2, 2))
-    b = Block(9, (2, 4))
-    assert b.bit(2) == 1 and b.bit(3) == 0
-    assert not b.decides(9)
-    with pytest.raises(ValueError):
-        b.bit(9)
 
 
 def test_distance(sys_):
@@ -214,13 +201,23 @@ def test_leq_refines_prefix(sigma, tau, name):
 @given(SEQS, LEVEL_NAMES)
 @settings(max_examples=100)
 def test_guess_blocks_follow_chains(tau, name):
+    """One segment per chain element past the root, each holding strictly
+    increasing codes below its bound; a chain element's oracle is a
+    prefix of tau's."""
     sys_ = _SHARED
     alpha = LEVELS[name]
     chain = sys_.chain(tau, alpha)
-    g = sys_.guess(tau, alpha)
-    assert len(g.blocks) == len(chain)
+    oracle = sys_.oracle(tau, alpha)
+    if alpha.is_zero():
+        assert oracle == tau
+        return
+    segs = segments(oracle)
+    assert len(segs) == len(chain) - 1
+    for bound, codes in segs:
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert all(e < bound for e in codes)
     for rho in chain:
-        assert sys_.guess(rho, alpha).block_prefix_of(g)
+        assert oracle[: len(sys_.oracle(rho, alpha))] == sys_.oracle(rho, alpha)
 
 
 @given(SEQS, SEQS, SEQS, LEVEL_NAMES)
