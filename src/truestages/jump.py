@@ -2,18 +2,22 @@
 
 An enumeration operator assigns to each finite sequence a trace of
 events (e, t): number e enters the jump set at time t, with
-1 <= t <= len(sigma).  Traces must grow monotonically along prefixes.
+1 <= t <= len(sigma).  A trace stores its events as two columns, the
+codes and their times.  Traces must grow monotonically along prefixes.
 The default operator enumerates pair(i, k) when the (k+1)-th occurrence
 of value i appears, which makes the running "last number enumerated"
-drop and recover as sequences extend.  It computes the pairing inline;
-`cantor_pair` is the reference definition it must agree with.
+drop and recover as sequences extend.  It enumerates one code per
+entry, so its times are the range 1..len(sigma), and the trace
+contract is checked without a loop over events.  It computes the
+pairing inline; `cantor_pair` is the reference definition it must
+agree with.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Protocol
+from typing import Iterable, Protocol, Sequence
 
 from .universe import Seq
 
@@ -26,25 +30,48 @@ def cantor_pair(i: int, k: int) -> int:
     return (i + k) * (i + k + 1) // 2 + k
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class JumpTrace:
-    """Events (e, time) sorted by time then e; no duplicate e."""
+    """Events (e, time) sorted by time then e, with no duplicate e, held
+    as two columns: `codes`, a tuple of ints, and `times`.  When the
+    times are exactly 1..len(codes), one code per time, `times` is that
+    range; otherwise it is a tuple.  Equality and hashing are by value."""
 
-    events: tuple[tuple[int, int], ...] = ()
+    codes: tuple[int, ...]
+    times: Sequence[int]
+
+    def __init__(self, events: Iterable[tuple[int, int]] = ()):
+        events = tuple(events)
+        times = tuple(t for _, t in events)
+        dense = range(1, len(times) + 1)
+        object.__setattr__(self, "codes", tuple(e for e, _ in events))
+        object.__setattr__(self, "times", dense if times == tuple(dense) else times)
+
+    @classmethod
+    def dense(cls, codes: Iterable[int]) -> "JumpTrace":
+        """The trace that enumerates codes[i] at time i + 1."""
+        trace = cls.__new__(cls)
+        codes = tuple(codes)
+        object.__setattr__(trace, "codes", codes)
+        object.__setattr__(trace, "times", range(1, len(codes) + 1))
+        return trace
 
     @property
-    def codes(self) -> frozenset[int]:
-        return frozenset(e for e, _ in self.events)
+    def events(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.codes, self.times))
 
     @property
     def p(self) -> int:
         """The last number enumerated; 0 when nothing has been."""
-        if not self.events:
-            return 0
-        return self.events[-1][0]
+        return self.codes[-1] if self.codes else 0
 
     def extends(self, other: "JumpTrace") -> bool:
-        return self.events[: len(other.events)] == other.events
+        n = len(other.codes)
+        head = self.times[:n]
+        # A range never equals a tuple, so a dense prefix of a trace
+        # that is not dense is compared as a tuple.
+        return self.codes[:n] == other.codes and (
+            head == other.times or tuple(head) == tuple(other.times))
 
 
 class EnumerationOperator(Protocol):
@@ -60,26 +87,32 @@ class DefaultOperator:
         # first occurrence (k = 0) is the triangular number of i.
         seen: dict[int, int] = {}
         get = seen.get
-        events: list[tuple[int, int]] = []
-        append = events.append
-        for t, i in enumerate(sigma, start=1):
+        codes: list[int] = []
+        append = codes.append
+        for i in sigma:
             k = get(i, 0)
             seen[i] = k + 1
             if k:
                 n = i + k
-                append((n * (n + 1) // 2 + k, t))
+                append(n * (n + 1) // 2 + k)
             else:
-                append((i * (i + 1) // 2, t))
-        return JumpTrace(tuple(events))
+                append(i * (i + 1) // 2)
+        return JumpTrace.dense(codes)
 
 
 def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
     """Run the operator and check the per-call trace invariants."""
     trace = op.trace(tuple(sigma))
     n = len(sigma)
+    codes = trace.codes
+    # A dense trace is sorted by construction; its bounds and duplicates
+    # are checked without visiting each event.
+    if (trace.times == range(1, len(codes) + 1) and len(codes) <= n
+            and len(set(codes)) == len(codes)):
+        return trace
     prev_e, prev_t = 0, 0
     seen: set[int] = set()
-    for e, t in trace.events:
+    for e, t in zip(codes, trace.times):
         if not 1 <= t <= n:
             raise ContractViolationError(
                 f"event ({e},{t}) out of bounds for a sequence of length {n}"

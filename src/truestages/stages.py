@@ -110,7 +110,7 @@ class TrueStageSystem:
         filled once per (rho, level) through the memo."""
         trace = self.trace_at(rho, level)
         bound = trace.p
-        below = [e for e, _ in trace.events if e < bound]
+        below = [e for e in trace.codes if e < bound]
         below.sort()
         return (bound, len(below), *below)
 

@@ -137,11 +137,20 @@ class DuplicateCodeOperator:
         return JumpTrace(tuple((4, t) for t in range(1, len(sigma) + 1)))
 
 
+class DenseDuplicateCodeOperator:
+    """The same codes as DuplicateCodeOperator, one per time, built as a
+    dense trace."""
+
+    def trace(self, sigma):
+        return JumpTrace.dense((4,) * len(sigma))
+
+
 def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
     # An operator bug is internal, not bad input: it must not become exit 2.
-    monkeypatch.setattr(cli, "DefaultOperator", DuplicateCodeOperator)
-    with pytest.raises(ContractViolationError, match="duplicate code"):
-        cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
+    for operator in (DuplicateCodeOperator, DenseDuplicateCodeOperator):
+        monkeypatch.setattr(cli, "DefaultOperator", operator)
+        with pytest.raises(ContractViolationError, match="duplicate code"):
+            cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
 
 
 @pytest.mark.parametrize("action", ["solve", "separator", "adversarial"])

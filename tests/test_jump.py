@@ -130,8 +130,23 @@ class _CodesUnsorted:
         return JumpTrace(((2, 1), (1, 1)))
 
 
+class _DenseDuplicated:
+    message = "duplicate code enumerated"
+
+    def trace(self, sigma):
+        return JumpTrace.dense((4,) * len(sigma))
+
+
+class _DenseTooLong:
+    message = r"event \(3,3\) out of bounds for a sequence of length 2"
+
+    def trace(self, sigma):
+        return JumpTrace.dense(range(1, len(sigma) + 2))
+
+
 @pytest.mark.parametrize(
-    "bad", [_OutOfBounds(), _Unsorted(), _Duplicated(), _CodesUnsorted()]
+    "bad", [_OutOfBounds(), _Unsorted(), _Duplicated(), _CodesUnsorted(),
+            _DenseDuplicated(), _DenseTooLong()]
 )
 def test_local_contract_violations(bad):
     with pytest.raises(ContractViolationError, match=f"^{bad.message}$"):
@@ -165,3 +180,37 @@ def test_validating_operator_catches_in_either_order():
     op.trace((1, 2, 3))
     with pytest.raises(ContractViolationError):
         op.trace((1, 2))
+
+
+def test_dense_and_event_built_traces_agree():
+    dense = JumpTrace.dense((3, 7))
+    built = JumpTrace(((3, 1), (7, 2)))
+    assert dense == built and hash(dense) == hash(built)
+    assert dense.events == built.events == ((3, 1), (7, 2))
+    assert dense.extends(built) and built.extends(dense)
+    # Two codes at time 2: not dense, yet it extends the dense prefix.
+    longer = JumpTrace(((3, 1), (7, 2), (9, 2)))
+    assert longer.extends(dense) and not dense.extends(longer)
+    assert longer != JumpTrace.dense((3, 7, 9))
+
+
+class _EventBuilt:
+    """The default traces, rebuilt from events at length 2 and given a
+    second code at the last time at length 3, so neither is built by
+    `JumpTrace.dense`."""
+
+    def trace(self, sigma):
+        base = DefaultOperator().trace(sigma)
+        if len(sigma) == 2:
+            return JumpTrace(base.events)
+        if len(sigma) == 3:
+            return JumpTrace(base.events + ((base.codes[-1] + 10**6, 3),))
+        return base
+
+
+@pytest.mark.parametrize("longest_first", [False, True])
+def test_validating_operator_mixes_representations(longest_first):
+    op = ValidatingOperator(_EventBuilt())
+    pairs = list(Universe(3, 2).prefix_pairs())
+    for sigma, tau in reversed(pairs) if longest_first else pairs:
+        assert op.trace(tau).extends(op.trace(sigma))

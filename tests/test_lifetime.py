@@ -9,7 +9,7 @@ import pytest
 
 from truestages.game import GameInstance, PairTree, solve
 from truestages.hierarchy import UpsetRep
-from truestages.jump import DefaultOperator
+from truestages.jump import DefaultOperator, JumpTrace
 from truestages.ordinals import ZERO, parse_ordinal
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
@@ -56,3 +56,17 @@ def test_solve_frees_the_system(no_gc, generators, status):
         assert solve(sys_, g).status == status
 
     _dies_with_caller(job)
+
+
+def test_memoised_default_traces_are_columns():
+    # Traces are most of a memo's bytes: a default trace holds one int per
+    # event and a range for its times, never a tuple per event.
+    sys_ = TrueStageSystem(DefaultOperator())
+    for tau in Universe(3, 2).all_seqs():
+        sys_.p(tau, parse_ordinal("w+1"))
+    traces = [v for v in sys_._memo.values() if isinstance(v, JumpTrace)]
+    assert len(traces) > len(Universe(3, 2).all_seqs())
+    for trace in traces:
+        assert type(trace.times) is range
+        assert type(trace.codes) is tuple
+        assert all(type(e) is int for e in trace.codes)

@@ -1,9 +1,11 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_jump import straight_line_trace
 from truestages.hierarchy import eval_at, upset_close
 from truestages.jump import DefaultOperator, JumpTrace
 from truestages.ordinals import classify, fund_seq, parse_ordinal
@@ -125,9 +127,9 @@ def test_limit_level_defers_to_height_index(sys_):
             assert sys_.leq(sigma, tau, lam) == want
 
 
-def ref_leq(sys_, sigma, tau, alpha):
+def ref_leq(sigma, tau, alpha):
     """The relations straight from their definitions, with no memo and no
-    chain: only sys_.p is read."""
+    chain: only ref_p is read."""
     if tau[: len(sigma)] != sigma:
         return False
     if sigma == tau:
@@ -137,16 +139,53 @@ def ref_leq(sys_, sigma, tau, alpha):
         return True
     if cls.kind == "successor":
         beta = cls.predecessor
-        return ref_leq(sys_, sigma, tau, beta) and all(
-            sys_.p(rho, beta) >= sys_.p(sigma, beta)
+        return ref_leq(sigma, tau, beta) and all(
+            ref_p(rho, beta) >= ref_p(sigma, beta)
             for rho in (tau[:i] for i in range(len(sigma) + 1, len(tau) + 1))
-            if ref_leq(sys_, rho, tau, beta)
+            if ref_leq(rho, tau, beta)
         )
-    return ref_leq(sys_, sigma, tau, fund_seq(alpha, ref_height(sys_, sigma, alpha)))
+    return ref_leq(sigma, tau, fund_seq(alpha, ref_height(sigma, alpha)))
 
 
-def ref_height(sys_, sigma, alpha):
-    return sum(ref_leq(sys_, sigma[:i], sigma, alpha) for i in range(len(sigma)))
+def ref_height(sigma, alpha):
+    return sum(ref_leq(sigma[:i], sigma, alpha) for i in range(len(sigma)))
+
+
+def ref_chain(tau, alpha):
+    return tuple(tau[:i] for i in range(len(tau) + 1) if ref_leq(tau[:i], tau, alpha))
+
+
+# The reference p and oracle call nothing on TrueStageSystem: traces come
+# from cantor_pair, one event per oracle entry, and chains from ref_leq.
+# The caches only spare recomputation; nothing else is shared.
+
+
+@functools.cache
+def ref_p(sigma, alpha):
+    """The last code of the straight-line trace of sigma's reference
+    oracle; 0 when the oracle is empty."""
+    trace = straight_line_trace(ref_oracle(sigma, alpha))
+    return trace[-1][0] if trace else 0
+
+
+@functools.cache
+def ref_oracle(sigma, alpha):
+    """sigma at level 0.  Above it, for each prefix rho past the root on
+    sigma's reference chain, the segment of rho one level down
+    (successor) or at the fundamental-sequence member that rho's height
+    picks (limit): the segment is p, the number of codes below p, then
+    those codes in increasing order."""
+    cls = classify(alpha)
+    if cls.kind == "zero":
+        return sigma
+    out = []
+    for rho in ref_chain(sigma, alpha)[1:]:
+        level = (cls.predecessor if cls.kind == "successor"
+                 else fund_seq(alpha, ref_height(rho, alpha)))
+        bound = ref_p(rho, level)
+        below = sorted(e for e, _ in straight_line_trace(ref_oracle(rho, level)) if e < bound)
+        out += [bound, len(below), *below]
+    return tuple(out)
 
 
 REF_UNIVERSE = Universe(4, 2)
@@ -157,22 +196,28 @@ REF_LEVELS = ["0", "1", "2", "w", "w+1", "w+2", "w*2"]
 def test_relations_match_the_reference(sys_, name):
     alpha = parse_ordinal(name)
     seqs = REF_UNIVERSE.all_seqs()
-    ref_chain = {
-        tau: tuple(
-            tau[:i] for i in range(len(tau) + 1)
-            if ref_leq(sys_, tau[:i], tau, alpha)
-        )
-        for tau in seqs
-    }
+    chains = {tau: ref_chain(tau, alpha) for tau in seqs}
     for tau in seqs:
-        assert sys_.chain(tau, alpha) == ref_chain[tau], tau
-        assert sys_.height(tau, alpha) == ref_height(sys_, tau, alpha), tau
+        assert sys_.chain(tau, alpha) == chains[tau], tau
+        assert sys_.height(tau, alpha) == ref_height(tau, alpha), tau
         for sigma in seqs:
-            assert sys_.leq(sigma, tau, alpha) == ref_leq(sys_, sigma, tau, alpha), (sigma, tau)
+            assert sys_.leq(sigma, tau, alpha) == ref_leq(sigma, tau, alpha), (sigma, tau)
             # 2^-|rho| for the longest rho on both reference chains.
-            common = max(len(rho) for rho in ref_chain[sigma] if rho in ref_chain[tau])
+            common = max(len(rho) for rho in chains[sigma] if rho in chains[tau])
             want = 0 if sigma == tau else Fraction(1, 2 ** common)
             assert sys_.distance(sigma, tau, alpha) == want, (sigma, tau)
+
+
+@pytest.mark.parametrize("universe, name", [
+    *((REF_UNIVERSE, name) for name in REF_LEVELS),
+    (Universe(3, 2), "w*3"),
+], ids=lambda v: f"{v.max_len}x{v.alphabet}" if isinstance(v, Universe) else v)
+def test_p_and_oracle_match_the_reference(sys_, universe, name):
+    alpha = parse_ordinal(name)
+    for tau in universe.all_seqs():
+        assert sys_.p(tau, alpha) == ref_p(tau, alpha), tau
+        assert sys_.oracle(tau, alpha) == ref_oracle(tau, alpha), tau
+        assert sys_.chain(tau, alpha) == ref_chain(tau, alpha), tau
 
 
 @pytest.mark.parametrize("name", REF_LEVELS)
