@@ -21,7 +21,7 @@ import dataclasses
 import threading
 from typing import Callable, Optional, Union
 
-from .hierarchy import UpsetRep, eval_at, upset_from_json, upset_to_json
+from .hierarchy import UpsetRep, eval_at, upset_from_json
 from .ordinals import (
     OrdinalNotation,
     ZERO,
@@ -613,15 +613,16 @@ def adversarial_play(
 
     With v given (the T1 case) the start is the least separator
     evidence and each step appends the next v entry; without v (the T0
-    case) the start is the least strongly correct sequence and each
-    step appends the least entry that stays 0-correct.  Every step
-    records the construction invariants: strong correctness, the
-    appended entry, the predecessor-set identity, and in the T1 case
-    whether (y, v) is still inside T1.  Against a strategy that wins by
-    round d the construction must halt before d surviving steps.
+    case) the start is the empty sequence and each step appends the
+    least entry that stays 0-correct.  The empty sequence is strongly
+    correct at every level, because every chain keeps the root (TS2),
+    so the T0 play needs no search for its start.  Every step records
+    the construction invariants: strong correctness, the appended
+    entry, the predecessor-set identity, and in the T1 case whether
+    (y, v) is still inside T1.  Against a strategy that wins by round d
+    the construction must halt before d surviving steps.
     """
     g = checker.game
-    xi = g.xi
     if v_prefix is not None:
         mode = "T1"
         found = checker.separator_evidence(y_prefix)
@@ -630,57 +631,37 @@ def adversarial_play(
         sigma = found.sigma
     else:
         mode = "T0"
-        sigma = next(
-            (cand for cand in shortlex(len(y_prefix), g.alphabet)
-             if checker.is_strongly_correct(y_prefix, cand, xi)),
-            None,
-        )
-        if sigma is None:
-            return PlayTranscript(mode, (), "NoStronglyCorrectStart")
+        sigma = ()
 
     sigmas = [sigma]
-    steps = [_record(checker, mode, y_prefix, v_prefix, sigmas, None)]
+    steps = [_record(checker, y_prefix, v_prefix, sigmas, None)]
     outcome = "ReachedDepth"
     failed: Optional[Seq] = None
     for i in range(depth):
-        if v_prefix is not None:
-            if i >= len(v_prefix) or len(sigma) + 1 > len(y_prefix):
-                outcome = "WitnessExhausted"
-                break
-            vi = v_prefix[i]
-            tau = sigma + (vi,)
-            if not checker.is_correct(y_prefix, tau, ZERO):
-                outcome = "PlayerIWon"
-                failed = tau
-                break
-        else:
-            tau = None
-            if len(sigma) + 1 > len(y_prefix):
-                outcome = "WitnessExhausted"
-                break
-            for u in range(g.alphabet):
-                cand = sigma + (u,)
-                if checker.is_correct(y_prefix, cand, ZERO):
-                    tau = cand
-                    vi = u
-                    break
-            if tau is None:
-                outcome = "PlayerIWon"
-                failed = sigma + (g.alphabet - 1,)
-                break
-        ext = checker.extend_correct(y_prefix, sigma, tau, xi, search_bound)
+        if len(sigma) + 1 > len(y_prefix) or (
+                v_prefix is not None and i >= len(v_prefix)):
+            outcome = "WitnessExhausted"
+            break
+        choices = range(g.alphabet) if v_prefix is None else (v_prefix[i],)
+        vi = next((u for u in choices
+                   if checker.is_correct(y_prefix, sigma + (u,), ZERO)), None)
+        if vi is None:
+            outcome = "PlayerIWon"
+            failed = sigma + (choices[-1],)
+            break
+        ext = checker.extend_correct(y_prefix, sigma, sigma + (vi,), g.xi,
+                                     search_bound)
         if ext.status != "Found":
             outcome = "BoundExhausted"
             break
         sigma = ext.tau
         sigmas.append(sigma)
-        steps.append(_record(checker, mode, y_prefix, v_prefix, sigmas, vi))
+        steps.append(_record(checker, y_prefix, v_prefix, sigmas, vi))
     return PlayTranscript(mode, tuple(steps), outcome, failed_extension=failed)
 
 
 def _record(
     checker: CorrectnessChecker,
-    mode: str,
     y_prefix: Seq,
     v_prefix: Optional[Seq],
     sigmas: list[Seq],
@@ -696,12 +677,12 @@ def _record(
     related = {
         rho for rho in checker._related(y_prefix, sigma, xi)
         if rho is not PRE_ROOT and (
-            mode == "T0"
+            v_prefix is None
             or eval_at(checker.sys, checker.game.w, checker.play(y_prefix, rho))
         )
     }
     witness_set_matches = related == set(sigmas)
-    if mode == "T1" and index > 0:
+    if v_prefix is not None and index > 0:
         witness_consistent = checker.game.t1.contains(
             tuple(y_prefix[:index]), tuple(v_prefix[:index])
         )
@@ -717,32 +698,12 @@ def _record(
     )
 
 
-def pair_tree_to_json(tree: PairTree) -> dict:
-    if tree.full:
-        return {"full": True}
-    return {
-        "pairs": [
-            [list(y), list(z)] for y, z in sorted(tree.pairs)
-        ]
-    }
-
-
 def pair_tree_from_json(data: dict) -> PairTree:
     if data.get("full"):
         return PairTree(full=True)
     return PairTree.from_pairs(
         (tuple(y), tuple(z)) for y, z in data.get("pairs", [])
     )
-
-
-def game_to_json(g: GameInstance) -> dict:
-    return {
-        "xi": render(g.xi),
-        "W": upset_to_json(g.w),
-        "T0": pair_tree_to_json(g.t0),
-        "T1": pair_tree_to_json(g.t1),
-        "bounds": {"alphabet": g.alphabet, "depth": g.depth},
-    }
 
 
 def game_from_json(data: dict) -> GameInstance:

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .ordinals import (
-    ComputableCopy,
     OrdinalNotation,
     RankedTree,
     compare,
@@ -138,8 +137,6 @@ def approx_to_level_sets(
 ) -> dict[tuple[int, int], UpsetRep]:
     """Split the universe by guessed value and height."""
     seqs = universe.all_seqs()
-    if not seqs:
-        return {}
     top_value = max(fn.value(s) for s in seqs)
     top_height = max(sys.height(s, fn.level) for s in seqs)
     family: dict[tuple[int, int], UpsetRep] = {}
@@ -158,7 +155,6 @@ class WitnessFn:
     """An ordinal-valued mind-change counter over a fixed copy of eta."""
 
     eta: OrdinalNotation
-    copy: ComputableCopy
     table: dict[Seq, OrdinalNotation]
 
     def value(self, sigma: Seq) -> OrdinalNotation:
@@ -242,7 +238,7 @@ def dsets_to_witness(
         )
         o_table[sigma] = o_val
         f_table[sigma] = int(parity(o_val) != parity(eta))
-    return ApproxFn(alpha, f_table), WitnessFn(eta, copy, o_table)
+    return ApproxFn(alpha, f_table), WitnessFn(eta, o_table)
 
 
 def witness_to_dsets(
@@ -282,10 +278,7 @@ def witness_to_dsets(
             raise ValueError(
                 f"adjusted witness exceeds eta at {seq_str(sigma)}"
             )
-    if witness.copy is not None and witness.eta == eta:
-        copy = witness.copy
-    else:
-        copy = enum_copy(eta)
+    copy = enum_copy(eta)
     if copy.size is not None:
         positions = copy.size
     else:
@@ -357,7 +350,7 @@ def approx_to_witness(
         chain = sys.chain(sigma, fn.level)
         on_tree = [rho for rho in chain if rho in node_set]
         table[sigma] = from_int(ranks[on_tree[-1]])
-    return eta, WitnessFn(eta, enum_copy(eta), table)
+    return eta, WitnessFn(eta, table)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +389,3 @@ def witness_to_json(witness: WitnessFn) -> dict:
         "eta": render(witness.eta),
         "table": {seq_str(s): render(v) for s, v in sorted(witness.table.items())},
     }
-
-
-def witness_from_json(data: dict) -> WitnessFn:
-    eta = parse_ordinal(data["eta"])
-    return WitnessFn(
-        eta,
-        enum_copy(eta),
-        {parse_seq(k): parse_ordinal(v) for k, v in data["table"].items()},
-    )

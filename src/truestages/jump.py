@@ -130,10 +130,6 @@ def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
     return trace
 
 
-def p_value(op: EnumerationOperator, sigma: Seq) -> int:
-    return enumerate_jump(op, sigma).p
-
-
 class ValidatingOperator:
     """Wraps an operator and checks prefix-monotonicity against every
     previously seen trace.  The cache is shared, so access is serialized.

@@ -13,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .hierarchy import UpsetRep, eval_at, upset_from_json, upset_to_json
-from .ordinals import OrdinalNotation, classify, fund_seq, parse_ordinal, render
+from .hierarchy import UpsetRep, eval_at, upset_to_json
+from .ordinals import OrdinalNotation, classify, fund_seq, render
 from .stages import TrueStageSystem
 from .universe import Seq, Universe, seq_str
 
@@ -112,10 +112,6 @@ def decomposition_eval(
     return bool(tree.value)
 
 
-def isu_rank(tree: DecompositionTree) -> int:
-    return tree.rank
-
-
 def tree_to_json(tree: DecompositionTree) -> dict:
     data: dict = {
         "node": list(tree.node),
@@ -130,18 +126,3 @@ def tree_to_json(tree: DecompositionTree) -> dict:
         data["separators"] = [upset_to_json(s) for s in tree.separators]
         data["children"] = [tree_to_json(c) for c in tree.children]
     return data
-
-
-def tree_from_json(data: dict) -> DecompositionTree:
-    node = tuple(data["node"])
-    if data["kind"] == "leaf":
-        return DecompositionTree(
-            node, "leaf", data["rank"], value=data["value"],
-            witness_level=parse_ordinal(data["witnessLevel"]),
-        )
-    return DecompositionTree(
-        node, "internal", data["rank"],
-        children=tuple(tree_from_json(c) for c in data["children"]),
-        separators=tuple(upset_from_json(s) for s in data["separators"]),
-        separator_level=parse_ordinal(data["separatorLevel"]),
-    )

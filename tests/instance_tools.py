@@ -13,6 +13,16 @@ from truestages.universe import Universe
 from truestages.wadge import DecompositionTree, wadge_tree
 
 
+class Rootless(TrueStageSystem):
+    """Drops the root from every chain of a nonempty sequence above
+    level 0, against TS2.  No nonempty play then keeps the pre-root
+    token at level 1, so nothing but the pre-root is 1-correct."""
+
+    def chain(self, tau, alpha):
+        ch = super().chain(tau, alpha)
+        return ch[1:] if tau and not alpha.is_zero() else ch
+
+
 def seeded_wadge_instance(
     sys_: TrueStageSystem,
     universe: Universe,

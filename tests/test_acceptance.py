@@ -40,7 +40,7 @@ from truestages.hierarchy import (
     verify_witness_laws,
     witness_to_dsets,
 )
-from truestages.jump import DefaultOperator, JumpTrace, p_value
+from truestages.jump import DefaultOperator, JumpTrace, enumerate_jump
 from truestages.ordinals import ZERO, compare, from_int, parse_ordinal
 from truestages.stages import TrueStageSystem, ts_verify
 from truestages.universe import Universe
@@ -103,9 +103,9 @@ def test_criterion_02_jump_monotone_and_worked_values():
     for uni in (Universe(4, 3), Universe(2, 6)):
         for sigma, tau in uni.prefix_pairs():
             assert op.trace(tau).extends(op.trace(sigma))
-    assert p_value(op, ()) == 0
-    assert p_value(op, (5,)) == 15
-    assert p_value(op, (5, 0)) == 0
+    assert enumerate_jump(op, ()).p == 0
+    assert enumerate_jump(op, (5,)).p == 15
+    assert enumerate_jump(op, (5, 0)).p == 0
     elapsed = time.monotonic() - start
     assert elapsed < 1
     passed(2, f"monotone on two universes, worked values hold, {elapsed:.2f}s")

@@ -129,6 +129,24 @@ def test_lsr_without_y_exits_two(capsys, tmp_path, action):
     assert "instance lacks a y field" in err
 
 
+def test_input_errors_exit_two_with_one_line(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    no_play = tmp_path / "no-play.json"
+    no_play.write_text(json.dumps({k: v for k, v in QUICKWIN.items() if k != "play"}))
+    cases = [
+        (["hk", "roundtrip", "--alpha", "w+"],
+         "error: bad notation 'w+': expected a term (at position 2)\n"),
+        (["hk", "convert", "--instance", str(empty)],
+         "error: instance must carry either 'upsets' or 'approx'\n"),
+        (["lsr", "referee", "--instance", str(no_play)],
+         "error: instance lacks a play field: 'play'\n"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+
+
 class DuplicateCodeOperator:
     """Enumerates code 4 at every time, so every trace of length 2 or
     more repeats a code."""
@@ -178,6 +196,23 @@ def test_exit_one_when_a_check_fails(capsys, monkeypatch):
     assert "TS7-consistency: FAIL (19 of 171 checks)" in lines
     assert sum(l.startswith("counterexample: ") for l in lines) == 5
     assert "failures: 5" in lines
+
+
+def test_roundtrip_failure_report(capsys, monkeypatch):
+    # Flipping every difference-hierarchy answer makes every stable
+    # point a mismatch, so the real roundtrip body reports failures.
+    real = cli.difference_value
+    monkeypatch.setattr(cli, "difference_value", lambda *a: 1 - real(*a))
+    code, out, _ = run_main(capsys, "hk", "roundtrip", "--format", "json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 73
+    assert failures[0] == {"expected": 1, "got": 0, "run": 0, "x": "[0,0,0]"}
+    code, out, _ = run_main(capsys, "hk", "roundtrip")
+    assert code == 1
+    lines = out.splitlines()
+    assert "run=0 eta=7 checked=4 mismatches=4" in lines
+    assert lines[-1] == "failures: 73"
 
 
 # -- report content -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instance_tools import pointwise_tree, seeded_game_instance, y_mismatch_game
+from instance_tools import Rootless, pointwise_tree, seeded_game_instance, y_mismatch_game
 from truestages import game
 from truestages.game import (
     PRE_ROOT,
@@ -22,9 +22,7 @@ from truestages.game import (
     apply_strategy,
     extract_reduction,
     game_from_json,
-    game_to_json,
     pair_tree_from_json,
-    pair_tree_to_json,
     referee,
     solve,
     strategy_from_json,
@@ -605,29 +603,20 @@ def test_adversarial_t1_mode_tracks_witness(sys_, never_win):
     assert [s.sigma for s in t.steps] == [(1, 1, 0, 0)[:n] for n in range(5)]
 
 
-class _Rootless(TrueStageSystem):
-    """Drops the root from every chain of a nonempty sequence above
-    level 0, against TS2.  No nonempty play then keeps the pre-root
-    token at level 1, so nothing but the pre-root is 1-correct."""
-
-    def chain(self, tau, alpha):
-        ch = super().chain(tau, alpha)
-        return ch[1:] if tau and not alpha.is_zero() else ch
-
-
 def test_adversarial_without_evidence_reports_it(sys_, never_win):
     chk = CorrectnessChecker(sys_, never_win, constant_zero())
     t = adversarial_play(chk, (0, 0, 0), (0, 0, 0), depth=2, search_bound=2)
     assert t.outcome == "NoEvidence"
     assert t.steps == ()
-    # The empty sequence is strongly correct under any lawful system, so
-    # the T0 start is missing only when the system breaks TS2.
+    # The T0 play starts at the empty sequence, which is strongly
+    # correct under any lawful system.  A system that breaks TS2 leaves
+    # it strongly correct at no level above 0, so the first extension
+    # refuses it.
     w = UpsetRep(LEVELS["1"], frozenset())
     g = GameInstance(LEVELS["1"], w, FULL, ROOT_ONLY, alphabet=2, depth=3)
-    chk = CorrectnessChecker(_Rootless(DefaultOperator()), g, constant_zero())
-    t = adversarial_play(chk, (0, 0, 0), None, depth=2, search_bound=2)
-    assert t.outcome == "NoStronglyCorrectStart"
-    assert t.steps == ()
+    chk = CorrectnessChecker(Rootless(DefaultOperator()), g, constant_zero())
+    with pytest.raises(ValueError, match="rho is not strongly 1-correct"):
+        adversarial_play(chk, (0, 0, 0), None, depth=2, search_bound=2)
 
 
 # -- reduction extraction -------------------------------------------------
@@ -660,17 +649,30 @@ def test_reduction_needs_side_two(sys_, never_win):
 # -- serialization --------------------------------------------------------
 
 
-def test_pair_tree_json_round_trip():
-    assert pair_tree_from_json(pair_tree_to_json(ROOT_ONLY)) == ROOT_ONLY
-    assert pair_tree_from_json(pair_tree_to_json(FULL)) == FULL
+def test_pair_tree_from_json():
+    assert pair_tree_from_json({"full": True}) == FULL
+    assert pair_tree_from_json({"pairs": [[[], []]]}) == ROOT_ONLY
+    # Listed pairs are closed under simultaneous truncation.
+    tree = pair_tree_from_json({"pairs": [[[0, 1], [1, 1]]]})
+    assert tree.pairs == {((), ()), ((0,), (1,)), ((0, 1), (1, 1))}
     tree = pointwise_tree(2, 3, lambda a, b: a == b)
-    assert pair_tree_from_json(pair_tree_to_json(tree)) == tree
+    data = {"pairs": [[list(y), list(z)] for y, z in tree.pairs]}
+    assert pair_tree_from_json(data) == tree
+    with pytest.raises(ValueError, match="pair lengths differ"):
+        pair_tree_from_json({"pairs": [[[0], []]]})
 
 
-def test_game_json_round_trip(quick_win):
-    assert game_from_json(game_to_json(quick_win)) == quick_win
-    g = y_mismatch_game(LEVELS["1"])
-    assert game_from_json(game_to_json(g)) == g
+def test_game_from_json(quick_win):
+    data = {
+        "xi": "0",
+        "W": {"level": "0", "generators": [[]]},
+        "T0": {"full": True},
+        "T1": {"pairs": [[[], []]]},
+        "bounds": {"alphabet": 2, "depth": 3},
+    }
+    assert game_from_json(data) == quick_win
+    with pytest.raises(ValueError, match="W lives at level 1, expected 0"):
+        game_from_json({**data, "W": {"level": "1", "generators": []}})
 
 
 def test_strategy_json_round_trip(sys_, quick_win, never_win):

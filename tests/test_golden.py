@@ -5,7 +5,8 @@ are the reference; a refactor that keeps every report byte-identical
 keeps them.  Instances are written to fixed relative paths and the CLI
 runs from their directory, so the paths echoed in ``config`` are the
 same on every machine.  Every subcommand is pinned; separator and
-adversarial also on a game whose solve is Undetermined.  A change that
+adversarial also on a game whose solve is Undetermined, and adversarial
+also with a witness v, so that both of its modes are pinned.  A change that
 alters a report on purpose must record the new digests and say why.
 """
 
@@ -58,6 +59,18 @@ INSTANCES = {
         "y": [0, 1, 1, 0, 1, 0],
         "strategy": {"side": "I", "depth": 6, "moves": []},
     },
+    # adversarial.json with a witness v, so the play runs in T1 mode: it
+    # starts at the least separator evidence and appends v's entries.
+    "adversarial-t1.json": {
+        "xi": "w+1",
+        "W": {"level": "w+1", "generators": [[0, 0]]},
+        "T0": {"full": True},
+        "T1": {"full": True},
+        "bounds": {"alphabet": 2, "depth": 5},
+        "y": [0, 1, 1, 0, 1, 0],
+        "v": [0, 1, 1, 0, 1, 0],
+        "strategy": {"side": "I", "depth": 6, "moves": []},
+    },
     # II must answer y = 0 while x has no 1 and y = 1 after it, so the
     # first y entry commits II and player I wins by round 2.
     "mismatch.json": {
@@ -106,6 +119,8 @@ COMMANDS = {
     "wadge-eval": ["wadge", "eval", "--instance", "wadge.json"],
     "lsr-solve": ["lsr", "solve", "--instance", "solve.json"],
     "lsr-adversarial": ["lsr", "adversarial", "--instance", "adversarial.json"],
+    "lsr-adversarial-t1": ["lsr", "adversarial", "--instance",
+                           "adversarial-t1.json"],
     "jump": ["jump", "--max-len", "4", "--alphabet", "2"],
     "truestages": ["truestages", "--max-len", "3", "--alphabet", "2",
                    "--levels", "0,1,w,w+1"],
@@ -133,6 +148,8 @@ DIGESTS = {
     ('jump', 'text'): "8afc47b991adbf2f2f2eed8b36b35f48c0e361a63f98d4292a05000d14772762",
     ('lsr-adversarial', 'json'): "306a37e7a3b9b21a20bc6c3cc1587bec1647defdd7b7d7b0b39a7436ecfa6705",
     ('lsr-adversarial', 'text'): "4decfd5618f4fd7062d3963744c7e33482b8a16482086342379b710759504b25",
+    ('lsr-adversarial-t1', 'json'): "da930537335b360ebc965fde0556f8b24d90c6dd685d6218eb56745c17661f8e",
+    ('lsr-adversarial-t1', 'text'): "34474f3aedc862b3b8aa4e05376c31a8ebe1db7f1367b917300a2b463ce791b9",
     ('lsr-adversarial-undetermined', 'json'): "c5edf8207f8105cf006a087964b613732cb6403b281b5445ad2d2c5ed5b1cd08",
     ('lsr-adversarial-undetermined', 'text'): "6e19e22279d8d980034d92ad32d44933a0c3aa8b9e1dd090f6eeec2d8534cf4a",
     ('lsr-referee', 'json'): "57a4a6843a44f521fb5f069c754894433cd5dd77e845ad681d4bb3c10377c442",

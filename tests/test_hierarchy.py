@@ -23,14 +23,13 @@ from truestages.hierarchy import (
     upset_from_json,
     upset_to_json,
     verify_witness_laws,
-    witness_from_json,
     witness_to_dsets,
     witness_to_json,
 )
 from truestages.jump import DefaultOperator
 from truestages.ordinals import from_int, parse_ordinal, render
 from truestages.stages import TrueStageSystem
-from truestages.universe import Universe
+from truestages.universe import Universe, parse_seq
 
 A0 = from_int(0)
 A1 = from_int(1)
@@ -234,7 +233,7 @@ def test_witness_to_dsets_names_violated_clause(sys_, case):
     f, witness_eta, o, eta, message = BAD_WITNESSES[case]
     seqs = UNI.all_seqs()
     fn = ApproxFn(A0, {s: f(s) for s in seqs})
-    witness = WitnessFn(from_int(witness_eta), None, {s: from_int(o(s)) for s in seqs})
+    witness = WitnessFn(from_int(witness_eta), {s: from_int(o(s)) for s in seqs})
     with pytest.raises(ValueError, match=message):
         witness_to_dsets(sys_, fn, witness, from_int(eta), A0, UNI)
 
@@ -246,7 +245,7 @@ def test_witness_adjustment_rules(sys_):
                for s in UNI.all_seqs()}
     table_f = {s: 0 for s in UNI.all_seqs()}
     fn = ApproxFn(A0, table_f)
-    o = WitnessFn(eta, None, table_o)
+    o = WitnessFn(eta, table_o)
     fam = witness_to_dsets(sys_, fn, o, eta, A0, UNI)
     # f=0 with o=1 odd-against-eta: pushed to 2, outside every listed
     # set; f=0 with o=0 keeps 0, landing in both
@@ -313,5 +312,6 @@ def test_json_round_trips(sys_):
     back = approx_from_json(approx_to_json(fn))
     assert back.level == fn.level and back.table == fn.table
     eta, o = approx_to_witness(sys_, fn, UNI)
-    o_back = witness_from_json(witness_to_json(o))
-    assert o_back.eta == o.eta and o_back.table == o.table
+    data = witness_to_json(o)
+    assert parse_ordinal(data["eta"]) == o.eta
+    assert {parse_seq(k): parse_ordinal(v) for k, v in data["table"].items()} == o.table

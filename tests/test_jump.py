@@ -9,7 +9,6 @@ from truestages.jump import (
     ValidatingOperator,
     cantor_pair,
     enumerate_jump,
-    p_value,
 )
 from truestages.universe import Universe
 
@@ -61,18 +60,18 @@ def test_default_operator_pairs_like_cantor_pair(seq):
 
 def test_p_values():
     op = DefaultOperator()
-    assert p_value(op, ()) == 0
-    assert p_value(op, (5,)) == 15
-    assert p_value(op, (5, 0)) == 0
-    assert p_value(op, (2, 2)) == 7
-    assert p_value(op, (1, 9)) == 45
+    assert enumerate_jump(op, ()).p == 0
+    assert enumerate_jump(op, (5,)).p == 15
+    assert enumerate_jump(op, (5, 0)).p == 0
+    assert enumerate_jump(op, (2, 2)).p == 7
+    assert enumerate_jump(op, (1, 9)).p == 45
 
 
 def test_p_can_drop_then_recover():
     op = DefaultOperator()
-    values = [p_value(op, (5, 0)[:i]) for i in range(3)]
+    values = [enumerate_jump(op, (5, 0)[:i]).p for i in range(3)]
     assert values == [0, 15, 0]
-    assert p_value(op, (5, 0, 5)) == cantor_pair(5, 1)
+    assert enumerate_jump(op, (5, 0, 5)).p == cantor_pair(5, 1)
 
 
 def test_prefix_monotone_on_universe():

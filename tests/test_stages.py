@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instance_tools import Rootless
 from test_jump import straight_line_trace
 from truestages.hierarchy import eval_at, upset_close
 from truestages.jump import DefaultOperator, JumpTrace
@@ -357,6 +358,19 @@ def test_verifier_reports_each_planted_fault(prop):
     assert any(ce["detail"] == detail for ce in res.counterexamples)
     line = f"{prop}: FAIL ({res.failures} of {res.checked} checks)"
     assert line in report.summary_lines()
+
+
+def test_verifier_reports_a_chain_without_the_root():
+    # The planted leq faults leave the chains right; this system drops
+    # the root from every chain of a nonempty sequence at level 1.
+    report = ts_verify(
+        Rootless(DefaultOperator()), Universe(2, 2), [LEVELS["0"], LEVELS["1"]]
+    )
+    res = report.results["TS2"]
+    assert "TS2: FAIL (6 of 28 checks)" in report.summary_lines()
+    assert res.counterexamples
+    assert all(ce["detail"] == "chain does not start at the root"
+               for ce in res.counterexamples)
 
 
 def test_report_lines_shape():

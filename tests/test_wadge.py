@@ -1,15 +1,13 @@
 import pytest
 
 from instance_tools import seeded_wadge_instance
-from truestages.hierarchy import UpsetRep, eval_at
+from truestages.hierarchy import UpsetRep, eval_at, upset_from_json
 from truestages.jump import DefaultOperator
 from truestages.ordinals import parse_ordinal, render
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
 from truestages.wadge import (
     decomposition_eval,
-    isu_rank,
-    tree_from_json,
     tree_to_json,
     wadge_tree,
 )
@@ -43,7 +41,6 @@ def test_first_entry_rank_one(first_entry):
     _, _, _, tree = first_entry
     assert tree.kind == "internal"
     assert tree.rank == 1
-    assert isu_rank(tree) == 1
     assert all(c.kind == "leaf" and c.rank == 0 for c in tree.children)
 
 
@@ -147,12 +144,26 @@ def test_second_entry_split_has_rank_two(sys_):
         assert decomposition_eval(sys_, tree, x) == eval_at(sys_, w1, x)
 
 
-def test_json_round_trip(sys_):
+def test_tree_to_json_mirrors_the_tree(sys_):
     uni = Universe(3, 2)
     w1 = upset_where(uni, W, lambda s: len(s) >= 2 and s[1] == 1)
     w0 = upset_where(uni, W, lambda s: len(s) >= 2 and s[1] == 0)
     tree = wadge_tree(sys_, w0, w1, W, uni)
-    assert tree_from_json(tree_to_json(tree)) == tree
+
+    def check(node, data):
+        assert (data["node"], data["kind"], data["rank"]) == (
+            list(node.node), node.kind, node.rank)
+        if node.kind == "leaf":
+            assert data["value"] == node.value
+            assert data["witnessLevel"] == render(node.witness_level)
+            return
+        assert data["separatorLevel"] == render(node.separator_level)
+        assert tuple(upset_from_json(s) for s in data["separators"]) == node.separators
+        assert len(data["children"]) == len(node.children)
+        for child, child_data in zip(node.children, data["children"]):
+            check(child, child_data)
+
+    check(tree, tree_to_json(tree))
 
 
 @pytest.mark.parametrize("seed", range(6))
