@@ -488,6 +488,7 @@ class CorrectnessChecker:
             # is read only once a strongly beta-correct one needs it.
             kept: Optional[list[Node]] = None
             for tau in self._related(y_prefix, sigma, beta)[:-1]:
+                # Never taken: tau's beta chain lies inside sigma's (transitivity).
                 if not self.is_strongly_correct(y_prefix, tau, beta):
                     continue
                 if kept is None:

@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 from .ordinals import (
     OrdinalNotation,
     RankedTree,
-    compare,
     enum_copy,
     from_int,
     kb_rank,
@@ -171,23 +170,24 @@ def verify_witness_laws(
     universe: Universe,
 ) -> list[dict]:
     """Check the three monotonicity laws over every comparable pair;
-    returns one record per violation."""
+    returns one record per violation.  The strict predecessors of tau
+    are its chain without tau, shortest first, so the pairs come in
+    prefix order."""
     violations: list[dict] = []
     alpha = fn.level
-    for sigma, tau in universe.prefix_pairs():
-        if sigma == tau or not sys.leq(sigma, tau, alpha):
-            continue
-        os, ot = witness.value(sigma), witness.value(tau)
-        if compare(ot, os) > 0:
-            violations.append({
-                "clause": "i", "sigma": list(sigma), "tau": list(tau),
-                "detail": f"o rose from {render(os)} to {render(ot)}",
-            })
-        if fn.value(sigma) != fn.value(tau) and compare(ot, os) >= 0:
-            violations.append({
-                "clause": "ii", "sigma": list(sigma), "tau": list(tau),
-                "detail": f"value changed but o kept {render(ot)}",
-            })
+    for tau in universe.all_seqs():
+        for sigma in sys.chain(tau, alpha)[:-1]:
+            os, ot = witness.value(sigma), witness.value(tau)
+            if ot > os:
+                violations.append({
+                    "clause": "i", "sigma": list(sigma), "tau": list(tau),
+                    "detail": f"o rose from {render(os)} to {render(ot)}",
+                })
+            if fn.value(sigma) != fn.value(tau) and ot >= os:
+                violations.append({
+                    "clause": "ii", "sigma": list(sigma), "tau": list(tau),
+                    "detail": f"value changed but o kept {render(ot)}",
+                })
     for sigma in universe.all_seqs():
         if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
             violations.append({
@@ -223,7 +223,7 @@ def dsets_to_witness(
     ]
     for n, nu in enumerate(ordinals):
         for m, mu in enumerate(ordinals):
-            if compare(nu, mu) < 0 and not membership[n] <= membership[m]:
+            if nu < mu and not membership[n] <= membership[m]:
                 raise ValueError(
                     f"family is not increasing: set {n} (index {render(nu)}) "
                     f"is not contained in set {m} (index {render(mu)})"
@@ -274,7 +274,7 @@ def witness_to_dsets(
             adjusted[sigma] = o_val
         else:
             adjusted[sigma] = successor(o_val)
-        if compare(adjusted[sigma], eta) > 0:
+        if adjusted[sigma] > eta:
             raise ValueError(
                 f"adjusted witness exceeds eta at {seq_str(sigma)}"
             )
@@ -282,7 +282,7 @@ def witness_to_dsets(
     if copy.size is not None:
         positions = copy.size
     else:
-        below = [v for v in adjusted.values() if compare(v, eta) < 0]
+        below = [v for v in adjusted.values() if v < eta]
         positions = max((copy.index_of(v) for v in below), default=-1) + 1
     ranked = sorted(adjusted, key=adjusted.__getitem__)
     values = [adjusted[s] for s in ranked]
@@ -299,13 +299,18 @@ def difference_value(
     x_prefix: Seq,
 ) -> int:
     """The parity rule: odd-side membership is decided by the least
-    ordinal index whose set contains the point; outside them all, 0."""
+    ordinal index whose set contains the point; outside them all, 0.
+    x_prefix's chain is read once per level the family uses."""
     copy = enum_copy(eta)
+    chains: dict[OrdinalNotation, tuple[Seq, ...]] = {}
     best: Optional[OrdinalNotation] = None
     for n, u in enumerate(upsets):
-        if eval_at(sys, u, x_prefix):
+        chain = chains.get(u.level)
+        if chain is None:
+            chain = chains[u.level] = sys.chain(x_prefix, u.level)
+        if not u.generators.isdisjoint(chain):
             nu = copy.at_index(n)
-            if best is None or compare(nu, best) < 0:
+            if best is None or nu < best:
                 best = nu
     if best is None:
         return 0

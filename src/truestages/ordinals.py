@@ -13,6 +13,11 @@ with no whitespace.  Rendering always emits the minimal form, so
 
 Notations are interned: constructing a notation returns the one object
 for that sum, so ``==`` is identity and a notation is a cheap dict key.
+Each interned notation carries an order key, the tuple of its
+(exponent key, coefficient) pairs, built once; Python's tuple order,
+with a proper prefix first, is exactly the notation order, so a
+comparison reads two keys.  :func:`classify` caches its answer on the
+notation.
 
 The ceiling is fixed at ``w^w``: constructing a notation above it raises
 :class:`CeilingError`, and every notation below it has finite exponents.
@@ -49,6 +54,7 @@ class OrdinalNotation:
     There is one object per notation, so equality is identity and the
     hash is the object's.  The terms and the ceiling are checked when a
     notation is first built; a notation that fails is never interned.
+    ``_key`` is the order key and ``_cls`` the cached classification.
     """
 
     terms: tuple[tuple["OrdinalNotation", int], ...] = ()
@@ -61,12 +67,14 @@ class OrdinalNotation:
         for exp, coeff in terms:
             if not isinstance(coeff, int) or coeff < 1:
                 raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
-            if prev is not None and compare(exp, prev) >= 0:
+            if prev is not None and exp._key >= prev._key:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
-        if _CEILING is not None and compare(self, _CEILING) > 0:
+        object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
+        object.__setattr__(self, "_cls", None)
+        if _CEILING is not None and self._key > _CEILING._key:
             raise CeilingError(
                 f"notation {render(self)} exceeds the ceiling {render(_CEILING)}"
             )
@@ -95,16 +103,16 @@ class OrdinalNotation:
         return f"OrdinalNotation[{render(self)}]"
 
     def __lt__(self, other: "OrdinalNotation") -> bool:
-        return compare(self, other) < 0
+        return self._key < other._key
 
     def __le__(self, other: "OrdinalNotation") -> bool:
-        return compare(self, other) <= 0
+        return self._key <= other._key
 
     def __gt__(self, other: "OrdinalNotation") -> bool:
-        return compare(self, other) > 0
+        return self._key > other._key
 
     def __ge__(self, other: "OrdinalNotation") -> bool:
-        return compare(self, other) >= 0
+        return self._key >= other._key
 
 
 ZERO = OrdinalNotation()
@@ -120,16 +128,9 @@ def from_int(n: int) -> OrdinalNotation:
 
 
 def compare(a: OrdinalNotation, b: OrdinalNotation) -> int:
-    """Total order on notations: -1, 0, or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """Total order on notations: -1, 0, or 1, read off the order keys."""
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
 def render(a: OrdinalNotation) -> str:
@@ -162,6 +163,16 @@ class Classified:
 
 
 def classify(a: OrdinalNotation) -> Classified:
+    """Zero, successor (with its predecessor) or limit; computed once per
+    notation and kept on it.  Two threads that race store equal values."""
+    cls = a._cls
+    if cls is None:
+        cls = _classify(a)
+        object.__setattr__(a, "_cls", cls)
+    return cls
+
+
+def _classify(a: OrdinalNotation) -> Classified:
     if a.is_zero():
         return Classified("zero", None)
     exp, coeff = a.terms[-1]

@@ -52,7 +52,10 @@ def wadge_tree(
         if not (eval_at(sys, w0, x) or eval_at(sys, w1, x)):
             raise ValueError(f"maximal sequence {seq_str(x)} is uncovered")
 
-    return _build(sys, w0, w1, lam, universe.all_seqs(), ())
+    by_height: dict[int, list[Seq]] = {}
+    for tau in universe.all_seqs():
+        by_height.setdefault(sys.height(tau, lam), []).append(tau)
+    return _build(sys, w0, w1, lam, by_height, ())
 
 
 def _build(
@@ -60,12 +63,13 @@ def _build(
     w0: UpsetRep,
     w1: UpsetRep,
     lam: OrdinalNotation,
-    seqs: list[Seq],
+    by_height: dict[int, list[Seq]],
     node: Seq,
 ) -> DecompositionTree:
-    """The subtree at node.  A module function, not a closure: a closure
-    that calls itself keeps itself, and with it sys and its memo, alive
-    until a full garbage collection."""
+    """The subtree at node; its children are found among the stages one
+    height up.  A module function, not a closure: a closure that calls
+    itself keeps itself, and with it sys and its memo, alive until a
+    full garbage collection."""
     k = sys.height(node, lam)
     if eval_at(sys, w1, node):
         return DecompositionTree(node, "leaf", 0, value=1,
@@ -74,17 +78,15 @@ def _build(
         return DecompositionTree(node, "leaf", 0, value=0,
                                  witness_level=fund_seq(lam, k))
     kids = sorted(
-        tau for tau in seqs
-        if len(tau) > len(node)
-        and sys.height(tau, lam) == k + 1
-        and sys.leq(node, tau, lam)
+        tau for tau in by_height.get(k + 1, ())
+        if len(tau) > len(node) and sys.leq(node, tau, lam)
     )
     if not kids:
         raise ValueError(
             f"undecided stage {seq_str(node)} has no extensions to split on"
         )
     level = fund_seq(lam, k + 1)
-    subtrees = tuple(_build(sys, w0, w1, lam, seqs, tau) for tau in kids)
+    subtrees = tuple(_build(sys, w0, w1, lam, by_height, tau) for tau in kids)
     separators = tuple(
         UpsetRep(level, frozenset({tau})) for tau in kids
     )
@@ -97,11 +99,15 @@ def _build(
 def decomposition_eval(
     sys: TrueStageSystem, tree: DecompositionTree, x_prefix: Seq
 ) -> bool:
+    """Walk down the tree along the one separator that x_prefix meets at
+    each node.  Every separator of a node lives at its separator level,
+    so x_prefix's chain there is read once per node."""
     x_prefix = tuple(x_prefix)
     while tree.kind == "internal":
+        chain = sys.chain(x_prefix, tree.separator_level)
         matches = [
             i for i, sep in enumerate(tree.separators)
-            if eval_at(sys, sep, x_prefix)
+            if not sep.generators.isdisjoint(chain)
         ]
         if len(matches) != 1:
             raise ValueError(

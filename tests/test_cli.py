@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import sys
 import pytest
 
 from test_stages import _Rewriter
-from truestages import cli, game
+from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, JumpTrace
+from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
 
 QUICKWIN = {
@@ -287,6 +289,62 @@ def test_wadge_eval_answers(capsys, wadge_file):
     results = json.loads(out)["results"]
     assert {"x": "[0,2,1]", "value": 1} in results
     assert {"x": "[2,0,0]", "value": 0} in results
+
+
+def count_calls(monkeypatch, owner, name, counts, active=lambda: True):
+    """Replace owner.name with a wrapper that counts its calls in counts[name]
+    while active() holds."""
+    fn = getattr(owner, name)
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        if active():
+            counts[name] += 1
+        return fn(*args, **kwargs)
+
+    counts[name] = 0
+    monkeypatch.setattr(owner, name, counted)
+
+
+# sha256 of the report of ROUNDTRIP_ARGV, recorded before the hierarchy
+# layer read chains in place of pairs and per-upset lookups.
+ROUNDTRIP_ARGV = ["hk", "roundtrip", "--max-len", "4", "--alphabet", "2",
+                  "--alpha", "w+1", "--seed", "3", "--format", "json"]
+ROUNDTRIP_DIGEST = "6806d78e6e1df2d992c1967afbe078f9f9e62f6ce386bda837befbbb3f54e718"
+
+
+def test_roundtrip_reads_chains_not_pairs(capsys, monkeypatch):
+    # The witness laws walk each stage's chain and difference_value reads
+    # one chain per level, so neither asks leq or eval_at anything.
+    counts = {}
+    count_calls(monkeypatch, TrueStageSystem, "leq", counts)
+    count_calls(monkeypatch, hierarchy, "eval_at", counts)
+    code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
+    assert code == 0
+    assert counts == {"leq": 0, "eval_at": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
+
+
+def test_wadge_eval_walk_reads_one_chain_per_node(capsys, monkeypatch, wadge_file):
+    # Building the tree still asks eval_at; the walk itself never does.
+    counts = {"walks": 0}
+    walking = []
+    real_walk = cli.decomposition_eval
+
+    def walk(*args):
+        counts["walks"] += 1
+        walking.append(True)
+        try:
+            return real_walk(*args)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(cli, "decomposition_eval", walk)
+    count_calls(monkeypatch, wadge, "eval_at", counts, active=lambda: bool(walking))
+    code, out, _ = run_main(capsys, "wadge", "eval",
+                            "--instance", wadge_file, "--format", "json")
+    assert code == 0
+    assert counts == {"walks": 2, "eval_at": 0}
 
 
 def test_wadge_decompose_reports_rank(capsys, wadge_file):

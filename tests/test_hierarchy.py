@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -26,8 +27,10 @@ from truestages.hierarchy import (
     witness_to_dsets,
     witness_to_json,
 )
+from test_ordinals import ref_compare
+from test_stages import ref_chain, ref_leq
 from truestages.jump import DefaultOperator
-from truestages.ordinals import from_int, parse_ordinal, render
+from truestages.ordinals import enum_copy, from_int, parity, parse_ordinal, render, successor
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe, parse_seq
 
@@ -36,6 +39,7 @@ A1 = from_int(1)
 LVL1 = parse_ordinal("1")
 UNI = Universe(3, 2)
 WIDE = Universe(3, 10)
+REF = Universe(4, 2)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +218,87 @@ def test_witness_to_dsets_round_trip_membership(sys_):
         assert len(back) == 2
         for x in UNI.all_seqs():
             assert difference_value(sys_, back, eta, x) == f.value(x)
+
+
+def ref_witness_violations(fn, witness, universe):
+    """Every violation of the witness laws, read pair by pair off the
+    prefix pairs with the reference relation and the recursive order."""
+    out = []
+    for sigma, tau in universe.prefix_pairs():
+        if sigma == tau or not ref_leq(sigma, tau, fn.level):
+            continue
+        os, ot = witness.value(sigma), witness.value(tau)
+        if ref_compare(ot, os) > 0:
+            out.append({"clause": "i", "sigma": list(sigma), "tau": list(tau),
+                        "detail": f"o rose from {render(os)} to {render(ot)}"})
+        if fn.value(sigma) != fn.value(tau) and ref_compare(ot, os) >= 0:
+            out.append({"clause": "ii", "sigma": list(sigma), "tau": list(tau),
+                        "detail": f"value changed but o kept {render(ot)}"})
+    for sigma in universe.all_seqs():
+        if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
+            out.append({"clause": "iii", "sigma": list(sigma), "tau": list(sigma),
+                        "detail": "o reached eta with a nonzero value"})
+    return out
+
+
+def planted_witness(sys_, alpha, fault):
+    """A lawful (f, o) pair on REF from approx_to_witness, with one fault
+    of the named clause planted at a single stage."""
+    rng = random.Random(f"{render(alpha)}-{fault}")
+    fn = ApproxFn(alpha, {s: rng.randrange(2) for s in REF.all_seqs()})
+    eta, witness = approx_to_witness(sys_, fn, REF)
+    table, o = dict(fn.table), dict(witness.table)
+    tau = REF.maximal()[rng.randrange(len(REF.maximal()))]
+    sigma = ref_chain(tau, alpha)[-2]
+    if fault == "i":  # o rises from sigma to tau
+        o[tau] = successor(o[sigma])
+    elif fault == "ii":  # f changes from sigma to tau while o stays
+        o[tau] = o[sigma]
+        table[tau] = 1 - table[sigma]
+    elif fault == "iii":  # the root reaches eta with value 1
+        o[()] = eta
+        table[()] = 1
+    return ApproxFn(alpha, table), WitnessFn(eta, o)
+
+
+@pytest.mark.parametrize("fault", ["lawful", "i", "ii", "iii"])
+@pytest.mark.parametrize("name", ["0", "1", "2", "w", "w+1"])
+def test_witness_laws_list_every_violation_in_pair_order(sys_, name, fault):
+    fn, witness = planted_witness(sys_, parse_ordinal(name), fault)
+    want = ref_witness_violations(fn, witness, REF)
+    assert verify_witness_laws(sys_, fn, witness, REF) == want
+    if fault == "lawful":
+        assert want == []
+    else:
+        assert fault in {v["clause"] for v in want}
+
+
+def ref_difference_value(sys_, upsets, eta, x):
+    """The parity rule with one eval_at per upset."""
+    copy_ = enum_copy(eta)
+    hits = [copy_.at_index(n) for n, u in enumerate(upsets) if eval_at(sys_, u, x)]
+    if not hits:
+        return 0
+    best = min(hits, key=functools.cmp_to_key(ref_compare))
+    return int(parity(best) != parity(eta))
+
+
+@pytest.mark.parametrize("eta", ["5", "w+2"])
+def test_difference_value_reads_a_chain_per_level(sys_, eta):
+    # Bare generators, not closures: (1,0) and (0,0,1) lie on the level-1
+    # chains of some maximal x and on none of their w+1 chains.
+    low, high = LVL1, parse_ordinal("w+1")
+    family = [
+        UpsetRep(high, frozenset({(1, 1, 0)})),
+        UpsetRep(low, frozenset({(1, 0), (0, 0, 1)})),
+        UpsetRep(high, frozenset({(0, 1)})),
+        UpsetRep(low, frozenset({(1, 1, 0), (0, 0, 0)})),
+        UpsetRep(high, frozenset({()})),
+    ]
+    eta = parse_ordinal(eta)
+    got = {x: difference_value(sys_, family, eta, x) for x in REF.maximal()}
+    assert got == {x: ref_difference_value(sys_, family, eta, x) for x in REF.maximal()}
+    assert set(got.values()) == {0, 1}
 
 
 # (f, witness eta, o, eta passed in, the error named) on UNI at level 0.

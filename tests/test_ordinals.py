@@ -1,10 +1,12 @@
 import copy
+import functools
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truestages import ordinals
 from truestages.ordinals import (
     ONE,
     OMEGA,
@@ -13,6 +15,7 @@ from truestages.ordinals import (
     OrdinalNotation,
     ParseError,
     RankedTree,
+    _classify,
     classify,
     compare,
     enum_copy,
@@ -62,20 +65,56 @@ def test_ceiling_is_inclusive():
     assert render(parse_ordinal("w^w")) == "w^w"
     with pytest.raises(CeilingError):
         OrdinalNotation(((parse_ordinal("w^w"), 1),))
+    above = ((OMEGA, 1), (ZERO, 1))  # w^w+1
+    with pytest.raises(CeilingError):
+        OrdinalNotation(above)
+    assert above not in ordinals._INTERNED
     with pytest.raises(CeilingError):
         successor(parse_ordinal("w^w"))
     with pytest.raises(ParseError):
         parse_ordinal("w^w+1")
 
 
+ORDERED_POOL = ["0", "1", "2", "15", "w", "w+1", "w+2", "w*2", "w*2+1", "w*3",
+                "w^2", "w^2+w", "w^2*2", "w^3", "w^3+w^2", "w^w"]
+
+
 def test_compare_on_ordered_pool():
-    pool = ["0", "1", "2", "15", "w", "w+1", "w+2", "w*2", "w*2+1", "w*3",
-            "w^2", "w^2+w", "w^2*2", "w^3", "w^3+w^2", "w^w"]
-    vals = [parse_ordinal(t) for t in pool]
+    vals = [parse_ordinal(t) for t in ORDERED_POOL]
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
             want = 0 if i == j else (-1 if i < j else 1)
-            assert compare(a, b) == want, (pool[i], pool[j])
+            assert compare(a, b) == want, (ORDERED_POOL[i], ORDERED_POOL[j])
+
+
+def ref_compare(a: OrdinalNotation, b: OrdinalNotation) -> int:
+    """The recursive definition of the order, term by term, that the
+    interned order keys must reproduce."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = ref_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
+def test_keys_sort_a_long_copy_prefix_as_the_recursive_order():
+    copy_ = enum_copy(parse_ordinal("w^w"))
+    nus = [copy_.at_index(n) for n in range(30_000)]
+    by_key = sorted(nus)
+    assert by_key == sorted(nus, key=functools.cmp_to_key(ref_compare))
+    assert by_key[0] is ZERO and len(set(by_key)) == len(nus)
+
+
+def test_classification_is_computed_once_per_notation():
+    for text in ORDERED_POOL:
+        nu = parse_ordinal(text)
+        first = classify(nu)
+        assert first == _classify(nu), text
+        assert classify(nu) is first, text
 
 
 def test_classify_and_successor():
@@ -151,6 +190,7 @@ def test_rejected_terms_are_not_interned(terms):
     for _ in range(2):
         with pytest.raises(ValueError):
             OrdinalNotation(terms)
+    assert terms not in ordinals._INTERNED
 
 
 # Hypothesis: arbitrary notations below w^w have finite exponents.
@@ -175,6 +215,16 @@ def test_compare_is_a_total_order(a, b, c):
     assert compare(a, b) == -compare(b, a)
     if compare(a, b) <= 0 and compare(b, c) <= 0:
         assert compare(a, c) <= 0
+
+
+@given(notations(), notations(), notations())
+def test_keys_agree_with_the_recursive_order(a, b, c):
+    for x, y in ((a, b), (b, c), (a, c), (a, a)):
+        want = ref_compare(x, y)
+        assert compare(x, y) == want
+        assert (x < y, x <= y, x > y, x >= y) == (
+            want < 0, want <= 0, want > 0, want >= 0
+        )
 
 
 @given(notations())

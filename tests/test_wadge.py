@@ -5,7 +5,7 @@ from truestages.hierarchy import UpsetRep, eval_at, upset_from_json
 from truestages.jump import DefaultOperator
 from truestages.ordinals import parse_ordinal, render
 from truestages.stages import TrueStageSystem
-from truestages.universe import Universe
+from truestages.universe import Universe, seq_str
 from truestages.wadge import (
     decomposition_eval,
     tree_to_json,
@@ -173,3 +173,59 @@ def test_seeded_instances_evaluate_correctly(sys_, seed):
     assert tree.rank >= 1
     for x in uni.maximal():
         assert decomposition_eval(sys_, tree, x) == eval_at(sys_, w1, x)
+
+
+def ref_children(sys_, uni, lam, node):
+    """A node's children by the straight-line scan of the whole universe."""
+    k = sys_.height(node, lam)
+    return sorted(
+        tau for tau in uni.all_seqs()
+        if len(tau) > len(node)
+        and sys_.height(tau, lam) == k + 1
+        and sys_.leq(node, tau, lam)
+    )
+
+
+def ref_eval(sys_, tree, x):
+    """The walk with one eval_at per separator."""
+    while tree.kind == "internal":
+        matches = [i for i, sep in enumerate(tree.separators) if eval_at(sys_, sep, x)]
+        if len(matches) != 1:
+            raise ValueError(
+                f"{len(matches)} separators match {seq_str(x)} at node {seq_str(tree.node)}"
+            )
+        tree = tree.children[matches[0]]
+    return bool(tree.value)
+
+
+def outcome(walk, sys_, tree, x):
+    """The walk's answer, or the message it fails with."""
+    try:
+        return walk(sys_, tree, x)
+    except ValueError as exc:
+        return str(exc)
+
+
+REFERENCE_INSTANCES = [
+    *((Universe(3, 2), "w", seed) for seed in range(6)),
+    (Universe(4, 3), "w*2", 0),
+]
+
+
+@pytest.mark.parametrize("uni, lam, seed", REFERENCE_INSTANCES,
+                         ids=lambda v: f"{v.max_len}x{v.alphabet}" if isinstance(v, Universe) else str(v))
+def test_tree_and_walk_match_the_straight_line_reference(sys_, uni, lam, seed):
+    lam = parse_ordinal(lam)
+    _, _, tree = seeded_wadge_instance(sys_, uni, lam, seed)
+    internal = 0
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if t.kind != "internal":
+            continue
+        internal += 1
+        assert [c.node for c in t.children] == ref_children(sys_, uni, lam, t.node), t.node
+        stack.extend(t.children)
+    assert internal >= 1
+    for x in uni.all_seqs():
+        assert outcome(decomposition_eval, sys_, tree, x) == outcome(ref_eval, sys_, tree, x), x
