@@ -128,6 +128,15 @@ def _notation(text: str):
         raise InputError(f"bad notation {text!r}: {exc}") from exc
 
 
+def _naturals(values, field: str) -> tuple:
+    """The x entries of an instance field as a tuple; each must be a
+    natural, since the jump operator reads x."""
+    for v in values:
+        if type(v) is not int or v < 0:
+            raise InputError(f"{field} entries must be naturals, got {v!r}")
+    return tuple(values)
+
+
 def _fresh():
     return TrueStageSystem(DefaultOperator())
 
@@ -286,7 +295,10 @@ def _run_wadge_decompose(args):
 
 def _run_wadge_eval(args):
     data, universe, sys_, tree = _wadge_setup(args)
-    queries = [tuple(q) for q in data.get("queries", [])] or universe.maximal()
+    queries = (
+        [_naturals(q, "queries") for q in data.get("queries", [])]
+        or universe.maximal()
+    )
     results = []
     text = []
     for x in queries:
@@ -328,7 +340,7 @@ def _run_lsr_referee(args):
     data, game, sys_ = _game_setup(args)
     try:
         play = PartialPlay(
-            tuple(data["play"]["xs"]),
+            _naturals(data["play"]["xs"], "play.xs"),
             tuple((y, z) for y, z in data["play"]["yzs"]),
         )
     except KeyError as exc:
@@ -365,6 +377,8 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     config = {"instance": args.instance, "depth": args.depth}
     if "strategy" in data:
         table = strategy_from_json(data["strategy"])
+        if table.side == "I":
+            _naturals(table.moves.values(), "strategy.moves")
     else:
         outcome = solve(sys_, game, depth=solve_depth)
         if outcome.status != "IWins":

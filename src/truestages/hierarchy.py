@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_right
+from itertools import islice
 from typing import Iterable, Optional
 
 from .ordinals import (
@@ -216,7 +217,11 @@ def dsets_to_witness(
             raise ValueError(
                 f"expected level {render(alpha)}, got {render(u.level)}"
             )
-    ordinals = [copy.at_index(n) for n in range(len(upsets))]
+    ordinals = list(islice(copy, len(upsets)))
+    if len(ordinals) < len(upsets):
+        raise ValueError(
+            f"index {len(ordinals)} is beyond the copy of {render(eta)}"
+        )
     seqs = universe.all_seqs()
     membership = [
         frozenset(s for s in seqs if eval_at(sys, u, s)) for u in upsets
@@ -279,16 +284,21 @@ def witness_to_dsets(
                 f"adjusted witness exceeds eta at {seq_str(sigma)}"
             )
     copy = enum_copy(eta)
-    if copy.size is not None:
-        positions = copy.size
+    if eta.is_finite():
+        indices = list(copy)
     else:
-        below = [v for v in adjusted.values() if v < eta]
-        positions = max((copy.index_of(v) for v in below), default=-1) + 1
+        # An infinite copy is read up to the last item that an adjusted
+        # value below eta takes.
+        pending = {v for v in adjusted.values() if v < eta}
+        indices = []
+        while pending:
+            indices.append(next(copy))
+            pending.discard(indices[-1])
     ranked = sorted(adjusted, key=adjusted.__getitem__)
     values = [adjusted[s] for s in ranked]
     return [
-        UpsetRep(alpha, frozenset(ranked[: bisect_right(values, copy.at_index(n))]))
-        for n in range(positions)
+        UpsetRep(alpha, frozenset(ranked[: bisect_right(values, nu)]))
+        for nu in indices
     ]
 
 
@@ -305,11 +315,13 @@ def difference_value(
     chains: dict[OrdinalNotation, tuple[Seq, ...]] = {}
     best: Optional[OrdinalNotation] = None
     for n, u in enumerate(upsets):
+        nu = next(copy, None)
         chain = chains.get(u.level)
         if chain is None:
             chain = chains[u.level] = sys.chain(x_prefix, u.level)
         if not u.generators.isdisjoint(chain):
-            nu = copy.at_index(n)
+            if nu is None:
+                raise ValueError(f"index {n} is beyond the copy of {render(eta)}")
             if best is None or nu < best:
                 best = nu
     if best is None:

@@ -1,6 +1,9 @@
 """Ordinal notations in Cantor normal form, canonical copies, and
 Kleene-Brouwer ranks of finite trees.
 
+The canonical copy of eta, :func:`enum_copy`, is a plain iterator over
+the notations below eta in one fixed order.
+
 A notation is a finite sum of terms ``w^e * c`` with exponents that are
 themselves notations, strictly decreasing along the sum, and positive
 integer coefficients.  The empty sum is zero.  The concrete syntax is
@@ -257,8 +260,6 @@ def _parse_term(s: str, i: int) -> tuple[tuple[OrdinalNotation, int], int]:
         exp = ONE
         if i < len(s) and s[i] == "^":
             exp, i = _parse_expr(s, i + 1)
-            if exp.is_zero():
-                raise ParseError("exponent must be positive", i)
         coeff = 1
         if i < len(s) and s[i] == "*":
             coeff, i = _parse_nat(s, i + 1)
@@ -292,125 +293,65 @@ def _string_key(text: str) -> tuple:
     return tuple(_CHAR_ORDER[c] for c in text)
 
 
-class ComputableCopy:
-    """A bijection between an initial segment of the naturals and the
-    notations strictly below eta.
+def enum_copy(eta: OrdinalNotation) -> Iterator[OrdinalNotation]:
+    """The canonical copy of eta: an iterator over the notations strictly
+    below eta, each once.
 
-    The enumeration lists rendered expressions by length, and within a
-    length by character order with ``w`` before the digits.  This keeps
-    finite eta in natural order and puts ``w`` first for eta = w+1.
+    The order lists rendered expressions by length, and within a length
+    by character order with ``w`` before the digits.  This keeps finite
+    eta in natural order and puts ``w`` first for eta = w+1.
     """
-
-    def __init__(self, eta: OrdinalNotation):
-        if eta.is_zero():
-            raise ValueError("eta must be positive")
-        self.eta = eta
-        self._items: list[OrdinalNotation] = []
-        self._positions: dict[OrdinalNotation, int] = {}
-        if eta.is_finite():
-            self.size: Optional[int] = eta.as_int()
-            self._stream: Optional[Iterator[OrdinalNotation]] = iter(
-                from_int(n) for n in range(self.size)
-            )
-        else:
-            self.size = None
-            self._stream = _below(eta)
-
-    def _extend(self) -> bool:
-        if self._stream is None:
-            return False
-        nxt = next(self._stream, None)
-        if nxt is None:
-            self._stream = None
-            return False
-        self._positions[nxt] = len(self._items)
-        self._items.append(nxt)
-        return True
-
-    def at_index(self, n: int) -> OrdinalNotation:
-        if n < 0:
-            raise ValueError("index must be a natural")
-        while len(self._items) <= n:
-            if not self._extend():
-                raise ValueError(f"index {n} is beyond the copy of {render(self.eta)}")
-        return self._items[n]
-
-    def index_of(self, b: OrdinalNotation) -> int:
-        if compare(b, self.eta) >= 0:
-            raise ValueError(f"{render(b)} is not below {render(self.eta)}")
-        while b not in self._positions:
-            if not self._extend():
-                raise ValueError(f"{render(b)} never enumerated")  # pragma: no cover
-        return self._positions[b]
-
-
-def enum_copy(eta: OrdinalNotation) -> ComputableCopy:
-    return ComputableCopy(eta)
+    if eta.is_zero():
+        raise ValueError("eta must be positive")
+    if eta.is_finite():
+        return map(from_int, range(eta.as_int()))
+    return _below(eta)
 
 
 def _below(eta: OrdinalNotation) -> Iterator[OrdinalNotation]:
     for length in itertools.count(1):
-        for nu in sorted(_w_headed(length), key=lambda nu: _string_key(render(nu))):
-            if compare(nu, eta) < 0:
+        for nu in sorted(_rendered(length, 1), key=lambda nu: _string_key(render(nu))):
+            if nu < eta:
                 yield nu
         lo = 0 if length == 1 else 10 ** (length - 1)
         for n in range(lo, 10 ** length):
             nu = from_int(n)
-            if compare(nu, eta) < 0:
+            if nu < eta:
                 yield nu
 
 
-def _w_headed(
-    length: int, bound: Optional[OrdinalNotation] = None
-) -> list[OrdinalNotation]:
-    """The notations below w^w whose rendering has the given length and
-    starts with w, in no fixed order; with a bound, only those whose
-    leading exponent is below it."""
-    out = []
-    for first, used in _w_terms(length):
-        if bound is not None and compare(first[0], bound) >= 0:
-            continue
-        if used == length:
-            out.append(OrdinalNotation((first,)))
-        elif used + 2 <= length:
-            for rest in _bounded_exprs(length - used - 1, first[0]):
-                out.append(OrdinalNotation((first,) + rest.terms))
-    return out
+def _rendered(
+    length: int, low: int = 0, high: Optional[int] = None
+) -> Iterator[OrdinalNotation]:
+    """The nonzero notations below w^w whose rendering has the given
+    length and whose leading exponent, a natural, lies in [low, high);
+    in no fixed order.
+
+    A term ``w^n*c`` never renders shorter as n or c grows, so each loop
+    stops at the first term that is too long.
+    """
+    for n in itertools.count(low) if high is None else range(low, high):
+        exp = from_int(n)
+        for c in itertools.count(1):
+            used = _term_length(n, c)
+            if used > length:
+                break
+            if used == length:
+                yield OrdinalNotation(((exp, c),))
+            elif used + 2 <= length:
+                for rest in _rendered(length - used - 1, 0, n):
+                    yield OrdinalNotation(((exp, c),) + rest.terms)
+        if c == 1:
+            # w^n alone is too long, and so is every later head.
+            return
 
 
-def _w_terms(maxlen: int) -> Iterator[tuple[tuple[OrdinalNotation, int], int]]:
-    """Terms of the form w[^e][*c] with rendering length at most maxlen."""
-    if maxlen >= 1:
-        yield (ONE, 1), 1
-    for digits in range(1, maxlen - 1):
-        for c in range(max(2, 10 ** (digits - 1)), 10 ** digits):
-            if 2 + digits <= maxlen:
-                yield (ONE, c), 2 + digits
-    for explen in range(1, maxlen - 1):
-        for exp in _exponents(explen):
-            if 2 + explen <= maxlen:
-                yield (exp, 1), 2 + explen
-            for digits in range(1, maxlen - 2 - explen):
-                for c in range(max(2, 10 ** (digits - 1)), 10 ** digits):
-                    yield (exp, c), 3 + explen + digits
-
-
-def _exponents(length: int) -> Iterator[OrdinalNotation]:
-    """Rendered ^-exponents of the given length below w^w: the naturals
-    from 2, since a w-headed exponent gives w^w or more."""
-    lo = 2 if length == 1 else 10 ** (length - 1)
-    return map(from_int, range(lo, 10 ** length))
-
-
-def _bounded_exprs(length: int, bound: OrdinalNotation) -> list[OrdinalNotation]:
-    """Notations of the given rendered length with leading exponent < bound."""
-    out = []
-    if compare(ZERO, bound) < 0:
-        lo = 1 if length == 1 else 10 ** (length - 1)
-        for n in range(lo, 10 ** length):
-            out.append(from_int(n))
-    out.extend(_w_headed(length, bound))
-    return out
+def _term_length(n: int, c: int) -> int:
+    """The rendered length of the term w^n*c, n a natural."""
+    if n == 0:
+        return len(str(c))
+    head = 1 if n == 1 else 2 + len(str(n))
+    return head if c == 1 else head + 1 + len(str(c))
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_lsr_without_y_exits_two(capsys, tmp_path, action):
     assert "instance lacks a y field" in err
 
 
-def test_input_errors_exit_two_with_one_line(capsys, tmp_path):
+def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     no_play = tmp_path / "no-play.json"
@@ -143,10 +143,53 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path):
          "error: instance must carry either 'upsets' or 'approx'\n"),
         (["lsr", "referee", "--instance", str(no_play)],
          "error: instance lacks a play field: 'play'\n"),
+        (["hk", "convert", "--instance", hk_file, "--eta", "2"],
+         "error: index 2 is beyond the copy of 2\n"),
+        (["hk", "convert", "--instance", hk_file, "--eta", "0"],
+         "error: eta must be positive\n"),
     ]
     for argv, message in cases:
         code, out, err = run_main(capsys, *argv)
         assert (code, out, err) == (2, "", message)
+
+
+def negative_query(data):
+    return {**data, "queries": [[0, -1]]}
+
+
+def play_x(bad):
+    return lambda data: {**data, "play": {"xs": [0, bad], "yzs": [[0, 0], [1, 0]]}}
+
+
+def negative_move(data):
+    return {**data, "strategy": {"side": "I", "depth": 3, "moves": [[[], -1]]}}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    (["wadge", "eval"], negative_query, "queries entries must be naturals, got -1"),
+    (["lsr", "referee"], play_x(-1), "play.xs entries must be naturals, got -1"),
+    (["lsr", "referee"], play_x(1.5), "play.xs entries must be naturals, got 1.5"),
+    (["lsr", "referee"], play_x(True), "play.xs entries must be naturals, got True"),
+    (["lsr", "referee"], play_x("0"), "play.xs entries must be naturals, got '0'"),
+    (["lsr", "separator"], negative_move,
+     "strategy.moves entries must be naturals, got -1"),
+    (["lsr", "adversarial"], negative_move,
+     "strategy.moves entries must be naturals, got -1"),
+], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
+        "referee-string", "separator-negative", "adversarial-negative"])
+def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
+                                        edit, message):
+    # The jump operator reads x, so an x entry that is not a natural is
+    # bad input, not a broken trace contract.
+    if command[0] == "wadge":
+        with open(wadge_file) as fh:
+            data = json.load(fh)
+    else:
+        data = QUICKWIN
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(edit(data)))
+    code, out, err = run_main(capsys, *command, "--instance", str(inst))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class DuplicateCodeOperator:

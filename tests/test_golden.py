@@ -6,8 +6,10 @@ keeps them.  Instances are written to fixed relative paths and the CLI
 runs from their directory, so the paths echoed in ``config`` are the
 same on every machine.  Every subcommand is pinned; separator and
 adversarial also on a game whose solve is Undetermined, and adversarial
-also with a witness v, so that both of its modes are pinned.  A change that
-alters a report on purpose must record the new digests and say why.
+also with a witness v, so that both of its modes are pinned; hk convert
+also with three infinite etas, so that the enumeration of the copy below
+eta is pinned.  A change that alters a report on purpose must record the
+new digests and say why.
 """
 
 import hashlib
@@ -102,6 +104,18 @@ INSTANCES = {
             {"level": "w", "generators": [[]]},
         ],
     },
+    # An infinite eta: the copies of w+1, w*2 and w^2+1 all start w, 0,
+    # 1, so the family is increasing under each and every conversion
+    # walks the enumeration below eta.
+    "hk-dsets-inf.json": {
+        "alpha": "w",
+        "eta": "w+1",
+        "upsets": [
+            {"level": "w", "generators": [[]]},
+            {"level": "w", "generators": [[0, 1]]},
+            {"level": "w", "generators": [[0, 1], [1, 1]]},
+        ],
+    },
     "hk-approx.json": {
         "approx": {
             "level": "w+1",
@@ -126,6 +140,12 @@ COMMANDS = {
                    "--levels", "0,1,w,w+1"],
     "hk-convert-dsets": ["hk", "convert", "--instance", "hk-dsets.json"],
     "hk-convert-approx": ["hk", "convert", "--instance", "hk-approx.json"],
+    "hk-convert-inf-w+1": ["hk", "convert", "--instance", "hk-dsets-inf.json",
+                           "--eta", "w+1"],
+    "hk-convert-inf-w*2": ["hk", "convert", "--instance", "hk-dsets-inf.json",
+                           "--eta", "w*2"],
+    "hk-convert-inf-w^2+1": ["hk", "convert", "--instance", "hk-dsets-inf.json",
+                             "--eta", "w^2+1"],
     "wadge-decompose": ["wadge", "decompose", "--instance", "wadge.json"],
     "lsr-referee": ["lsr", "referee", "--instance", "mismatch.json"],
     "lsr-separator": ["lsr", "separator", "--instance", "mismatch.json",
@@ -142,6 +162,12 @@ DIGESTS = {
     ('hk-convert-approx', 'text'): "3f4ea6259b52cb55067ea2566ac7f81b646150e95ab087270f8663bd4454bee3",
     ('hk-convert-dsets', 'json'): "457432cf5e190871ec0ce4c6f23f9a94774e38d8adced6f3b4ca916db810595d",
     ('hk-convert-dsets', 'text'): "d51aa4ca0170ead90b6f506974f289088688bdf307004734de0577473b0eb705",
+    ('hk-convert-inf-w*2', 'json'): "31f4eb524d22c70d1763866a5cb10bd623aa611c2c3c3ef1cb4373d332bbf7cf",
+    ('hk-convert-inf-w*2', 'text'): "cc6ac103a080f03031101e52059046314cb47d18f63784c3885cc6323aaf7ef7",
+    ('hk-convert-inf-w+1', 'json'): "cff08ca35c5e89010c68cff30a5a6ca1e9593b3ffff36551eadd989ab0e6d3fe",
+    ('hk-convert-inf-w+1', 'text'): "399babda7e1f82ef0d77a3937e72452c551ac7456e5e07e1a841a639119c9b73",
+    ('hk-convert-inf-w^2+1', 'json'): "644da639538c5caf74ac4f74e5ee677f278f30f8b5e9709712fc585514194ee5",
+    ('hk-convert-inf-w^2+1', 'text'): "3927c102b7a65832d3779b127c124a94e800a72959f73a0115d960401c2719bf",
     ('hk-roundtrip', 'json'): "777a72e75414317e999753ad47f7b6a89279233a553484fb91d93318238f78d5",
     ('hk-roundtrip', 'text'): "732327c7cf21fc76d87edc1494f8fc499796a2eff561aba3ed65bcf04a496535",
     ('jump', 'json'): "dfe01d35814fce1176575cf115d2187dc711ed601653a6b7759b70d265c45275",

@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -275,8 +276,8 @@ def test_witness_laws_list_every_violation_in_pair_order(sys_, name, fault):
 
 def ref_difference_value(sys_, upsets, eta, x):
     """The parity rule with one eval_at per upset."""
-    copy_ = enum_copy(eta)
-    hits = [copy_.at_index(n) for n, u in enumerate(upsets) if eval_at(sys_, u, x)]
+    items = list(islice(enum_copy(eta), len(upsets)))
+    hits = [items[n] for n, u in enumerate(upsets) if eval_at(sys_, u, x)]
     if not hits:
         return 0
     best = min(hits, key=functools.cmp_to_key(ref_compare))

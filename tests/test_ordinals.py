@@ -1,6 +1,7 @@
 import copy
 import functools
 import pickle
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -102,8 +103,7 @@ def ref_compare(a: OrdinalNotation, b: OrdinalNotation) -> int:
 
 
 def test_keys_sort_a_long_copy_prefix_as_the_recursive_order():
-    copy_ = enum_copy(parse_ordinal("w^w"))
-    nus = [copy_.at_index(n) for n in range(30_000)]
+    nus = list(islice(enum_copy(parse_ordinal("w^w")), 30_000))
     by_key = sorted(nus)
     assert by_key == sorted(nus, key=functools.cmp_to_key(ref_compare))
     assert by_key[0] is ZERO and len(set(by_key)) == len(nus)
@@ -248,54 +248,47 @@ def test_fund_seq_climbs_below_limit(nu, k):
 
 
 def test_enum_copy_finite():
-    copy = enum_copy(from_int(3))
-    assert copy.size == 3
-    assert [render(copy.at_index(i)) for i in range(3)] == ["0", "1", "2"]
-    assert copy.index_of(from_int(2)) == 2
-    with pytest.raises(ValueError):
-        copy.at_index(3)
-    with pytest.raises(ValueError):
-        copy.index_of(from_int(3))
+    items = enum_copy(from_int(3))
+    assert [render(nu) for nu in items] == ["0", "1", "2"]
+    assert next(items, None) is None
+    # Raised at the call, not when the iterator is first read.
+    with pytest.raises(ValueError, match="eta must be positive"):
+        enum_copy(ZERO)
 
 
 def test_enum_copy_omega_is_the_identity():
-    copy = enum_copy(parse_ordinal("w"))
-    assert copy.size is None
-    assert [copy.at_index(i).as_int() for i in range(30)] == list(range(30))
-    assert copy.index_of(from_int(12)) == 12
+    items = enum_copy(parse_ordinal("w"))
+    assert list(islice(items, 30)) == [from_int(n) for n in range(30)]
 
 
 def test_enum_copy_omega_plus_one_puts_w_first():
-    copy = enum_copy(parse_ordinal("w+1"))
-    assert render(copy.at_index(0)) == "w"
-    assert [copy.at_index(i).as_int() for i in range(1, 12)] == list(range(11))
-    assert copy.index_of(parse_ordinal("w")) == 0
-    assert copy.index_of(from_int(7)) == 8
+    items = list(islice(enum_copy(parse_ordinal("w+1")), 12))
+    assert items[0] is OMEGA
+    assert items[1:] == [from_int(n) for n in range(11)]
 
 
 def test_enum_copy_batches_by_rendered_length():
-    copy = enum_copy(parse_ordinal("w^w"))
+    prefix = [render(nu) for nu in islice(enum_copy(parse_ordinal("w^w")), 12370)]
     # batch 3 starts after 11 + 90 shorter expressions
-    batch = [render(copy.at_index(i)) for i in range(101, 126)]
-    assert batch == (
+    assert prefix[101:126] == (
         [f"w*{c}" for c in range(2, 10)]
         + [f"w+{d}" for d in range(1, 10)]
         + [f"w^{e}" for e in range(2, 10)]
     )
-    assert copy.index_of(parse_ordinal("w*2")) == 101
-    assert copy.index_of(parse_ordinal("w^2")) == 118
+    assert prefix.index("w*2") == 101
+    assert prefix.index("w^2") == 118
     # A w^e*c term with e and c both 2 or more, and its neighbours.
-    assert copy.index_of(parse_ordinal("w^2*2")) == 12368
-    assert [render(copy.at_index(i)) for i in (12367, 12369)] == ["w^299", "w^2*3"]
+    assert prefix.index("w^2*2") == 12368
+    assert prefix[12367:12370] == ["w^299", "w^2*2", "w^2*3"]
 
 
 @given(st.integers(0, 200))
 @settings(max_examples=30)
 def test_enum_copy_is_a_bijection_prefix(i):
-    copy = enum_copy(parse_ordinal("w^3"))
-    nu = copy.at_index(i)
-    assert compare(nu, parse_ordinal("w^3")) < 0
-    assert copy.index_of(nu) == i
+    eta = parse_ordinal("w^3")
+    items = list(islice(enum_copy(eta), i + 1))
+    assert compare(items[i], eta) < 0
+    assert items.index(items[i]) == i
 
 
 def test_kb_rank_chain():
@@ -339,3 +332,7 @@ def test_ranked_tree_rejects_malformed():
         RankedTree(((0,), (1,)), {(0,): (1,), (1,): (0,)})
     with pytest.raises(ValueError):
         RankedTree(((), (0,)), {(): None, (0,): (9,)})
+    with pytest.raises(ValueError, match="duplicate nodes"):
+        RankedTree(((), (0,), (0,)), {(): None, (0,): ()})
+    with pytest.raises(ValueError, match="parent map has a cycle"):
+        RankedTree(((), (0,), (1,)), {(): None, (0,): (1,), (1,): (0,)})
