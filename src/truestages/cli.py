@@ -128,12 +128,14 @@ def _notation(text: str):
         raise InputError(f"bad notation {text!r}: {exc}") from exc
 
 
-def _naturals(values, field: str) -> tuple:
-    """The x entries of an instance field as a tuple; each must be a
-    natural, since the jump operator reads x."""
+def _naturals(values, field: str, below: Optional[int] = None) -> tuple:
+    """The entries of an instance field as a tuple.  Each must be a
+    natural, since the jump operator reads x, and less than `below` when
+    it is given, since y, z and v entries are drawn from the alphabet."""
     for v in values:
-        if type(v) is not int or v < 0:
-            raise InputError(f"{field} entries must be naturals, got {v!r}")
+        if type(v) is not int or v < 0 or (below is not None and v >= below):
+            bound = "" if below is None else f" below {below}"
+            raise InputError(f"{field} entries must be naturals{bound}, got {v!r}")
     return tuple(values)
 
 
@@ -256,6 +258,9 @@ def _run_hk_convert(args):
             "witness": witness_to_json(witness),
         }
     elif "approx" in data:
+        if args.eta is not None:
+            raise InputError("--eta applies only to an 'upsets' instance; "
+                             "an 'approx' instance's eta is computed")
         fn = approx_from_json(data["approx"])
         eta, witness = approx_to_witness(sys_, fn, universe)
         family = witness_to_dsets(sys_, fn, witness, eta, fn.level, universe)
@@ -345,6 +350,7 @@ def _run_lsr_referee(args):
         )
     except KeyError as exc:
         raise InputError(f"instance lacks a play field: {exc}") from exc
+    _naturals([e for pair in play.yzs for e in pair], "play.yzs", game.alphabet)
     verdict = referee(sys_, game, play)
     result = {
         "F": list(verdict.f_indices),
@@ -370,7 +376,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     """
     data, game, sys_ = _game_setup(args)
     try:
-        y = tuple(data["y"])
+        y = _naturals(data["y"], "y", game.alphabet)
     except KeyError as exc:
         raise InputError("instance lacks a y field") from exc
     fields = read_fields(data, game)
@@ -401,7 +407,7 @@ def _run_lsr_separator(args):
 
 def _run_lsr_adversarial(args):
     def read_fields(data, game):
-        v = tuple(data["v"]) if "v" in data else None
+        v = _naturals(data["v"], "v", game.alphabet) if "v" in data else None
         depth = args.depth if args.depth is not None else game.depth
         return v, depth, data.get("searchBound", 3)
 

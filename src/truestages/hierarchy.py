@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 
 from .ordinals import (
     OrdinalNotation,
-    RankedTree,
     enum_copy,
     from_int,
     kb_rank,
@@ -331,42 +330,37 @@ def difference_value(
 
 def mind_change_tree(
     sys: TrueStageSystem, fn: ApproxFn, universe: Universe
-) -> RankedTree:
+) -> dict[Seq, Optional[Seq]]:
     """The stages whose guess differs from their immediate predecessor's,
-    wired up by longest tree predecessor."""
+    each mapped to its longest tree predecessor; the root maps to None.
+    Filled in shortlex order, so every stage before sigma on its chain is
+    shorter and already placed or passed over."""
     alpha = fn.level
-    nodes: list[Seq] = [()]
-    for sigma in universe.all_seqs():
-        if sigma == ():
-            continue
+    parent: dict[Seq, Optional[Seq]] = {(): None}
+    for sigma in universe.all_seqs()[1:]:
         chain = sys.chain(sigma, alpha)
         if fn.value(chain[-2]) != fn.value(sigma):
-            nodes.append(sigma)
-    node_set = set(nodes)
-    parent: dict[Seq, Optional[Seq]] = {(): None}
-    for sigma in nodes:
-        if sigma == ():
-            continue
-        chain = sys.chain(sigma, alpha)
-        above = [rho for rho in chain[:-1] if rho in node_set]
-        parent[sigma] = above[-1]
-    return RankedTree(tuple(nodes), parent)
+            parent[sigma] = _last_on_tree(chain[:-1], parent)
+    return parent
+
+
+def _last_on_tree(chain: tuple[Seq, ...], tree: dict[Seq, Optional[Seq]]) -> Seq:
+    """The longest stage of chain that is a node of tree."""
+    return next(rho for rho in reversed(chain) if rho in tree)
 
 
 def approx_to_witness(
     sys: TrueStageSystem, fn: ApproxFn, universe: Universe
 ) -> tuple[OrdinalNotation, WitnessFn]:
     """Rank the mind-change tree and read the witness off the longest
-    tree predecessor of each stage.  Values stay strictly below eta, so
+    tree node on each stage's chain.  Values stay strictly below eta, so
     the eta clause of the laws never fires."""
     tree = mind_change_tree(sys, fn, universe)
     eta, ranks = kb_rank(tree)
-    node_set = set(tree.nodes)
-    table: dict[Seq, OrdinalNotation] = {}
-    for sigma in universe.all_seqs():
-        chain = sys.chain(sigma, fn.level)
-        on_tree = [rho for rho in chain if rho in node_set]
-        table[sigma] = from_int(ranks[on_tree[-1]])
+    table = {
+        sigma: from_int(ranks[_last_on_tree(sys.chain(sigma, fn.level), tree)])
+        for sigma in universe.all_seqs()
+    }
     return eta, WitnessFn(eta, table)
 
 

@@ -1,64 +1,44 @@
 """Stage-bounded jump enumeration over finite sequences.
 
-An enumeration operator assigns to each finite sequence a trace of
-events (e, t): number e enters the jump set at time t, with
-1 <= t <= len(sigma).  A trace stores its events as two columns, the
-codes and their times.  Traces must grow monotonically along prefixes.
-The default operator enumerates pair(i, k) when the (k+1)-th occurrence
-of value i appears, which makes the running "last number enumerated"
-drop and recover as sequences extend.  It enumerates one code per
-entry, so its times are the range 1..len(sigma), and the trace
-contract is checked without a loop over events.  It computes the
-pairing inline; `cantor_pair` is the reference definition it must
-agree with.
+An enumeration operator assigns to each finite sequence a trace: a
+column of codes, where codes[i] enters the jump set at time i + 1, so
+at most one code enters per entry of sigma.  Traces must grow
+monotonically along prefixes, so a trace extends another exactly when
+the other's codes are a prefix of its own.  The default operator
+enumerates pair(i, k) when the (k+1)-th occurrence of value i appears,
+which makes the running "last number enumerated" drop and recover as
+sequences extend.  It computes the pairing inline; `cantor_pair` is the
+reference definition it must agree with.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol
 
 from .universe import Seq
 
 
 class ContractViolationError(Exception):
-    """An operator broke a trace invariant (bounds, order, monotonicity)."""
+    """An operator broke a trace invariant (bounds, duplicates, monotonicity)."""
 
 
 def cantor_pair(i: int, k: int) -> int:
     return (i + k) * (i + k + 1) // 2 + k
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False)
+@dataclasses.dataclass(frozen=True, slots=True)
 class JumpTrace:
-    """Events (e, time) sorted by time then e, with no duplicate e, held
-    as two columns: `codes`, a tuple of ints, and `times`.  When the
-    times are exactly 1..len(codes), one code per time, `times` is that
-    range; otherwise it is a tuple.  Equality and hashing are by value."""
+    """The codes enumerated, codes[i] at time i + 1, with no code twice.
+    Equality and hashing are by value."""
 
     codes: tuple[int, ...]
-    times: Sequence[int]
-
-    def __init__(self, events: Iterable[tuple[int, int]] = ()):
-        events = tuple(events)
-        times = tuple(t for _, t in events)
-        dense = range(1, len(times) + 1)
-        object.__setattr__(self, "codes", tuple(e for e, _ in events))
-        object.__setattr__(self, "times", dense if times == tuple(dense) else times)
-
-    @classmethod
-    def dense(cls, codes: Iterable[int]) -> "JumpTrace":
-        """The trace that enumerates codes[i] at time i + 1."""
-        trace = cls.__new__(cls)
-        codes = tuple(codes)
-        object.__setattr__(trace, "codes", codes)
-        object.__setattr__(trace, "times", range(1, len(codes) + 1))
-        return trace
 
     @property
     def events(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.codes, self.times))
+        """The (code, time) pairs, in time order."""
+        return tuple(zip(self.codes, range(1, len(self.codes) + 1)))
 
     @property
     def p(self) -> int:
@@ -66,12 +46,7 @@ class JumpTrace:
         return self.codes[-1] if self.codes else 0
 
     def extends(self, other: "JumpTrace") -> bool:
-        n = len(other.codes)
-        head = self.times[:n]
-        # A range never equals a tuple, so a dense prefix of a trace
-        # that is not dense is compared as a tuple.
-        return self.codes[:n] == other.codes and (
-            head == other.times or tuple(head) == tuple(other.times))
+        return self.codes[: len(other.codes)] == other.codes
 
 
 class EnumerationOperator(Protocol):
@@ -97,36 +72,21 @@ class DefaultOperator:
                 append(n * (n + 1) // 2 + k)
             else:
                 append(i * (i + 1) // 2)
-        return JumpTrace.dense(codes)
+        return JumpTrace(tuple(codes))
 
 
 def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
-    """Run the operator and check the per-call trace invariants."""
+    """Run the operator and check the per-call trace invariants: at most
+    one code per entry of sigma, and no code twice."""
     trace = op.trace(tuple(sigma))
     n = len(sigma)
     codes = trace.codes
-    # A dense trace is sorted by construction; its bounds and duplicates
-    # are checked without visiting each event.
-    if (trace.times == range(1, len(codes) + 1) and len(codes) <= n
-            and len(set(codes)) == len(codes)):
-        return trace
-    prev_e, prev_t = 0, 0
-    seen: set[int] = set()
-    for e, t in zip(codes, trace.times):
-        if not 1 <= t <= n:
-            raise ContractViolationError(
-                f"event ({e},{t}) out of bounds for a sequence of length {n}"
-            )
-        if t < prev_t:
-            raise ContractViolationError(f"event times out of order at ({e},{t})")
-        if t == prev_t and prev_e >= e:
-            raise ContractViolationError(
-                f"events at time {t} not sorted by code: {prev_e} before {e}"
-            )
-        if e in seen:
-            raise ContractViolationError("duplicate code enumerated")
-        seen.add(e)
-        prev_e, prev_t = e, t
+    if len(codes) > n:
+        raise ContractViolationError(
+            f"event ({codes[n]},{n + 1}) out of bounds for a sequence of length {n}"
+        )
+    if len(set(codes)) != len(codes):
+        raise ContractViolationError("duplicate code enumerated")
     return trace
 
 

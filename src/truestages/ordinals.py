@@ -2,7 +2,9 @@
 Kleene-Brouwer ranks of finite trees.
 
 The canonical copy of eta, :func:`enum_copy`, is a plain iterator over
-the notations below eta in one fixed order.
+the notations below eta in one fixed order.  A finite tree is a parent
+map, node to parent with the root mapped to None, and :func:`kb_rank`
+numbers its nodes in Kleene-Brouwer order.
 
 A notation is a finite sum of terms ``w^e * c`` with exponents that are
 themselves notations, strictly decreasing along the sum, and positive
@@ -360,59 +362,35 @@ def _term_length(n: int, c: int) -> int:
 Node = tuple[int, ...]
 
 
-class RankedTree:
-    """A finite tree over sequence-labelled nodes with an explicit parent
-    map; siblings are ordered shortest first, then lexicographically."""
+def kb_rank(parent: dict[Node, Optional[Node]]) -> tuple[OrdinalNotation, dict[Node, int]]:
+    """Kleene-Brouwer ranks of the finite tree given by its parent map,
+    whose root maps to None: descendants before ancestors, siblings
+    shortest first, then lexicographically.  Returns the order type (as a
+    notation) and the rank map.
 
-    def __init__(self, nodes: tuple[Node, ...], parent: dict[Node, Optional[Node]]):
-        self.nodes = tuple(nodes)
-        self.parent = dict(parent)
-        roots = [n for n in self.nodes if self.parent.get(n) is None]
-        if len(roots) != 1:
-            raise ValueError(f"expected a single root, found {len(roots)}")
-        self.root = roots[0]
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ValueError("duplicate nodes")
-        for n in self.nodes:
-            p = self.parent.get(n)
-            if p is not None and p not in node_set:
-                raise ValueError(f"parent of {n} is not a node")
-        self._children: dict[Node, list[Node]] = {n: [] for n in self.nodes}
-        for n in self.nodes:
-            p = self.parent.get(n)
-            if p is not None:
-                self._children[p].append(n)
-        for kids in self._children.values():
-            kids.sort(key=lambda node: (len(node), node))
-        # Reaching the root from every node rules out cycles.
-        for n in self.nodes:
-            seen = set()
-            cur = n
-            while cur is not None:
-                if cur in seen:
-                    raise ValueError("parent map has a cycle")
-                seen.add(cur)
-                cur = self.parent.get(cur)
-
-    def children(self, node: Node) -> list[Node]:
-        return list(self._children[node])
-
-
-def kb_rank(tree: RankedTree) -> tuple[OrdinalNotation, dict[Node, int]]:
-    """Kleene-Brouwer ranks: descendants before ancestors, siblings in
-    child order.  Returns the order type (as a notation) and the rank map.
+    Raises ValueError unless the map has a single root that reaches every
+    node, which also means that every parent is a node and that there is
+    no cycle.
     """
+    roots: list[Node] = []
+    children: dict[Node, list[Node]] = {}
+    for node, p in parent.items():
+        if p is None:
+            roots.append(node)
+        else:
+            children.setdefault(p, []).append(node)
     ranks: dict[Node, int] = {}
-    counter = 0
-    stack: list[tuple[Node, bool]] = [(tree.root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False) for root in roots[:1]]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            ranks[node] = counter
-            counter += 1
+            ranks[node] = len(ranks)
         else:
             stack.append((node, True))
-            for child in reversed(tree.children(node)):
-                stack.append((child, False))
-    return from_int(len(tree.nodes)), ranks
+            kids = sorted(children.get(node, ()), key=lambda n: (len(n), n), reverse=True)
+            stack.extend((child, False) for child in kids)
+    if len(roots) != 1 or len(ranks) != len(parent):
+        raise ValueError(
+            "not a tree: the parent map needs a single root that reaches every node"
+        )
+    return from_int(len(ranks)), ranks

@@ -60,16 +60,14 @@ def passed(n: int, label: str) -> None:
 
 
 class _Rewriter:
-    """Tampers with the time-2 event of length-2 sequences only, which
+    """Tampers with the time-2 code of length-2 sequences only, which
     breaks trace extension from length 2 to length 3."""
 
     def trace(self, sigma):
         base = DefaultOperator().trace(sigma)
         if len(sigma) == 2:
-            events = list(base.events)
-            e, t = events[1]
-            events[1] = (e + 1000, t)
-            return JumpTrace(tuple(events))
+            first, second = base.codes
+            return JumpTrace((first, second + 1000))
         return base
 
 

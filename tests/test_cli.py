@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from test_golden import INSTANCES
 from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, JumpTrace
@@ -136,6 +137,8 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     empty.write_text("{}")
     no_play = tmp_path / "no-play.json"
     no_play.write_text(json.dumps({k: v for k, v in QUICKWIN.items() if k != "play"}))
+    approx = tmp_path / "hk-approx.json"
+    approx.write_text(json.dumps(INSTANCES["hk-approx.json"]))
     cases = [
         (["hk", "roundtrip", "--alpha", "w+"],
          "error: bad notation 'w+': expected a term (at position 2)\n"),
@@ -147,6 +150,12 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
          "error: index 2 is beyond the copy of 2\n"),
         (["hk", "convert", "--instance", hk_file, "--eta", "0"],
          "error: eta must be positive\n"),
+    ] + [
+        # An approx instance's eta is the rank of its mind-change tree.
+        (["hk", "convert", "--instance", str(approx), "--eta", eta],
+         "error: --eta applies only to an 'upsets' instance; "
+         "an 'approx' instance's eta is computed\n")
+        for eta in ["5", "zz"]
     ]
     for argv, message in cases:
         code, out, err = run_main(capsys, *argv)
@@ -192,28 +201,39 @@ def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command, instance, edit, message", [
+    (["lsr", "adversarial"], "adversarial.json", {"y": [0, -1, 1, 0, 1, 0]},
+     "y entries must be naturals below 2, got -1"),
+    (["lsr", "referee"], "mismatch.json",
+     {"play": {"xs": [0, 1, 1], "yzs": [[0, 1], [0, -1], [1, 1]]}},
+     "play.yzs entries must be naturals below 2, got -1"),
+    (["lsr", "separator"], "adversarial.json", {"y": [0, 5, 0]},
+     "y entries must be naturals below 2, got 5"),
+    (["lsr", "adversarial"], "adversarial-t1.json", {"v": [0, -1, 1, 0, 1, 0]},
+     "v entries must be naturals below 2, got -1"),
+], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v"])
+def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
+                                               instance, edit, message):
+    # y, z and v entries are moves of player II, drawn from the alphabet.
+    inst = tmp_path / instance
+    inst.write_text(json.dumps({**INSTANCES[instance], **edit}))
+    code, out, err = run_main(capsys, *command, "--instance", str(inst))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class DuplicateCodeOperator:
     """Enumerates code 4 at every time, so every trace of length 2 or
     more repeats a code."""
 
     def trace(self, sigma):
-        return JumpTrace(tuple((4, t) for t in range(1, len(sigma) + 1)))
-
-
-class DenseDuplicateCodeOperator:
-    """The same codes as DuplicateCodeOperator, one per time, built as a
-    dense trace."""
-
-    def trace(self, sigma):
-        return JumpTrace.dense((4,) * len(sigma))
+        return JumpTrace((4,) * len(sigma))
 
 
 def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
     # An operator bug is internal, not bad input: it must not become exit 2.
-    for operator in (DuplicateCodeOperator, DenseDuplicateCodeOperator):
-        monkeypatch.setattr(cli, "DefaultOperator", operator)
-        with pytest.raises(ContractViolationError, match="duplicate code"):
-            cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
+    monkeypatch.setattr(cli, "DefaultOperator", DuplicateCodeOperator)
+    with pytest.raises(ContractViolationError, match="duplicate code"):
+        cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
 
 
 @pytest.mark.parametrize("action", ["solve", "separator", "adversarial"])

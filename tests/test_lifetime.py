@@ -59,14 +59,14 @@ def test_solve_frees_the_system(no_gc, generators, status):
 
 
 def test_memoised_default_traces_are_columns():
-    # Traces are most of a memo's bytes: a default trace holds one int per
-    # event and a range for its times, never a tuple per event.
+    # Traces are most of a memo's bytes: a trace is one column holding an
+    # int per event, with no tuple per event and no column of times.
+    assert JumpTrace.__slots__ == ("codes",)
     sys_ = TrueStageSystem(DefaultOperator())
     for tau in Universe(3, 2).all_seqs():
         sys_.p(tau, parse_ordinal("w+1"))
     traces = [v for v in sys_._memo.values() if isinstance(v, JumpTrace)]
     assert len(traces) > len(Universe(3, 2).all_seqs())
     for trace in traces:
-        assert type(trace.times) is range
         assert type(trace.codes) is tuple
         assert all(type(e) is int for e in trace.codes)

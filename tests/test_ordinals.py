@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truestages import ordinals
+from truestages.hierarchy import ApproxFn, mind_change_tree
+from truestages.jump import DefaultOperator
 from truestages.ordinals import (
     ONE,
     OMEGA,
@@ -15,7 +17,6 @@ from truestages.ordinals import (
     CeilingError,
     OrdinalNotation,
     ParseError,
-    RankedTree,
     _classify,
     classify,
     compare,
@@ -28,6 +29,8 @@ from truestages.ordinals import (
     render,
     successor,
 )
+from truestages.stages import TrueStageSystem
+from truestages.universe import Universe
 
 
 ROUND_TRIPS = [
@@ -292,33 +295,23 @@ def test_enum_copy_is_a_bijection_prefix(i):
 
 
 def test_kb_rank_chain():
-    tree = RankedTree(
-        nodes=((), (0,), (0, 0)),
-        parent={(): None, (0,): (), (0, 0): (0,)},
-    )
-    eta, ranks = kb_rank(tree)
+    eta, ranks = kb_rank({(): None, (0,): (), (0, 0): (0,)})
     assert render(eta) == "3"
     assert ranks == {(0, 0): 0, (0,): 1, (): 2}
 
 
 def test_kb_rank_branching():
-    tree = RankedTree(
-        nodes=((), (1,), (0,), (0, 0)),
-        parent={(): None, (1,): (), (0,): (), (0, 0): (0,)},
-    )
-    eta, ranks = kb_rank(tree)
+    eta, ranks = kb_rank({(): None, (1,): (), (0,): (), (0, 0): (0,)})
     assert render(eta) == "4"
     assert ranks == {(0, 0): 0, (0,): 1, (1,): 2, (): 3}
 
 
 def test_kb_rank_descendants_rank_lower():
-    nodes = ((), (0,), (1,), (1, 0), (1, 1), (1, 1, 0))
     parent = {(): None, (0,): (), (1,): (), (1, 0): (1,),
               (1, 1): (1,), (1, 1, 0): (1, 1)}
-    tree = RankedTree(nodes, parent)
-    _, ranks = kb_rank(tree)
-    assert sorted(ranks.values()) == list(range(len(nodes)))
-    for node in nodes:
+    _, ranks = kb_rank(parent)
+    assert sorted(ranks.values()) == list(range(len(parent)))
+    for node in parent:
         p = parent[node]
         while p is not None:
             assert ranks[node] < ranks[p]
@@ -326,13 +319,42 @@ def test_kb_rank_descendants_rank_lower():
 
 
 def test_ranked_tree_rejects_malformed():
-    with pytest.raises(ValueError):
-        RankedTree(((), (0,), (1,)), {(): None, (0,): (), (1,): None})
-    with pytest.raises(ValueError):
-        RankedTree(((0,), (1,)), {(0,): (1,), (1,): (0,)})
-    with pytest.raises(ValueError):
-        RankedTree(((), (0,)), {(): None, (0,): (9,)})
-    with pytest.raises(ValueError, match="duplicate nodes"):
-        RankedTree(((), (0,), (0,)), {(): None, (0,): ()})
-    with pytest.raises(ValueError, match="parent map has a cycle"):
-        RankedTree(((), (0,), (1,)), {(): None, (0,): (1,), (1,): (0,)})
+    for parent in [
+        {(): None, (0,): (), (1,): None},  # two roots
+        {(0,): (1,), (1,): (0,)},  # no root: a cycle
+        {(): None, (0,): (9,)},  # a parent that is not a node
+        {(): None, (0,): (1,), (1,): (0,)},  # a cycle off the root
+        {},  # no root at all
+    ]:
+        with pytest.raises(ValueError, match="not a tree"):
+            kb_rank(parent)
+
+
+def ref_kb_ranks(parent):
+    """Kleene-Brouwer ranks read off root paths, without ordinals: a node's
+    key lists (0, len, node) per step from the root and ends in (1,), so a
+    descendant sorts before its ancestor and siblings by (len, node)."""
+
+    def key(node):
+        path = []
+        while parent[node] is not None:
+            path.append((0, len(node), node))
+            node = parent[node]
+        return tuple(reversed(path)) + ((1,),)
+
+    return {node: rank for rank, node in enumerate(sorted(parent, key=key))}
+
+
+_KB_SYSTEM = TrueStageSystem(DefaultOperator())
+_KB_UNIVERSE = Universe(4, 2)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["0", "1", "w"]))
+@settings(max_examples=40, deadline=None)
+def test_kb_rank_matches_root_path_order(bits, level):
+    seqs = _KB_UNIVERSE.all_seqs()
+    fn = ApproxFn(parse_ordinal(level), {s: (bits >> i) & 1 for i, s in enumerate(seqs)})
+    tree = mind_change_tree(_KB_SYSTEM, fn, _KB_UNIVERSE)
+    eta, ranks = kb_rank(tree)
+    assert ranks == ref_kb_ranks(tree)
+    assert eta == from_int(len(tree))
