@@ -131,7 +131,7 @@ def _notation(text: str):
 def _naturals(values, field: str, below: Optional[int] = None) -> tuple:
     """The entries of an instance field as a tuple.  Each must be a
     natural, since the jump operator reads x, and less than `below` when
-    it is given, since y, z and v entries are drawn from the alphabet."""
+    it is given, since the game's moves are drawn from the alphabet."""
     for v in values:
         if type(v) is not int or v < 0 or (below is not None and v >= below):
             bound = "" if below is None else f" below {below}"
@@ -345,7 +345,7 @@ def _run_lsr_referee(args):
     data, game, sys_ = _game_setup(args)
     try:
         play = PartialPlay(
-            _naturals(data["play"]["xs"], "play.xs"),
+            _naturals(data["play"]["xs"], "play.xs", game.alphabet),
             tuple((y, z) for y, z in data["play"]["yzs"]),
         )
     except KeyError as exc:
@@ -384,7 +384,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     if "strategy" in data:
         table = strategy_from_json(data["strategy"])
         if table.side == "I":
-            _naturals(table.moves.values(), "strategy.moves")
+            _naturals(table.moves.values(), "strategy.moves", game.alphabet)
     else:
         outcome = solve(sys_, game, depth=solve_depth)
         if outcome.status != "IWins":

@@ -6,7 +6,10 @@ and II is graded only at the stages that currently look true and share
 that opinion: the referee collects z-entries at those stages and asks
 whether the collected pair still lies in the corresponding tree T0 or T1.
 The referee check is open for player I, so bounded-depth play is exactly
-solvable by backward induction.
+solvable by backward induction.  The newest round is always graded,
+since x ends its own chain (TS2), so the replies to one x-play differ
+only in their own entries: the solver grades each x-play once and reads
+II's earlier answers once for all the replies to it.
 
 A strategy for player I pulls the true-stage relations back onto the
 candidate second coordinates that II might play.  The resulting
@@ -22,6 +25,7 @@ import threading
 from typing import Callable, Optional, Union
 
 from .hierarchy import UpsetRep, eval_at, upset_from_json
+from .jump import ContractViolationError
 from .ordinals import (
     OrdinalNotation,
     ZERO,
@@ -168,12 +172,21 @@ def referee(sys: TrueStageSystem, g: GameInstance, play: PartialPlay) -> Referee
 def _grade(sys: TrueStageSystem, g: GameInstance, xs: Seq) -> Grade:
     """Player I's half of the referee: the tree that judges II, chosen by
     x's opinion about W, and the index set F.  Neither reads II's answers,
-    so one grade serves every reply to the same x-play."""
+    so one grade serves every reply to the same x-play.
+
+    F ends at |x|, since x ends its own chain (TS2) and shares its own
+    opinion; the solver's shared read needs this, so a system that breaks
+    it raises ContractViolationError."""
     in_w = eval_at(sys, g.w, xs)
     f = tuple(
         len(rho) for rho in sys.chain(xs, g.xi)
         if rho and (not in_w or eval_at(sys, g.w, rho))
     )
+    if not f or f[-1] != len(xs):
+        raise ContractViolationError(
+            f"the level-{render(g.xi)} chain of {seq_str(xs)} does not end at "
+            f"{seq_str(xs)} itself (TS2)"
+        )
     return (g.t1 if in_w else g.t0), f
 
 
@@ -183,11 +196,18 @@ def _read(f: tuple[int, ...], yzs: tuple[Pair, ...]) -> tuple[Seq, Seq]:
     return tuple([y for y, _ in yzs[: len(f)]]), tuple([yzs[a - 1][1] for a in f])
 
 
-def _continues(grade: Grade, yzs: tuple[Pair, ...]) -> bool:
-    """Whether II's answers survive the grade: the referee's status,
-    without building a verdict, for the solver and the checker."""
-    tree, f = grade
-    return tree.contains(*_read(f, yzs))
+def _shared_read(
+    grade: Grade, yzs: tuple[Pair, ...], alphabet: int
+) -> tuple[list[Seq], Seq]:
+    """_read for every reply (y, z) to one x-play after the rounds yzs:
+    the reply is judged on (ybars[y], zpre + (z,)), since F ends at the
+    new round (see _grade)."""
+    f = grade[1]
+    ybar = tuple([y for y, _ in yzs[: len(f)]])
+    zpre = tuple([yzs[a - 1][1] for a in f[:-1]])
+    if len(f) > len(yzs):
+        return [ybar + (y,) for y in range(alphabet)], zpre
+    return [ybar] * alphabet, zpre
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,7 +306,12 @@ def solve(
 class _Search:
     """One solve's backward induction.  The recursive steps are methods,
     not closures: a closure that calls itself keeps itself, and with it
-    sys and its memo, alive until a full garbage collection."""
+    sys and its memo, alive until a full garbage collection.
+
+    Each x-play is graded once per solve and II's earlier answers are
+    read once per x-play and position (_shared_read): F ends at the new
+    round n + 1, so a reply adds only its own z, and its y when
+    |F| = n + 1, and costs one set lookup."""
 
     def __init__(self, sys: TrueStageSystem, g: GameInstance, depth: int,
                  max_nodes: int):
@@ -311,26 +336,30 @@ class _Search:
             grade = self.grades.get(xs2)
             if grade is None:
                 grade = self.grades[xs2] = _grade(self.sys, self.g, xs2)
+            full, pairs = grade[0].full, grade[0].pairs
+            ybars, zpre = _shared_read(grade, yzs, b)
             worst = 0
             surviving: Optional[Pair] = None
             for y in range(b):
                 if surviving is not None:
                     break
+                ybar = ybars[y]
                 for z in range(b):
                     self.nodes += 1
                     if self.nodes > self.max_nodes:
                         raise ResourceBoundError(
                             f"solver exceeded {self.max_nodes} referee evaluations"
                         )
-                    yzs2 = yzs + ((y, z),)
-                    if not _continues(grade, yzs2):
-                        worst = max(worst, n + 1)
+                    if not (full or (ybar, zpre + (z,)) in pairs):
+                        if worst < n + 1:
+                            worst = n + 1
                         continue
-                    sub = self.value(xs2, yzs2)
+                    sub = self.value(xs2, yzs + ((y, z),))
                     if sub is None:
                         surviving = (y, z)
                         break
-                    worst = max(worst, sub)
+                    if sub > worst:
+                        worst = sub
             if surviving is None:
                 if best is None or (worst, x) < best:
                     best = (worst, x)
@@ -522,8 +551,9 @@ class CorrectnessChecker:
             return True
         if not self.is_correct(y_prefix, sigma[:-1], ZERO):
             return False
-        grade = _grade(self.sys, self.game, self.play(y_prefix, sigma[:-1]))
-        return _continues(grade, tuple(zip(y_prefix, sigma)))
+        # y is cut to |sigma|; F picks sigma's rounds as the z-entries.
+        tree, f = _grade(self.sys, self.game, self.play(y_prefix, sigma[:-1]))
+        return tree.contains(y_prefix[: len(f)], tuple([sigma[a - 1] for a in f]))
 
     # -- extension search ---------------------------------------------
 

@@ -21,7 +21,9 @@ from .universe import Seq
 
 
 class ContractViolationError(Exception):
-    """An operator broke a trace invariant (bounds, duplicates, monotonicity)."""
+    """An operator, or a stage system over it, broke an invariant the
+    package relies on: a trace's bounds, duplicates or monotonicity, or a
+    chain that does not end at its own sequence (TS2)."""
 
 
 def cantor_pair(i: int, k: int) -> int:

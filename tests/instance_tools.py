@@ -23,6 +23,14 @@ class Rootless(TrueStageSystem):
         return ch[1:] if tau and not alpha.is_zero() else ch
 
 
+class Selfless(TrueStageSystem):
+    """Drops tau itself from every chain, against TS2, so the index set
+    F of a play no longer ends at the newest round."""
+
+    def chain(self, tau, alpha):
+        return super().chain(tau, alpha)[:-1]
+
+
 def seeded_wadge_instance(
     sys_: TrueStageSystem,
     universe: Universe,

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
+from instance_tools import Selfless
 from test_golden import INSTANCES
 from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
-from truestages.jump import ContractViolationError, JumpTrace
+from truestages.jump import ContractViolationError, DefaultOperator, JumpTrace
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
 
@@ -176,14 +177,18 @@ def negative_move(data):
 
 @pytest.mark.parametrize("command, edit, message", [
     (["wadge", "eval"], negative_query, "queries entries must be naturals, got -1"),
-    (["lsr", "referee"], play_x(-1), "play.xs entries must be naturals, got -1"),
-    (["lsr", "referee"], play_x(1.5), "play.xs entries must be naturals, got 1.5"),
-    (["lsr", "referee"], play_x(True), "play.xs entries must be naturals, got True"),
-    (["lsr", "referee"], play_x("0"), "play.xs entries must be naturals, got '0'"),
+    (["lsr", "referee"], play_x(-1),
+     "play.xs entries must be naturals below 2, got -1"),
+    (["lsr", "referee"], play_x(1.5),
+     "play.xs entries must be naturals below 2, got 1.5"),
+    (["lsr", "referee"], play_x(True),
+     "play.xs entries must be naturals below 2, got True"),
+    (["lsr", "referee"], play_x("0"),
+     "play.xs entries must be naturals below 2, got '0'"),
     (["lsr", "separator"], negative_move,
-     "strategy.moves entries must be naturals, got -1"),
+     "strategy.moves entries must be naturals below 2, got -1"),
     (["lsr", "adversarial"], negative_move,
-     "strategy.moves entries must be naturals, got -1"),
+     "strategy.moves entries must be naturals below 2, got -1"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
@@ -211,10 +216,18 @@ def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
      "y entries must be naturals below 2, got 5"),
     (["lsr", "adversarial"], "adversarial-t1.json", {"v": [0, -1, 1, 0, 1, 0]},
      "v entries must be naturals below 2, got -1"),
-], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v"])
+    (["lsr", "referee"], "mismatch.json",
+     {"play": {"xs": [0, 5, 1], "yzs": [[0, 1], [0, 0], [1, 1]]}},
+     "play.xs entries must be naturals below 2, got 5"),
+    (["lsr", "adversarial"], "adversarial.json",
+     {"strategy": {"side": "I", "depth": 6, "moves": [[[], 7]]}},
+     "strategy.moves entries must be naturals below 2, got 7"),
+], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v",
+        "referee-xs", "adversarial-strategy"])
 def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
                                                instance, edit, message):
-    # y, z and v entries are moves of player II, drawn from the alphabet.
+    # Every move is drawn from the alphabet: x entries and side I
+    # strategy moves as well as II's y, z and v entries.
     inst = tmp_path / instance
     inst.write_text(json.dumps({**INSTANCES[instance], **edit}))
     code, out, err = run_main(capsys, *command, "--instance", str(inst))
@@ -234,6 +247,14 @@ def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DefaultOperator", DuplicateCodeOperator)
     with pytest.raises(ContractViolationError, match="duplicate code"):
         cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
+
+
+def test_chain_without_its_own_play_is_internal(monkeypatch, quickwin_file):
+    # A stage system that breaks TS2 is a defect, not bad input: it must
+    # not become exit 2.
+    monkeypatch.setattr(cli, "_fresh", lambda: Selfless(DefaultOperator()))
+    with pytest.raises(ContractViolationError, match="does not end at"):
+        cli.main(["lsr", "solve", "--instance", quickwin_file])
 
 
 @pytest.mark.parametrize("action", ["solve", "separator", "adversarial"])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instance_tools import Rootless, pointwise_tree, seeded_game_instance, y_mismatch_game
+from instance_tools import (
+    Rootless,
+    Selfless,
+    pointwise_tree,
+    seeded_game_instance,
+    y_mismatch_game,
+)
 from truestages import game
 from truestages.game import (
     PRE_ROOT,
@@ -29,7 +35,7 @@ from truestages.game import (
     strategy_to_json,
 )
 from truestages.hierarchy import UpsetRep, eval_at
-from truestages.jump import DefaultOperator
+from truestages.jump import ContractViolationError, DefaultOperator
 from truestages.ordinals import ZERO, classify, compare, fund_seq, parse_ordinal, render
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
@@ -222,9 +228,9 @@ def test_solve_grades_each_x_play_once(xi, monkeypatch):
 
 @pytest.mark.parametrize("xi", ["0", "1", "w"])
 def test_solver_judging_agrees_with_referee(xi):
-    """The solver and the correctness checker judge through the boolean
-    _continues; on every play of up to 3 rounds it must say what the
-    referee's verdict says."""
+    """The solver reads II's earlier rounds once per x-play and judges
+    each reply (y, z) on (ybars[y], zpre + (z,)); on every play of up to
+    3 rounds that pair and its membership must be the referee's."""
     g = pinned_game(xi)
     sys_ = TrueStageSystem(DefaultOperator())
     pairs = list(itertools.product(range(g.alphabet), repeat=2))
@@ -232,11 +238,31 @@ def test_solver_judging_agrees_with_referee(xi):
     for n in range(1, 4):
         for xs in itertools.product(range(g.alphabet), repeat=n):
             grade = game._grade(sys_, g, xs)
+            tree = grade[0]
             for yzs in itertools.product(pairs, repeat=n):
-                status = referee(sys_, g, PartialPlay(xs, yzs)).status
-                assert game._continues(grade, yzs) == (status == "Continues")
-                seen.add(status)
+                ybars, zpre = game._shared_read(grade, yzs[:-1], g.alphabet)
+                y, z = yzs[-1]
+                judged = (ybars[y], zpre + (z,))
+                verdict = referee(sys_, g, PartialPlay(xs, yzs))
+                assert judged == (verdict.ybar, verdict.zbar)
+                continues = tree.full or judged in tree.pairs
+                assert continues == (verdict.status == "Continues")
+                seen.add(verdict.status)
     assert seen == {"Continues", "IWon"}
+
+
+@pytest.mark.parametrize("xi", ["0", "1"])
+def test_chain_without_its_own_play_is_a_contract_violation(xi):
+    # The solver's shared read needs F to end at the newest round; a
+    # system whose chains drop the play itself must fail loudly.  (At a
+    # limit level the stub breaks the height computation first.)
+    g = pinned_game(xi)
+    sys_ = Selfless(DefaultOperator())
+    with pytest.raises(ContractViolationError,
+                       match=r"chain of \[0\] does not end at \[0\] itself"):
+        solve(sys_, g)
+    with pytest.raises(ContractViolationError, match=r"chain of \[1,0\]"):
+        referee(sys_, g, PartialPlay((1, 0), ((0, 0), (1, 1))))
 
 
 def test_winning_strategy_replay_beats_every_reply(sys_):
