@@ -139,6 +139,14 @@ def _naturals(values, field: str, below: Optional[int] = None) -> tuple:
     return tuple(values)
 
 
+def _check_generators(upset: dict, field: str, below: int) -> None:
+    """Read each generator of an upset's JSON form through _naturals: a
+    generator is a sequence of moves, so its entries lie below the
+    alphabet."""
+    for g in upset["generators"]:
+        _naturals(g, f"{field}.generators", below)
+
+
 def _fresh():
     return TrueStageSystem(DefaultOperator())
 
@@ -250,6 +258,8 @@ def _run_hk_convert(args):
     if "upsets" in data:
         alpha = _notation(data["alpha"])
         eta = _notation(args.eta if args.eta is not None else data["eta"])
+        for u in data["upsets"]:
+            _check_generators(u, "upsets", args.alphabet)
         upsets = [upset_from_json(u) for u in data["upsets"]]
         fn, witness = dsets_to_witness(sys_, upsets, eta, alpha, universe)
         result = {
@@ -284,6 +294,8 @@ def _wadge_setup(args):
     data = _load_instance(args.instance)
     lam = _notation(data["lambda"])
     universe = Universe(data["maxLen"], data["alphabet"])
+    for name in ("W0", "W1"):
+        _check_generators(data[name], name, universe.alphabet)
     w0 = upset_from_json(data["W0"])
     w1 = upset_from_json(data["W1"])
     sys_ = _fresh()
@@ -317,6 +329,11 @@ def _run_wadge_eval(args):
 def _game_setup(args):
     data = _load_instance(args.instance)
     game = game_from_json(data)
+    _check_generators(data["W"], "W", game.alphabet)
+    for name in ("T0", "T1"):
+        for pair in data[name].get("pairs", []):
+            for seq in pair:
+                _naturals(seq, f"{name}.pairs", game.alphabet)
     return data, game, _fresh()
 
 

@@ -9,7 +9,8 @@ The referee check is open for player I, so bounded-depth play is exactly
 solvable by backward induction.  The newest round is always graded,
 since x ends its own chain (TS2), so the replies to one x-play differ
 only in their own entries: the solver grades each x-play once and reads
-II's earlier answers once for all the replies to it.
+II's earlier answers once for all the replies to it, through the same
+reader as the referee.
 
 A strategy for player I pulls the true-stage relations back onto the
 candidate second coordinates that II might play.  The resulting
@@ -21,7 +22,6 @@ winning strategy are all implemented here at finite scale.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Callable, Optional, Union
 
 from .hierarchy import UpsetRep, eval_at, upset_from_json
@@ -34,7 +34,7 @@ from .ordinals import (
     parse_ordinal,
     render,
 )
-from .stages import TrueStageSystem
+from .stages import Memo, TrueStageSystem
 from .universe import Seq, seq_str, shortlex
 
 
@@ -175,8 +175,8 @@ def _grade(sys: TrueStageSystem, g: GameInstance, xs: Seq) -> Grade:
     so one grade serves every reply to the same x-play.
 
     F ends at |x|, since x ends its own chain (TS2) and shares its own
-    opinion; the solver's shared read needs this, so a system that breaks
-    it raises ContractViolationError."""
+    opinion; the solver's read of the earlier rounds needs this, so a
+    system that breaks it raises ContractViolationError."""
     in_w = eval_at(sys, g.w, xs)
     f = tuple(
         len(rho) for rho in sys.chain(xs, g.xi)
@@ -194,20 +194,6 @@ def _read(f: tuple[int, ...], yzs: tuple[Pair, ...]) -> tuple[Seq, Seq]:
     """Player II's half of the referee: the y-entries of the first |F|
     rounds and the z-entries of exactly the rounds in F."""
     return tuple([y for y, _ in yzs[: len(f)]]), tuple([yzs[a - 1][1] for a in f])
-
-
-def _shared_read(
-    grade: Grade, yzs: tuple[Pair, ...], alphabet: int
-) -> tuple[list[Seq], Seq]:
-    """_read for every reply (y, z) to one x-play after the rounds yzs:
-    the reply is judged on (ybars[y], zpre + (z,)), since F ends at the
-    new round (see _grade)."""
-    f = grade[1]
-    ybar = tuple([y for y, _ in yzs[: len(f)]])
-    zpre = tuple([yzs[a - 1][1] for a in f[:-1]])
-    if len(f) > len(yzs):
-        return [ybar + (y,) for y in range(alphabet)], zpre
-    return [ybar] * alphabet, zpre
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,9 +295,10 @@ class _Search:
     sys and its memo, alive until a full garbage collection.
 
     Each x-play is graded once per solve and II's earlier answers are
-    read once per x-play and position (_shared_read): F ends at the new
-    round n + 1, so a reply adds only its own z, and its y when
-    |F| = n + 1, and costs one set lookup."""
+    read once per x-play and position, by _read on F without its last
+    round: F ends at the new round n + 1, so a reply adds only its own
+    z, and its own y when |F| = n + 1 (else the y of round |F|), and
+    costs one set lookup."""
 
     def __init__(self, sys: TrueStageSystem, g: GameInstance, depth: int,
                  max_nodes: int):
@@ -336,14 +323,16 @@ class _Search:
             grade = self.grades.get(xs2)
             if grade is None:
                 grade = self.grades[xs2] = _grade(self.sys, self.g, xs2)
-            full, pairs = grade[0].full, grade[0].pairs
-            ybars, zpre = _shared_read(grade, yzs, b)
+            tree, f = grade
+            full, pairs = tree.full, tree.pairs
+            ypre, zpre = _read(f[:-1], yzs)
+            last = len(f) - 1  # round |F|, as an index into the rounds
             worst = 0
             surviving: Optional[Pair] = None
             for y in range(b):
                 if surviving is not None:
                     break
-                ybar = ybars[y]
+                ybar = ypre + ((y if last == n else yzs[last][0]),)
                 for z in range(b):
                     self.nodes += 1
                     if self.nodes > self.max_nodes:
@@ -430,7 +419,7 @@ class EvidenceResult:
 _LIMIT_WINDOW = 4
 
 
-class CorrectnessChecker:
+class CorrectnessChecker(Memo):
     """Correctness predicates for II's candidate plays against a fixed
     side I strategy.
 
@@ -441,8 +430,7 @@ class CorrectnessChecker:
     higher levels follow the stage recursion.  At limit levels the
     unbounded quantifier over lower levels is checked on the first four
     fundamental-sequence levels (_LIMIT_WINDOW) plus the one selected by
-    the height of the induced play; results are memoised under a lock
-    so callers may share a checker across threads.
+    the height of the induced play.
     """
 
     def __init__(
@@ -450,28 +438,22 @@ class CorrectnessChecker:
     ) -> None:
         if table.side != "I":
             raise ValueError("correctness analysis needs a side I strategy")
+        super().__init__()
         self.sys = sys
         self.game = game
         self.table = table
-        self._lock = threading.RLock()
-        self._memo: dict[tuple, object] = {}
 
     def _memoized(self, fill: Callable, y_prefix: Seq, sigma: Node, *args):
-        """The one memo path: the value of fill(self, y, sigma, *args),
-        computed once and stored.  Only the first |sigma| entries of y
-        matter, so y is cut to that length before keying and filling."""
+        """Memo._memoized on a normalised key: only the first |sigma|
+        entries of y matter, so y is cut to that length before keying
+        and filling."""
         if sigma is not PRE_ROOT:
             sigma = tuple(sigma)
             _check_y_covers(y_prefix, sigma)
             y_prefix = tuple(y_prefix[: len(sigma)])
         else:
             y_prefix = ()
-        key = (fill, y_prefix, sigma, *args)
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is None:
-                hit = self._memo[key] = fill(self, y_prefix, sigma, *args)
-            return hit
+        return super()._memoized(fill, y_prefix, sigma, *args)
 
     # -- induced plays ------------------------------------------------
 
@@ -551,9 +533,9 @@ class CorrectnessChecker:
             return True
         if not self.is_correct(y_prefix, sigma[:-1], ZERO):
             return False
-        # y is cut to |sigma|; F picks sigma's rounds as the z-entries.
+        # y is cut to |sigma|, so (y, sigma) are the rounds played.
         tree, f = _grade(self.sys, self.game, self.play(y_prefix, sigma[:-1]))
-        return tree.contains(y_prefix[: len(f)], tuple([sigma[a - 1] for a in f]))
+        return tree.contains(*_read(f, tuple(zip(y_prefix, sigma))))
 
     # -- extension search ---------------------------------------------
 

@@ -4,7 +4,8 @@ An enumeration operator assigns to each finite sequence a trace: a
 column of codes, where codes[i] enters the jump set at time i + 1, so
 at most one code enters per entry of sigma.  Traces must grow
 monotonically along prefixes, so a trace extends another exactly when
-the other's codes are a prefix of its own.  The default operator
+the other's codes are a prefix of its own; `stages.ts_verify` checks
+this in its TS7-consistency property.  The default operator
 enumerates pair(i, k) when the (k+1)-th occurrence of value i appears,
 which makes the running "last number enumerated" drop and recover as
 sequences extend.  It computes the pairing inline; `cantor_pair` is the
@@ -14,7 +15,6 @@ reference definition it must agree with.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Protocol
 
 from .universe import Seq
@@ -22,8 +22,8 @@ from .universe import Seq
 
 class ContractViolationError(Exception):
     """An operator, or a stage system over it, broke an invariant the
-    package relies on: a trace's bounds, duplicates or monotonicity, or a
-    chain that does not end at its own sequence (TS2)."""
+    package relies on: a trace's bounds or duplicates, or a chain that
+    does not end at its own sequence (TS2)."""
 
 
 def cantor_pair(i: int, k: int) -> int:
@@ -90,37 +90,3 @@ def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
     if len(set(codes)) != len(codes):
         raise ContractViolationError("duplicate code enumerated")
     return trace
-
-
-class ValidatingOperator:
-    """Wraps an operator and checks prefix-monotonicity against every
-    previously seen trace.  The cache is shared, so access is serialized.
-    """
-
-    def __init__(self, inner: EnumerationOperator):
-        self.inner = inner
-        self._cache: dict[Seq, JumpTrace] = {}
-        self._lock = threading.Lock()
-
-    def trace(self, sigma: Seq) -> JumpTrace:
-        sigma = tuple(sigma)
-        with self._lock:
-            cached = self._cache.get(sigma)
-            if cached is not None:
-                return cached
-        trace = enumerate_jump(self.inner, sigma)
-        with self._lock:
-            for i in range(len(sigma) + 1):
-                prefix = sigma[:i]
-                known = self._cache.get(prefix)
-                if known is not None and not trace.extends(known):
-                    raise ContractViolationError(
-                        f"trace of {sigma} does not extend trace of prefix {prefix}"
-                    )
-            for other, known in self._cache.items():
-                if other[: len(sigma)] == sigma and not known.extends(trace):
-                    raise ContractViolationError(
-                        f"trace of {other} does not extend trace of prefix {sigma}"
-                    )
-            self._cache[sigma] = trace
-        return trace

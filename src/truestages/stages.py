@@ -19,34 +19,47 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .jump import EnumerationOperator, JumpTrace, enumerate_jump
+from .jump import (
+    ContractViolationError,
+    EnumerationOperator,
+    JumpTrace,
+    enumerate_jump,
+)
 from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
-from .universe import Seq, Universe
+from .universe import Seq, Universe, seq_str
 
 
-class TrueStageSystem:
-    """Memoizing evaluator for the level-indexed relations of one
-    enumeration operator.
+class Memo:
+    """The one memo block: values computed once per instance and stored
+    under their fill function and arguments.  Memo access is serialized,
+    so one instance may be shared across threads."""
 
-    One memo holds every chain, jump trace and oracle segment, each
-    computed once per system.  No leq answer is stored: leq reads
-    membership in a memoised chain.  Memo access is serialized, so one
-    instance may be shared across threads."""
-
-    def __init__(self, operator: EnumerationOperator):
-        self.operator = operator
+    def __init__(self):
         self._lock = threading.RLock()
         self._memo: dict[tuple, object] = {}
 
     def _memoized(self, fill: Callable, *args):
-        """The one memo path: the value of fill(self, *args), computed
-        once and stored under (fill, *args)."""
+        """The value of fill(self, *args), computed once and stored
+        under (fill, *args)."""
         key = (fill, *args)
         with self._lock:
             hit = self._memo.get(key)
             if hit is None:
                 hit = self._memo[key] = fill(self, *args)
             return hit
+
+
+class TrueStageSystem(Memo):
+    """Memoizing evaluator for the level-indexed relations of one
+    enumeration operator.
+
+    One memo holds every chain, jump trace and oracle segment, each
+    computed once per system.  No leq answer is stored: leq reads
+    membership in a memoised chain."""
+
+    def __init__(self, operator: EnumerationOperator):
+        super().__init__()
+        self.operator = operator
 
     def leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
         sigma, tau = tuple(sigma), tuple(tau)
@@ -58,8 +71,15 @@ class TrueStageSystem:
 
     def height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         """Number of strict predecessors; at a limit this recursion only
-        ever consults strictly shorter sequences."""
-        return len(self.chain(sigma, alpha)) - 1
+        ever consults strictly shorter sequences.  An empty chain lacks
+        sigma itself, against TS2, and raises ContractViolationError."""
+        ch = self.chain(sigma, alpha)
+        if not ch:
+            raise ContractViolationError(
+                f"the level-{render(alpha)} chain of {seq_str(sigma)} does not "
+                f"end at {seq_str(sigma)} itself (TS2)"
+            )
+        return len(ch) - 1
 
     def chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
         """The prefixes of tau that look true to tau at level alpha,

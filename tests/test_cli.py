@@ -206,6 +206,13 @@ def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def plus_generator(upset, gen):
+    return {**upset, "generators": upset["generators"] + [gen]}
+
+
+HK_UPSETS = INSTANCES["hk-dsets.json"]["upsets"]
+
+
 @pytest.mark.parametrize("command, instance, edit, message", [
     (["lsr", "adversarial"], "adversarial.json", {"y": [0, -1, 1, 0, 1, 0]},
      "y entries must be naturals below 2, got -1"),
@@ -222,12 +229,25 @@ def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
     (["lsr", "adversarial"], "adversarial.json",
      {"strategy": {"side": "I", "depth": 6, "moves": [[[], 7]]}},
      "strategy.moves entries must be naturals below 2, got 7"),
+    (["hk", "convert"], "hk-dsets.json",
+     {"upsets": [plus_generator(HK_UPSETS[0], [-1, 7])] + HK_UPSETS[1:]},
+     "upsets.generators entries must be naturals below 2, got -1"),
+    (["wadge", "decompose"], "wadge.json",
+     {"W1": plus_generator(INSTANCES["wadge.json"]["W1"], ["x"])},
+     "W1.generators entries must be naturals below 2, got 'x'"),
+    (["lsr", "solve"], "solve.json",
+     {"W": plus_generator(INSTANCES["solve.json"]["W"], [5])},
+     "W.generators entries must be naturals below 2, got 5"),
+    (["lsr", "solve"], "solve.json", {"T0": {"pairs": [[[0], [9]]]}},
+     "T0.pairs entries must be naturals below 2, got 9"),
 ], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v",
-        "referee-xs", "adversarial-strategy"])
+        "referee-xs", "adversarial-strategy", "convert-generator",
+        "decompose-generator", "solve-generator", "solve-tree-pair"])
 def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
                                                instance, edit, message):
     # Every move is drawn from the alphabet: x entries and side I
-    # strategy moves as well as II's y, z and v entries.
+    # strategy moves as well as II's y, z and v entries, and the
+    # generators and tree pairs that the instance states in moves.
     inst = tmp_path / instance
     inst.write_text(json.dumps({**INSTANCES[instance], **edit}))
     code, out, err = run_main(capsys, *command, "--instance", str(inst))
@@ -249,12 +269,16 @@ def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
         cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
 
 
-def test_chain_without_its_own_play_is_internal(monkeypatch, quickwin_file):
+def test_chain_without_its_own_play_is_internal(monkeypatch, tmp_path, quickwin_file):
     # A stage system that breaks TS2 is a defect, not bad input: it must
-    # not become exit 2.
+    # not become exit 2, at a limit level either.
+    limit = tmp_path / "quickwin-w.json"
+    limit.write_text(json.dumps(
+        {**QUICKWIN, "xi": "w", "W": {"level": "w", "generators": [[]]}}))
     monkeypatch.setattr(cli, "_fresh", lambda: Selfless(DefaultOperator()))
-    with pytest.raises(ContractViolationError, match="does not end at"):
-        cli.main(["lsr", "solve", "--instance", quickwin_file])
+    for instance in (quickwin_file, str(limit)):
+        with pytest.raises(ContractViolationError, match="does not end at"):
+            cli.main(["lsr", "solve", "--instance", instance])
 
 
 @pytest.mark.parametrize("action", ["solve", "separator", "adversarial"])

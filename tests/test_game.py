@@ -228,21 +228,21 @@ def test_solve_grades_each_x_play_once(xi, monkeypatch):
 
 @pytest.mark.parametrize("xi", ["0", "1", "w"])
 def test_solver_judging_agrees_with_referee(xi):
-    """The solver reads II's earlier rounds once per x-play and judges
-    each reply (y, z) on (ybars[y], zpre + (z,)); on every play of up to
-    3 rounds that pair and its membership must be the referee's."""
+    """The solver reads II's earlier rounds once per x-play, by _read on
+    F without its last round, and judges each reply on that read plus
+    the y of round |F| (the reply's own when |F| is the new round) and
+    the reply's z; on every play of up to 3 rounds that pair and its
+    membership must be the referee's."""
     g = pinned_game(xi)
     sys_ = TrueStageSystem(DefaultOperator())
     pairs = list(itertools.product(range(g.alphabet), repeat=2))
     seen = set()
     for n in range(1, 4):
         for xs in itertools.product(range(g.alphabet), repeat=n):
-            grade = game._grade(sys_, g, xs)
-            tree = grade[0]
+            tree, f = game._grade(sys_, g, xs)
             for yzs in itertools.product(pairs, repeat=n):
-                ybars, zpre = game._shared_read(grade, yzs[:-1], g.alphabet)
-                y, z = yzs[-1]
-                judged = (ybars[y], zpre + (z,))
+                ypre, zpre = game._read(f[:-1], yzs[:-1])
+                judged = (ypre + (yzs[len(f) - 1][0],), zpre + (yzs[-1][1],))
                 verdict = referee(sys_, g, PartialPlay(xs, yzs))
                 assert judged == (verdict.ybar, verdict.zbar)
                 continues = tree.full or judged in tree.pairs
@@ -251,17 +251,19 @@ def test_solver_judging_agrees_with_referee(xi):
     assert seen == {"Continues", "IWon"}
 
 
-@pytest.mark.parametrize("xi", ["0", "1"])
+@pytest.mark.parametrize("xi", ["0", "1", "w"])
 def test_chain_without_its_own_play_is_a_contract_violation(xi):
-    # The solver's shared read needs F to end at the newest round; a
-    # system whose chains drop the play itself must fail loudly.  (At a
-    # limit level the stub breaks the height computation first.)
+    # The solver's read of the earlier rounds needs F to end at the
+    # newest round; a system whose chains drop the play itself must fail
+    # loudly.  At a limit level the root's empty chain fails first, in
+    # the height that picks a fundamental-sequence level.
     g = pinned_game(xi)
     sys_ = Selfless(DefaultOperator())
+    first, later = (r"\[\]", r"\[\]") if xi == "w" else (r"\[0\]", r"\[1,0\]")
     with pytest.raises(ContractViolationError,
-                       match=r"chain of \[0\] does not end at \[0\] itself"):
+                       match=rf"chain of {first} does not end at {first} itself"):
         solve(sys_, g)
-    with pytest.raises(ContractViolationError, match=r"chain of \[1,0\]"):
+    with pytest.raises(ContractViolationError, match=rf"chain of {later}"):
         referee(sys_, g, PartialPlay((1, 0), ((0, 0), (1, 1))))
 
 

@@ -6,7 +6,6 @@ from truestages.jump import (
     ContractViolationError,
     DefaultOperator,
     JumpTrace,
-    ValidatingOperator,
     cantor_pair,
     enumerate_jump,
 )
@@ -140,32 +139,3 @@ class _TooLong:
 def test_local_contract_violations(bad, sigma):
     with pytest.raises(ContractViolationError, match=f"^{bad.message}$"):
         enumerate_jump(bad, sigma)
-
-
-class _Forgetful:
-    """Monotone up to length 2, then silently restarts."""
-
-    def trace(self, sigma):
-        if len(sigma) >= 3:
-            return JumpTrace((99,))
-        return DefaultOperator().trace(sigma)
-
-
-def test_validating_operator_accepts_default():
-    op = ValidatingOperator(DefaultOperator())
-    for sigma, tau in Universe(3, 2).prefix_pairs():
-        assert op.trace(tau).extends(op.trace(sigma))
-
-
-def test_validating_operator_catches_non_monotone():
-    op = ValidatingOperator(_Forgetful())
-    op.trace((1, 2))
-    with pytest.raises(ContractViolationError):
-        op.trace((1, 2, 3))
-
-
-def test_validating_operator_catches_in_either_order():
-    op = ValidatingOperator(_Forgetful())
-    op.trace((1, 2, 3))
-    with pytest.raises(ContractViolationError):
-        op.trace((1, 2))
