@@ -20,35 +20,31 @@ from typing import Optional
 
 from .game import (
     CorrectnessChecker,
+    GameInstance,
+    PairTree,
     PartialPlay,
+    PlayTranscript,
     ResourceBoundError,
     StrategyTable,
     adversarial_play,
-    game_from_json,
     referee,
     solve,
-    strategy_from_json,
-    strategy_to_json,
-    transcript_to_json,
 )
 from .hierarchy import (
     ApproxFn,
-    approx_from_json,
+    UpsetRep,
+    WitnessFn,
     approx_limit,
-    approx_to_json,
     approx_to_witness,
     difference_value,
     dsets_to_witness,
-    upset_from_json,
-    upset_to_json,
     witness_to_dsets,
-    witness_to_json,
 )
 from .jump import DefaultOperator, enumerate_jump
 from .ordinals import ParseError, parse_ordinal, render
 from .stages import TrueStageSystem, ts_verify
-from .universe import Universe, seq_str
-from .wadge import decomposition_eval, tree_to_json, wadge_tree
+from .universe import Universe, parse_seq, seq_str
+from .wadge import DecompositionTree, decomposition_eval, wadge_tree
 
 
 class InputError(Exception):
@@ -107,11 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instance(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read instance file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"instance file is not valid JSON: {exc}") from exc
+    return _object(data, "instance")
 
 
 def _levels(text: str):
@@ -122,6 +119,8 @@ def _levels(text: str):
 
 
 def _notation(text: str):
+    if type(text) is not str:
+        raise InputError(f"bad notation {text!r}: expected a string")
     try:
         return parse_ordinal(text)
     except ParseError as exc:
@@ -139,12 +138,141 @@ def _naturals(values, field: str, below: Optional[int] = None) -> tuple:
     return tuple(values)
 
 
-def _check_generators(upset: dict, field: str, below: int) -> None:
-    """Read each generator of an upset's JSON form through _naturals: a
-    generator is a sequence of moves, so its entries lie below the
-    alphabet."""
-    for g in upset["generators"]:
-        _naturals(g, f"{field}.generators", below)
+def _count(v, field: str) -> int:
+    """A count or bound, from the instance or the command line."""
+    if type(v) is not int or v < 0:
+        raise InputError(f"{field} must be a natural, got {v!r}")
+    return v
+
+
+def _object(data, field: str) -> dict:
+    if type(data) is not dict:
+        raise InputError(f"{field} must be an object, got {data!r}")
+    return data
+
+
+# -- JSON forms: each reader beside its writer; a reader checks every
+# move against the alphabet as it reads it --------------------------------
+
+
+def _upset_from_json(data: dict, field: str, alphabet: int) -> UpsetRep:
+    data = _object(data, field)
+    return UpsetRep(
+        _notation(data["level"]),
+        frozenset(_naturals(g, f"{field}.generators", alphabet)
+                  for g in data["generators"]),
+    )
+
+
+def _upset_to_json(upset: UpsetRep) -> dict:
+    return {
+        "level": render(upset.level),
+        "generators": sorted(list(g) for g in upset.generators),
+    }
+
+
+def _approx_from_json(data: dict) -> ApproxFn:
+    data = _object(data, "approx")
+    table = _object(data["table"], "approx.table")
+    return ApproxFn(
+        _notation(data["level"]),
+        dict(zip(map(parse_seq, table), _naturals(table.values(), "approx.table"))),
+    )
+
+
+def _approx_to_json(fn: ApproxFn) -> dict:
+    return {
+        "level": render(fn.level),
+        "table": {seq_str(s): v for s, v in sorted(fn.table.items())},
+    }
+
+
+def _witness_to_json(witness: WitnessFn) -> dict:
+    return {
+        "eta": render(witness.eta),
+        "table": {seq_str(s): render(v) for s, v in sorted(witness.table.items())},
+    }
+
+
+def _tree_to_json(tree: DecompositionTree) -> dict:
+    data: dict = {
+        "node": list(tree.node),
+        "kind": tree.kind,
+        "rank": tree.rank,
+    }
+    if tree.kind == "leaf":
+        data["value"] = tree.value
+        data["witnessLevel"] = render(tree.witness_level)
+    else:
+        data["separatorLevel"] = render(tree.separator_level)
+        data["separators"] = [_upset_to_json(s) for s in tree.separators]
+        data["children"] = [_tree_to_json(c) for c in tree.children]
+    return data
+
+
+def _pair_tree_from_json(data: dict, field: str, alphabet: int) -> PairTree:
+    data = _object(data, field)
+    if data.get("full"):
+        return PairTree(full=True)
+    read = functools.partial(_naturals, field=f"{field}.pairs", below=alphabet)
+    return PairTree.from_pairs((read(y), read(z)) for y, z in data.get("pairs", []))
+
+
+def _game_from_json(data: dict) -> GameInstance:
+    bounds = _object(data["bounds"], "bounds")
+    alphabet = _count(bounds["alphabet"], "bounds.alphabet")
+    return GameInstance(
+        xi=_notation(data["xi"]),
+        w=_upset_from_json(data["W"], "W", alphabet),
+        t0=_pair_tree_from_json(data["T0"], "T0", alphabet),
+        t1=_pair_tree_from_json(data["T1"], "T1", alphabet),
+        alphabet=alphabet,
+        depth=_count(bounds["depth"], "bounds.depth"),
+    )
+
+
+def _strategy_from_json(data: dict, alphabet: int) -> StrategyTable:
+    data = _object(data, "strategy")
+    read = functools.partial(_naturals, field="strategy.moves", below=alphabet)
+    side = data["side"]
+    moves: dict = {}
+    for key, move in data["moves"]:
+        if side == "I":
+            moves[tuple(map(read, key))] = read([move])[0]
+        else:
+            moves[read(key)] = read(move)
+    return StrategyTable(side, _count(data["depth"], "strategy.depth"), moves)
+
+
+def _strategy_to_json(table: StrategyTable) -> dict:
+    if table.side == "I":
+        moves = [
+            [[list(p) for p in key], x] for key, x in sorted(table.moves.items())
+        ]
+    else:
+        moves = [
+            [list(key), list(yz)] for key, yz in sorted(table.moves.items())
+        ]
+    return {"side": table.side, "depth": table.depth, "moves": moves}
+
+
+def _transcript_to_json(t: PlayTranscript) -> dict:
+    return {
+        "mode": t.mode,
+        "outcome": t.outcome,
+        "failedExtension": None if t.failed_extension is None else list(t.failed_extension),
+        "steps": [
+            {
+                "index": s.index,
+                "sigma": list(s.sigma),
+                "stronglyCorrect": s.strongly_correct,
+                "appendedMatches": s.appended_matches,
+                "witnessSetMatches": s.witness_set_matches,
+                "witnessConsistent": s.witness_consistent,
+            }
+            for s in t.steps
+        ],
+    }
 
 
 def _fresh():
@@ -258,27 +386,25 @@ def _run_hk_convert(args):
     if "upsets" in data:
         alpha = _notation(data["alpha"])
         eta = _notation(args.eta if args.eta is not None else data["eta"])
-        for u in data["upsets"]:
-            _check_generators(u, "upsets", args.alphabet)
-        upsets = [upset_from_json(u) for u in data["upsets"]]
+        upsets = [_upset_from_json(u, "upsets", args.alphabet) for u in data["upsets"]]
         fn, witness = dsets_to_witness(sys_, upsets, eta, alpha, universe)
         result = {
             "direction": "dsets-to-witness",
-            "approx": approx_to_json(fn),
-            "witness": witness_to_json(witness),
+            "approx": _approx_to_json(fn),
+            "witness": _witness_to_json(witness),
         }
     elif "approx" in data:
         if args.eta is not None:
             raise InputError("--eta applies only to an 'upsets' instance; "
                              "an 'approx' instance's eta is computed")
-        fn = approx_from_json(data["approx"])
+        fn = _approx_from_json(data["approx"])
         eta, witness = approx_to_witness(sys_, fn, universe)
         family = witness_to_dsets(sys_, fn, witness, eta, fn.level, universe)
         result = {
             "direction": "approx-to-witness",
             "eta": render(eta),
-            "witness": witness_to_json(witness),
-            "family": [upset_to_json(u) for u in family],
+            "witness": _witness_to_json(witness),
+            "family": [_upset_to_json(u) for u in family],
         }
     else:
         raise InputError("instance must carry either 'upsets' or 'approx'")
@@ -293,18 +419,17 @@ def _run_hk_convert(args):
 def _wadge_setup(args):
     data = _load_instance(args.instance)
     lam = _notation(data["lambda"])
-    universe = Universe(data["maxLen"], data["alphabet"])
-    for name in ("W0", "W1"):
-        _check_generators(data[name], name, universe.alphabet)
-    w0 = upset_from_json(data["W0"])
-    w1 = upset_from_json(data["W1"])
+    universe = Universe(_count(data["maxLen"], "maxLen"),
+                        _count(data["alphabet"], "alphabet"))
+    w0 = _upset_from_json(data["W0"], "W0", universe.alphabet)
+    w1 = _upset_from_json(data["W1"], "W1", universe.alphabet)
     sys_ = _fresh()
     return data, universe, sys_, wadge_tree(sys_, w0, w1, lam, universe)
 
 
 def _run_wadge_decompose(args):
     _, _, _, tree = _wadge_setup(args)
-    result = {"rank": tree.rank, "tree": tree_to_json(tree)}
+    result = {"rank": tree.rank, "tree": _tree_to_json(tree)}
     config = {"instance": args.instance}
     text = [f"rank={tree.rank}", "tree: " + json.dumps(result["tree"], sort_keys=True)]
     return config, [result], [], text
@@ -312,13 +437,14 @@ def _run_wadge_decompose(args):
 
 def _run_wadge_eval(args):
     data, universe, sys_, tree = _wadge_setup(args)
-    queries = (
-        [_naturals(q, "queries") for q in data.get("queries", [])]
-        or universe.maximal()
-    )
+    queries = [_naturals(q, "queries", universe.alphabet) for q in data.get("queries", [])]
+    for x in queries:
+        if len(x) > universe.max_len:
+            raise InputError(f"queries must have at most maxLen {universe.max_len} "
+                             f"entries, got {seq_str(x)}")
     results = []
     text = []
-    for x in queries:
+    for x in queries or universe.maximal():
         value = int(decomposition_eval(sys_, tree, x))
         results.append({"x": seq_str(x), "value": value})
         text.append(f"{seq_str(x)}\t{value}")
@@ -327,14 +453,10 @@ def _run_wadge_eval(args):
 
 
 def _game_setup(args):
+    if getattr(args, "depth", None) is not None:  # lsr referee has no --depth
+        _count(args.depth, "--depth")
     data = _load_instance(args.instance)
-    game = game_from_json(data)
-    _check_generators(data["W"], "W", game.alphabet)
-    for name in ("T0", "T1"):
-        for pair in data[name].get("pairs", []):
-            for seq in pair:
-                _naturals(seq, f"{name}.pairs", game.alphabet)
-    return data, game, _fresh()
+    return data, _game_from_json(data), _fresh()
 
 
 def _total_table(table: StrategyTable) -> StrategyTable:
@@ -350,7 +472,7 @@ def _run_lsr_solve(args):
     result = {
         "status": outcome.status,
         "byTurn": outcome.by_turn,
-        "strategy": strategy_to_json(outcome.strategy),
+        "strategy": _strategy_to_json(outcome.strategy),
     }
     config = {"instance": args.instance, "depth": args.depth}
     text = [f"status={outcome.status} byTurn={outcome.by_turn}",
@@ -361,13 +483,13 @@ def _run_lsr_solve(args):
 def _run_lsr_referee(args):
     data, game, sys_ = _game_setup(args)
     try:
+        raw = _object(data["play"], "play")
         play = PartialPlay(
-            _naturals(data["play"]["xs"], "play.xs", game.alphabet),
-            tuple((y, z) for y, z in data["play"]["yzs"]),
+            _naturals(raw["xs"], "play.xs", game.alphabet),
+            tuple(_naturals((y, z), "play.yzs", game.alphabet) for y, z in raw["yzs"]),
         )
     except KeyError as exc:
         raise InputError(f"instance lacks a play field: {exc}") from exc
-    _naturals([e for pair in play.yzs for e in pair], "play.yzs", game.alphabet)
     verdict = referee(sys_, game, play)
     result = {
         "F": list(verdict.f_indices),
@@ -399,9 +521,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     fields = read_fields(data, game)
     config = {"instance": args.instance, "depth": args.depth}
     if "strategy" in data:
-        table = strategy_from_json(data["strategy"])
-        if table.side == "I":
-            _naturals(table.moves.values(), "strategy.moves", game.alphabet)
+        table = _strategy_from_json(data["strategy"], game.alphabet)
     else:
         outcome = solve(sys_, game, depth=solve_depth)
         if outcome.status != "IWins":
@@ -426,11 +546,11 @@ def _run_lsr_adversarial(args):
     def read_fields(data, game):
         v = _naturals(data["v"], "v", game.alphabet) if "v" in data else None
         depth = args.depth if args.depth is not None else game.depth
-        return v, depth, data.get("searchBound", 3)
+        return v, depth, _count(data.get("searchBound", 3), "searchBound")
 
     def analyse(checker, y, v, depth, bound):
         transcript = adversarial_play(checker, y, v, depth, bound)
-        result = transcript_to_json(transcript)
+        result = _transcript_to_json(transcript)
         return result, [f"outcome={transcript.outcome} steps={len(transcript.steps)}",
                         "transcript: " + json.dumps(result, sort_keys=True)]
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Union
 
-from .hierarchy import UpsetRep, eval_at, upset_from_json
+from .hierarchy import UpsetRep, eval_at
 from .jump import ContractViolationError
 from .ordinals import (
     OrdinalNotation,
     ZERO,
     classify,
     fund_seq,
-    parse_ordinal,
     render,
 )
 from .stages import Memo, TrueStageSystem
@@ -709,64 +708,3 @@ def _record(
         witness_set_matches=witness_set_matches,
         witness_consistent=witness_consistent,
     )
-
-
-def pair_tree_from_json(data: dict) -> PairTree:
-    if data.get("full"):
-        return PairTree(full=True)
-    return PairTree.from_pairs(
-        (tuple(y), tuple(z)) for y, z in data.get("pairs", [])
-    )
-
-
-def game_from_json(data: dict) -> GameInstance:
-    return GameInstance(
-        xi=parse_ordinal(data["xi"]),
-        w=upset_from_json(data["W"]),
-        t0=pair_tree_from_json(data["T0"]),
-        t1=pair_tree_from_json(data["T1"]),
-        alphabet=data["bounds"]["alphabet"],
-        depth=data["bounds"]["depth"],
-    )
-
-
-def strategy_to_json(table: StrategyTable) -> dict:
-    if table.side == "I":
-        moves = [
-            [[list(p) for p in key], x] for key, x in sorted(table.moves.items())
-        ]
-    else:
-        moves = [
-            [list(key), list(yz)] for key, yz in sorted(table.moves.items())
-        ]
-    return {"side": table.side, "depth": table.depth, "moves": moves}
-
-
-def strategy_from_json(data: dict) -> StrategyTable:
-    side = data["side"]
-    moves: dict = {}
-    for key, move in data["moves"]:
-        if side == "I":
-            moves[tuple(tuple(p) for p in key)] = move
-        else:
-            moves[tuple(key)] = tuple(move)
-    return StrategyTable(side, data["depth"], moves)
-
-
-def transcript_to_json(t: PlayTranscript) -> dict:
-    return {
-        "mode": t.mode,
-        "outcome": t.outcome,
-        "failedExtension": None if t.failed_extension is None else list(t.failed_extension),
-        "steps": [
-            {
-                "index": s.index,
-                "sigma": list(s.sigma),
-                "stronglyCorrect": s.strongly_correct,
-                "appendedMatches": s.appended_matches,
-                "witnessSetMatches": s.witness_set_matches,
-                "witnessConsistent": s.witness_consistent,
-            }
-            for s in t.steps
-        ],
-    }

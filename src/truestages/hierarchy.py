@@ -20,12 +20,11 @@ from .ordinals import (
     from_int,
     kb_rank,
     parity,
-    parse_ordinal,
     render,
     successor,
 )
 from .stages import TrueStageSystem
-from .universe import Seq, Universe, parse_seq, seq_str
+from .universe import Seq, Universe, seq_str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -362,41 +361,3 @@ def approx_to_witness(
         for sigma in universe.all_seqs()
     }
     return eta, WitnessFn(eta, table)
-
-
-# ---------------------------------------------------------------------------
-# JSON forms.
-
-def upset_to_json(upset: UpsetRep) -> dict:
-    return {
-        "level": render(upset.level),
-        "generators": sorted(list(g) for g in upset.generators),
-    }
-
-
-def upset_from_json(data: dict) -> UpsetRep:
-    return UpsetRep(
-        parse_ordinal(data["level"]),
-        frozenset(tuple(g) for g in data["generators"]),
-    )
-
-
-def approx_to_json(fn: ApproxFn) -> dict:
-    return {
-        "level": render(fn.level),
-        "table": {seq_str(s): v for s, v in sorted(fn.table.items())},
-    }
-
-
-def approx_from_json(data: dict) -> ApproxFn:
-    return ApproxFn(
-        parse_ordinal(data["level"]),
-        {parse_seq(k): int(v) for k, v in data["table"].items()},
-    )
-
-
-def witness_to_json(witness: WitnessFn) -> dict:
-    return {
-        "eta": render(witness.eta),
-        "table": {seq_str(s): render(v) for s, v in sorted(witness.table.items())},
-    }

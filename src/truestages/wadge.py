@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .hierarchy import UpsetRep, eval_at, upset_to_json
+from .hierarchy import UpsetRep, eval_at
 from .ordinals import OrdinalNotation, classify, fund_seq, render
 from .stages import TrueStageSystem
 from .universe import Seq, Universe, seq_str
@@ -116,19 +116,3 @@ def decomposition_eval(
             )
         tree = tree.children[matches[0]]
     return bool(tree.value)
-
-
-def tree_to_json(tree: DecompositionTree) -> dict:
-    data: dict = {
-        "node": list(tree.node),
-        "kind": tree.kind,
-        "rank": tree.rank,
-    }
-    if tree.kind == "leaf":
-        data["value"] = tree.value
-        data["witnessLevel"] = render(tree.witness_level)
-    else:
-        data["separatorLevel"] = render(tree.separator_level)
-        data["separators"] = [upset_to_json(s) for s in tree.separators]
-        data["children"] = [tree_to_json(c) for c in tree.children]
-    return data

@@ -1,13 +1,18 @@
+import copy
 import functools
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instance_tools import Selfless
-from test_golden import INSTANCES
+from test_golden import COMMANDS, INSTANCES
 from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, DefaultOperator, JumpTrace
@@ -140,6 +145,11 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     no_play.write_text(json.dumps({k: v for k, v in QUICKWIN.items() if k != "play"}))
     approx = tmp_path / "hk-approx.json"
     approx.write_text(json.dumps(INSTANCES["hk-approx.json"]))
+    # An object field given as an array is bad input, not an internal bug.
+    tree_list = tmp_path / "tree-list.json"
+    tree_list.write_text(json.dumps({**INSTANCES["solve.json"], "T0": [1]}))
+    table_list = tmp_path / "table-list.json"
+    table_list.write_text(json.dumps({"approx": {"level": "w+1", "table": [1]}}))
     cases = [
         (["hk", "roundtrip", "--alpha", "w+"],
          "error: bad notation 'w+': expected a term (at position 2)\n"),
@@ -151,6 +161,10 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
          "error: index 2 is beyond the copy of 2\n"),
         (["hk", "convert", "--instance", hk_file, "--eta", "0"],
          "error: eta must be positive\n"),
+        (["lsr", "solve", "--instance", str(tree_list)],
+         "error: T0 must be an object, got [1]\n"),
+        (["hk", "convert", "--instance", str(table_list)],
+         "error: approx.table must be an object, got [1]\n"),
     ] + [
         # An approx instance's eta is the rank of its mind-change tree.
         (["hk", "convert", "--instance", str(approx), "--eta", eta],
@@ -175,8 +189,17 @@ def negative_move(data):
     return {**data, "strategy": {"side": "I", "depth": 3, "moves": [[[], -1]]}}
 
 
+def with_fields(**fields):
+    return lambda data: {**data, **fields}
+
+
+def approx_value(value):
+    return with_fields(approx={"level": "w+1", "table": {"[]": value}})
+
+
 @pytest.mark.parametrize("command, edit, message", [
-    (["wadge", "eval"], negative_query, "queries entries must be naturals, got -1"),
+    (["wadge", "eval"], negative_query,
+     "queries entries must be naturals below 3, got -1"),
     (["lsr", "referee"], play_x(-1),
      "play.xs entries must be naturals below 2, got -1"),
     (["lsr", "referee"], play_x(1.5),
@@ -189,12 +212,30 @@ def negative_move(data):
      "strategy.moves entries must be naturals below 2, got -1"),
     (["lsr", "adversarial"], negative_move,
      "strategy.moves entries must be naturals below 2, got -1"),
+    (["lsr", "solve"], with_fields(bounds={"alphabet": True, "depth": 3}),
+     "bounds.alphabet must be a natural, got True"),
+    (["lsr", "solve"], with_fields(bounds={"alphabet": 2, "depth": 2.5}),
+     "bounds.depth must be a natural, got 2.5"),
+    (["lsr", "adversarial"], with_fields(searchBound=-1),
+     "searchBound must be a natural, got -1"),
+    (["lsr", "solve", "--depth", "-2"], with_fields(),
+     "--depth must be a natural, got -2"),
+    (["lsr", "adversarial", "--depth", "-1"], with_fields(),
+     "--depth must be a natural, got -1"),
+    (["hk", "convert"], approx_value(1.9),
+     "approx.table entries must be naturals, got 1.9"),
+    (["hk", "convert"], approx_value("1"),
+     "approx.table entries must be naturals, got '1'"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
-        "referee-string", "separator-negative", "adversarial-negative"])
+        "referee-string", "separator-negative", "adversarial-negative",
+        "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
+        "solve-depth-flag", "adversarial-depth-flag", "convert-table-float",
+        "convert-table-string"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is
-    # bad input, not a broken trace contract.
+    # bad input, not a broken trace contract; so is a count or an
+    # approximation value that is not a natural.
     if command[0] == "wadge":
         with open(wadge_file) as fh:
             data = json.load(fh)
@@ -240,14 +281,26 @@ HK_UPSETS = INSTANCES["hk-dsets.json"]["upsets"]
      "W.generators entries must be naturals below 2, got 5"),
     (["lsr", "solve"], "solve.json", {"T0": {"pairs": [[[0], [9]]]}},
      "T0.pairs entries must be naturals below 2, got 9"),
+    (["lsr", "adversarial"], "adversarial.json",
+     {"strategy": {"side": "I", "depth": 6, "moves": [[[[0, 9]], 1]]}},
+     "strategy.moves entries must be naturals below 2, got 9"),
+    (["wadge", "eval"], "wadge.json", {"queries": [[0, 5, 1, 1]]},
+     "queries entries must be naturals below 2, got 5"),
+    (["wadge", "eval"], "wadge.json", {"queries": [[1, 5, 0, 0]]},
+     "queries entries must be naturals below 2, got 5"),
+    (["wadge", "eval"], "wadge.json", {"queries": [[0, 1, 1, 1, 1, 1, 1]]},
+     "queries must have at most maxLen 4 entries, got [0,1,1,1,1,1,1]"),
 ], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v",
         "referee-xs", "adversarial-strategy", "convert-generator",
-        "decompose-generator", "solve-generator", "solve-tree-pair"])
+        "decompose-generator", "solve-generator", "solve-tree-pair",
+        "adversarial-strategy-key", "eval-query-answered",
+        "eval-query-no-separator", "eval-query-too-long"])
 def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
                                                instance, edit, message):
     # Every move is drawn from the alphabet: x entries and side I
-    # strategy moves as well as II's y, z and v entries, and the
-    # generators and tree pairs that the instance states in moves.
+    # strategy moves and keys as well as II's y, z and v entries, the
+    # generators and tree pairs that the instance states in moves, and
+    # wadge eval's queries, which are stages of at most maxLen moves.
     inst = tmp_path / instance
     inst.write_text(json.dumps({**INSTANCES[instance], **edit}))
     code, out, err = run_main(capsys, *command, "--instance", str(inst))
@@ -323,6 +376,83 @@ def test_roundtrip_failure_report(capsys, monkeypatch):
     lines = out.splitlines()
     assert "run=0 eta=7 checked=4 mismatches=4" in lines
     assert lines[-1] == "failures: 73"
+
+
+# Each golden command that reads an instance, and the instance it reads.
+INSTANCE_OF = {name: argv[argv.index("--instance") + 1]
+               for name, argv in COMMANDS.items() if "--instance" in argv}
+WRONG_TYPES = [None, True, 1.5, "x", [1], {"a": 1}]
+BAD_NOTATIONS = ["", "w+", "zz", "w^", "01", "w*0"]
+MISSING = "<missing>"
+
+
+def paths(node, prefix=()):
+    """The path to every value inside a JSON document, the root's too."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from paths(child, prefix + (key,))
+
+
+def value_at(data, path):
+    return functools.reduce(lambda node, key: node[key], path, data)
+
+
+@st.composite
+def mutations(draw):
+    """A golden command and one invalid change to its instance: a value
+    of the wrong JSON type, a negative or out-of-alphabet move, a missing
+    key, or malformed notation text.  No change is a larger valid bound,
+    so no run searches a larger game than its golden instance."""
+    name = draw(st.sampled_from(sorted(INSTANCE_OF)))
+    data = INSTANCES[INSTANCE_OF[name]]
+    path = draw(st.sampled_from(list(paths(data))))
+    value = value_at(data, path)
+    options = [st.sampled_from([w for w in WRONG_TYPES if type(w) is not type(value)])]
+    if type(value) is int:
+        options.append(st.just(-1))
+        if path and type(path[-1]) is int:
+            # An entry of a list is a move, never a count; every golden
+            # alphabet is 2.
+            options.append(st.integers(2, 9))
+    if type(value) is str:
+        options.append(st.sampled_from(BAD_NOTATIONS))
+    if path and type(path[-1]) is str:
+        options.append(st.just(MISSING))
+    return name, path, draw(st.one_of(options))
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@example(mutation=("lsr-solve", ("T0",), [1]))
+@example(mutation=("hk-convert-approx", ("approx", "table"), [1]))
+@given(mutations())
+def test_malformed_instances_fail_cleanly(mutation_dir, mutation):
+    # Bad input exits 2 with one error line; it never escapes main as a
+    # traceback.
+    name, path, value = mutation
+    data = copy.deepcopy(INSTANCES[INSTANCE_OF[name]])
+    if not path:
+        data = value
+    elif value == MISSING:
+        del value_at(data, path[:-1])[path[-1]]
+    else:
+        value_at(data, path[:-1])[path[-1]] = value
+    inst = mutation_dir / INSTANCE_OF[name]
+    inst.write_text(json.dumps(data))
+    argv = [str(inst) if a == INSTANCE_OF[name] else a for a in COMMANDS[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 # -- report content -------------------------------------------------------

@@ -12,7 +12,7 @@ from instance_tools import (
     seeded_game_instance,
     y_mismatch_game,
 )
-from truestages import game
+from truestages import cli, game
 from truestages.game import (
     PRE_ROOT,
     CorrectnessChecker,
@@ -27,12 +27,8 @@ from truestages.game import (
     adversarial_play,
     apply_strategy,
     extract_reduction,
-    game_from_json,
-    pair_tree_from_json,
     referee,
     solve,
-    strategy_from_json,
-    strategy_to_json,
 )
 from truestages.hierarchy import UpsetRep, eval_at
 from truestages.jump import ContractViolationError, DefaultOperator
@@ -678,16 +674,19 @@ def test_reduction_needs_side_two(sys_, never_win):
 
 
 def test_pair_tree_from_json():
-    assert pair_tree_from_json({"full": True}) == FULL
-    assert pair_tree_from_json({"pairs": [[[], []]]}) == ROOT_ONLY
+    def read(data):
+        return cli._pair_tree_from_json(data, "T0", 2)
+
+    assert read({"full": True}) == FULL
+    assert read({"pairs": [[[], []]]}) == ROOT_ONLY
     # Listed pairs are closed under simultaneous truncation.
-    tree = pair_tree_from_json({"pairs": [[[0, 1], [1, 1]]]})
+    tree = read({"pairs": [[[0, 1], [1, 1]]]})
     assert tree.pairs == {((), ()), ((0,), (1,)), ((0, 1), (1, 1))}
     tree = pointwise_tree(2, 3, lambda a, b: a == b)
     data = {"pairs": [[list(y), list(z)] for y, z in tree.pairs]}
-    assert pair_tree_from_json(data) == tree
+    assert read(data) == tree
     with pytest.raises(ValueError, match="pair lengths differ"):
-        pair_tree_from_json({"pairs": [[[0], []]]})
+        read({"pairs": [[[0], []]]})
 
 
 def test_game_from_json(quick_win):
@@ -698,16 +697,16 @@ def test_game_from_json(quick_win):
         "T1": {"pairs": [[[], []]]},
         "bounds": {"alphabet": 2, "depth": 3},
     }
-    assert game_from_json(data) == quick_win
+    assert cli._game_from_json(data) == quick_win
     with pytest.raises(ValueError, match="W lives at level 1, expected 0"):
-        game_from_json({**data, "W": {"level": "1", "generators": []}})
+        cli._game_from_json({**data, "W": {"level": "1", "generators": []}})
 
 
 def test_strategy_json_round_trip(sys_, quick_win, never_win):
-    r1 = solve(sys_, quick_win)
-    assert strategy_from_json(strategy_to_json(r1.strategy)) == r1.strategy
-    r2 = solve(sys_, never_win, depth=2)
-    assert strategy_from_json(strategy_to_json(r2.strategy)) == r2.strategy
+    for g, depth in [(quick_win, None), (never_win, 2)]:
+        table = solve(sys_, g, depth=depth).strategy
+        data = cli._strategy_to_json(table)
+        assert cli._strategy_from_json(data, g.alphabet) == table
 
 
 def test_finite_depth_evidence_artifact(sys_):

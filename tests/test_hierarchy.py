@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truestages import cli
 from truestages.hierarchy import (
     ApproxFn,
     UpsetRep,
     WitnessFn,
-    approx_from_json,
     approx_limit,
-    approx_to_json,
     approx_to_level_sets,
     approx_to_witness,
     difference_value,
@@ -22,11 +21,8 @@ from truestages.hierarchy import (
     measurable_to_approx,
     mind_change_tree,
     upset_close,
-    upset_from_json,
-    upset_to_json,
     verify_witness_laws,
     witness_to_dsets,
-    witness_to_json,
 )
 from test_ordinals import ref_compare
 from test_stages import ref_chain, ref_leq
@@ -391,11 +387,11 @@ _SHARED = TrueStageSystem(DefaultOperator())
 
 def test_json_round_trips(sys_):
     u = upset_close(sys_, [(1,)], LVL1, UNI)
-    assert upset_from_json(upset_to_json(u)) == u
+    assert cli._upset_from_json(cli._upset_to_json(u), "upsets", UNI.alphabet) == u
     fn = ApproxFn(A0, {s: len(s) % 2 for s in UNI.all_seqs()})
-    back = approx_from_json(approx_to_json(fn))
+    back = cli._approx_from_json(cli._approx_to_json(fn))
     assert back.level == fn.level and back.table == fn.table
     eta, o = approx_to_witness(sys_, fn, UNI)
-    data = witness_to_json(o)
+    data = cli._witness_to_json(o)
     assert parse_ordinal(data["eta"]) == o.eta
     assert {parse_seq(k): parse_ordinal(v) for k, v in data["table"].items()} == o.table

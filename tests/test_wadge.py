@@ -1,14 +1,14 @@
 import pytest
 
 from instance_tools import seeded_wadge_instance
-from truestages.hierarchy import UpsetRep, eval_at, upset_from_json
+from truestages import cli
+from truestages.hierarchy import UpsetRep, eval_at
 from truestages.jump import DefaultOperator
 from truestages.ordinals import parse_ordinal, render
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe, seq_str
 from truestages.wadge import (
     decomposition_eval,
-    tree_to_json,
     wadge_tree,
 )
 
@@ -158,12 +158,13 @@ def test_tree_to_json_mirrors_the_tree(sys_):
             assert data["witnessLevel"] == render(node.witness_level)
             return
         assert data["separatorLevel"] == render(node.separator_level)
-        assert tuple(upset_from_json(s) for s in data["separators"]) == node.separators
+        assert tuple(cli._upset_from_json(s, "separators", uni.alphabet)
+                     for s in data["separators"]) == node.separators
         assert len(data["children"]) == len(node.children)
         for child, child_data in zip(node.children, data["children"]):
             check(child, child_data)
 
-    check(tree, tree_to_json(tree))
+    check(tree, cli._tree_to_json(tree))
 
 
 @pytest.mark.parametrize("seed", range(6))
