@@ -138,6 +138,16 @@ def _naturals(values, field: str, below: Optional[int] = None) -> tuple:
     return tuple(values)
 
 
+def _stage(values, field: str, universe: Universe) -> tuple:
+    """A stage of the universe: at most max_len moves, each below its
+    alphabet."""
+    x = _naturals(values, field, universe.alphabet)
+    if len(x) > universe.max_len:
+        raise InputError(f"{field} must have at most maxLen {universe.max_len} "
+                         f"entries, got {seq_str(x)}")
+    return x
+
+
 def _count(v, field: str) -> int:
     """A count or bound, from the instance or the command line."""
     if type(v) is not int or v < 0:
@@ -171,12 +181,13 @@ def _upset_to_json(upset: UpsetRep) -> dict:
     }
 
 
-def _approx_from_json(data: dict) -> ApproxFn:
+def _approx_from_json(data: dict, universe: Universe) -> ApproxFn:
     data = _object(data, "approx")
     table = _object(data["table"], "approx.table")
+    keys = [_stage(parse_seq(k), "approx.table key", universe) for k in table]
     return ApproxFn(
         _notation(data["level"]),
-        dict(zip(map(parse_seq, table), _naturals(table.values(), "approx.table"))),
+        dict(zip(keys, _naturals(table.values(), "approx.table"))),
     )
 
 
@@ -212,7 +223,10 @@ def _tree_to_json(tree: DecompositionTree) -> dict:
 
 def _pair_tree_from_json(data: dict, field: str, alphabet: int) -> PairTree:
     data = _object(data, field)
-    if data.get("full"):
+    full = data.get("full", False)
+    if type(full) is not bool:
+        raise InputError(f"{field}.full must be a boolean, got {full!r}")
+    if full:
         return PairTree(full=True)
     read = functools.partial(_naturals, field=f"{field}.pairs", below=alphabet)
     return PairTree.from_pairs((read(y), read(z)) for y, z in data.get("pairs", []))
@@ -397,7 +411,7 @@ def _run_hk_convert(args):
         if args.eta is not None:
             raise InputError("--eta applies only to an 'upsets' instance; "
                              "an 'approx' instance's eta is computed")
-        fn = _approx_from_json(data["approx"])
+        fn = _approx_from_json(data["approx"], universe)
         eta, witness = approx_to_witness(sys_, fn, universe)
         family = witness_to_dsets(sys_, fn, witness, eta, fn.level, universe)
         result = {
@@ -437,11 +451,7 @@ def _run_wadge_decompose(args):
 
 def _run_wadge_eval(args):
     data, universe, sys_, tree = _wadge_setup(args)
-    queries = [_naturals(q, "queries", universe.alphabet) for q in data.get("queries", [])]
-    for x in queries:
-        if len(x) > universe.max_len:
-            raise InputError(f"queries must have at most maxLen {universe.max_len} "
-                             f"entries, got {seq_str(x)}")
+    queries = [_stage(q, "queries", universe) for q in data.get("queries", [])]
     results = []
     text = []
     for x in queries or universe.maximal():

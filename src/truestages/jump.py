@@ -8,8 +8,10 @@ the other's codes are a prefix of its own; `stages.ts_verify` checks
 this in its TS7-consistency property.  The default operator
 enumerates pair(i, k) when the (k+1)-th occurrence of value i appears,
 which makes the running "last number enumerated" drop and recover as
-sequences extend.  It computes the pairing inline; `cantor_pair` is the
-reference definition it must agree with.
+sequences extend.  It computes the pairing inline and keeps each
+value's triangular number, so a value that recurs across oracles is
+squared once per operator; `cantor_pair` is the reference definition it
+must agree with.
 """
 
 from __future__ import annotations
@@ -57,11 +59,26 @@ class EnumerationOperator(Protocol):
 
 class DefaultOperator:
     """Enumerates pair(i, k) at the position of the (k+1)-th occurrence
-    of value i in the sequence."""
+    of value i in the sequence.
+
+    Each operator keeps the triangular number of every value it has
+    traced, so a value recurring across oracles is squared once per
+    operator.  Under a stage system, every oracle entry above level 0
+    lies in a memoised segment and every kept number is a code of a
+    memoised trace, so the cache holds no value the system's memo does
+    not.  The cache is an attribute, never module state: one command
+    builds one operator, and work is not carried from one to the next."""
+
+    def __init__(self):
+        self._triangular: dict[int, int] = {}
 
     def trace(self, sigma: Seq) -> JumpTrace:
         # cantor_pair(i, k) inlined: this loop runs once per event.  A
-        # first occurrence (k = 0) is the triangular number of i.
+        # first occurrence (k = 0) is the triangular number of i, read
+        # from the cache; a repeat pairs n = i + k by squaring, which
+        # CPython does faster than a product of two distinct ints.
+        triangular = self._triangular
+        cached = triangular.get
         seen: dict[int, int] = {}
         get = seen.get
         codes: list[int] = []
@@ -71,9 +88,12 @@ class DefaultOperator:
             seen[i] = k + 1
             if k:
                 n = i + k
-                append(n * (n + 1) // 2 + k)
+                append(((n * n + n) >> 1) + k)
             else:
-                append(i * (i + 1) // 2)
+                t = cached(i)
+                if t is None:
+                    t = triangular[i] = (i * i + i) >> 1
+                append(t)
         return JumpTrace(tuple(codes))
 
 

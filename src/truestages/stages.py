@@ -31,8 +31,11 @@ from .universe import Seq, Universe, seq_str
 
 class Memo:
     """The one memo block: values computed once per instance and stored
-    under their fill function and arguments.  Memo access is serialized,
-    so one instance may be shared across threads."""
+    under their fill function and arguments.  A hit is read without the
+    lock; a miss takes the lock, reads again and fills, so each value is
+    computed once.  One instance may be shared across threads: this
+    rests on `dict.get` and item assignment being atomic, as they are in
+    CPython."""
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -42,6 +45,9 @@ class Memo:
         """The value of fill(self, *args), computed once and stored
         under (fill, *args)."""
         key = (fill, *args)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         with self._lock:
             hit = self._memo.get(key)
             if hit is None:

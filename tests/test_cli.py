@@ -150,6 +150,9 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     tree_list.write_text(json.dumps({**INSTANCES["solve.json"], "T0": [1]}))
     table_list = tmp_path / "table-list.json"
     table_list.write_text(json.dumps({"approx": {"level": "w+1", "table": [1]}}))
+    # A tree is full only when its "full" is the JSON true.
+    full_string = tmp_path / "full-string.json"
+    full_string.write_text(json.dumps({**INSTANCES["solve.json"], "T0": {"full": "no"}}))
     cases = [
         (["hk", "roundtrip", "--alpha", "w+"],
          "error: bad notation 'w+': expected a term (at position 2)\n"),
@@ -165,6 +168,8 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
          "error: T0 must be an object, got [1]\n"),
         (["hk", "convert", "--instance", str(table_list)],
          "error: approx.table must be an object, got [1]\n"),
+        (["lsr", "solve", "--instance", str(full_string)],
+         "error: T0.full must be a boolean, got 'no'\n"),
     ] + [
         # An approx instance's eta is the rank of its mind-change tree.
         (["hk", "convert", "--instance", str(approx), "--eta", eta],
@@ -252,6 +257,11 @@ def plus_generator(upset, gen):
 
 
 HK_UPSETS = INSTANCES["hk-dsets.json"]["upsets"]
+HK_APPROX = INSTANCES["hk-approx.json"]["approx"]
+
+
+def plus_stage(key):
+    return {"approx": {**HK_APPROX, "table": {**HK_APPROX["table"], key: 0}}}
 
 
 @pytest.mark.parametrize("command, instance, edit, message", [
@@ -290,17 +300,25 @@ HK_UPSETS = INSTANCES["hk-dsets.json"]["upsets"]
      "queries entries must be naturals below 2, got 5"),
     (["wadge", "eval"], "wadge.json", {"queries": [[0, 1, 1, 1, 1, 1, 1]]},
      "queries must have at most maxLen 4 entries, got [0,1,1,1,1,1,1]"),
+    (["hk", "convert"], "hk-approx.json", plus_stage("[-1]"),
+     "approx.table key entries must be naturals below 2, got -1"),
+    (["hk", "convert"], "hk-approx.json", plus_stage("[7,7]"),
+     "approx.table key entries must be naturals below 2, got 7"),
+    (["hk", "convert"], "hk-approx.json", plus_stage("[0,0,0,0]"),
+     "approx.table key must have at most maxLen 3 entries, got [0,0,0,0]"),
 ], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v",
         "referee-xs", "adversarial-strategy", "convert-generator",
         "decompose-generator", "solve-generator", "solve-tree-pair",
         "adversarial-strategy-key", "eval-query-answered",
-        "eval-query-no-separator", "eval-query-too-long"])
+        "eval-query-no-separator", "eval-query-too-long", "convert-key-negative",
+        "convert-key-outside", "convert-key-too-long"])
 def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
                                                instance, edit, message):
     # Every move is drawn from the alphabet: x entries and side I
     # strategy moves and keys as well as II's y, z and v entries, the
     # generators and tree pairs that the instance states in moves, and
-    # wadge eval's queries, which are stages of at most maxLen moves.
+    # wadge eval's queries and hk convert's approx table keys, which are
+    # stages of at most maxLen moves.
     inst = tmp_path / instance
     inst.write_text(json.dumps({**INSTANCES[instance], **edit}))
     code, out, err = run_main(capsys, *command, "--instance", str(inst))

@@ -389,7 +389,7 @@ def test_json_round_trips(sys_):
     u = upset_close(sys_, [(1,)], LVL1, UNI)
     assert cli._upset_from_json(cli._upset_to_json(u), "upsets", UNI.alphabet) == u
     fn = ApproxFn(A0, {s: len(s) % 2 for s in UNI.all_seqs()})
-    back = cli._approx_from_json(cli._approx_to_json(fn))
+    back = cli._approx_from_json(cli._approx_to_json(fn), UNI)
     assert back.level == fn.level and back.table == fn.table
     eta, o = approx_to_witness(sys_, fn, UNI)
     data = cli._witness_to_json(o)

@@ -46,15 +46,28 @@ def straight_line_trace(sigma):
     return tuple(events)
 
 
+def _seqs_over(pool):
+    return st.lists(st.sampled_from(pool), max_size=16)
+
+
 # Draws from a small pool, so values repeat, and big values occur.
-_pooled_seqs = st.lists(
-    st.integers(0, 6) | st.integers(0, 2**4000), min_size=1, max_size=5
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=16))
+_pools = st.lists(st.integers(0, 6) | st.integers(0, 2**4000), min_size=1, max_size=5)
+_pooled_seqs = _pools.flatmap(_seqs_over)
 
 
 @given(_pooled_seqs)
 def test_default_operator_pairs_like_cantor_pair(seq):
     assert DefaultOperator().trace(tuple(seq)).events == straight_line_trace(seq)
+
+
+@given(_pools.flatmap(
+    lambda pool: st.lists(_seqs_over(pool + [2**4000 - 1, 2**4000]), max_size=6)))
+def test_one_operator_pairs_like_cantor_pair_across_calls(seqs):
+    # The operator keeps each value's triangular number, so a value that
+    # recurs across traces, big ones included, must pair the same each time.
+    op = DefaultOperator()
+    for seq in seqs:
+        assert op.trace(tuple(seq)).events == straight_line_trace(seq)
 
 
 def test_p_values():

@@ -8,12 +8,14 @@ interpreter hand over between threads far more often than it would.
 
 import sys
 import threading
+import time
+from collections import Counter
 
 from truestages.game import PRE_ROOT, CorrectnessChecker, GameInstance, PairTree, StrategyTable
 from truestages.hierarchy import UpsetRep
 from truestages.jump import DefaultOperator
 from truestages.ordinals import parse_ordinal
-from truestages.stages import TrueStageSystem
+from truestages.stages import Memo, TrueStageSystem
 from truestages.universe import Universe
 
 THREADS = 4
@@ -53,6 +55,25 @@ def answers_from_threads(ask, questions):
     assert not any(t.is_alive() for t in threads), "a worker thread did not finish"
     assert not errors, errors
     return answers
+
+
+def test_racing_misses_fill_each_entry_once():
+    # Threads that miss the same key together queue on the lock; each must
+    # read the memo again under it, so no entry is filled twice.
+    memo = Memo()
+    fills = Counter()
+    counting = threading.Lock()
+
+    def fill(self, n):
+        with counting:
+            fills[n] += 1
+        time.sleep(1e-3)
+        return (n,)
+
+    questions = [(n,) for n in range(16)]
+    for got in answers_from_threads(lambda n: memo._memoized(fill, n), questions):
+        assert got == {(n,): (n,) for n in range(16)}
+    assert fills == Counter(range(16))
 
 
 def test_shared_system_answers_like_a_fresh_one():
