@@ -7,6 +7,10 @@ as text lines with the same content, and identical flags always
 produce identical bytes.  Exit status: 0 on success, 1 when a checked
 property failed (the report lists counterexamples), 2 on usage or
 input errors, 3 when the game solver exhausted its node budget.
+
+Each command is declared once, in build_parser, with its flags and its
+handler.  A handler returns the report's results, failures and text
+lines; the report's config echoes every flag but --format.
 """
 
 from __future__ import annotations
@@ -61,9 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *flags):
+    def common(p, run, *flags):
+        p.set_defaults(run=run)
         if "universe" in flags:
-            p.add_argument("--max-len", type=int, default=3, dest="max_len")
+            p.add_argument("--max-len", type=int, default=3, dest="maxLen",
+                           metavar="MAX_LEN")
             p.add_argument("--alphabet", type=int, default=2)
         if "levels" in flags:
             p.add_argument("--levels", default="0,1,2")
@@ -79,23 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", required=True)
         p.add_argument("--format", choices=["json", "text"], default="text")
 
-    common(sub.add_parser("verify"), "universe", "levels")
-    common(sub.add_parser("jump"), "universe")
-    common(sub.add_parser("truestages"), "universe", "levels")
+    common(sub.add_parser("verify"), _run_verify, "universe", "levels")
+    common(sub.add_parser("jump"), _run_jump, "universe")
+    common(sub.add_parser("truestages"), _run_truestages, "universe", "levels")
 
     hk = sub.add_parser("hk").add_subparsers(dest="action", required=True)
-    common(hk.add_parser("roundtrip"), "universe", "alpha", "seed")
-    common(hk.add_parser("convert"), "universe", "eta", "instance")
+    common(hk.add_parser("roundtrip"), _run_hk_roundtrip, "universe", "alpha", "seed")
+    common(hk.add_parser("convert"), _run_hk_convert, "universe", "eta", "instance")
 
     wadge = sub.add_parser("wadge").add_subparsers(dest="action", required=True)
-    common(wadge.add_parser("decompose"), "instance")
-    common(wadge.add_parser("eval"), "instance")
+    common(wadge.add_parser("decompose"), _run_wadge_decompose, "instance")
+    common(wadge.add_parser("eval"), _run_wadge_eval, "instance")
 
     lsr = sub.add_parser("lsr").add_subparsers(dest="action", required=True)
-    common(lsr.add_parser("solve"), "instance", "depth")
-    common(lsr.add_parser("referee"), "instance")
-    common(lsr.add_parser("separator"), "instance", "depth")
-    common(lsr.add_parser("adversarial"), "instance", "depth")
+    common(lsr.add_parser("solve"), _run_lsr_solve, "instance", "depth")
+    common(lsr.add_parser("referee"), _run_lsr_referee, "instance")
+    common(lsr.add_parser("separator"), _run_lsr_separator, "instance", "depth")
+    common(lsr.add_parser("adversarial"), _run_lsr_adversarial, "instance", "depth")
 
     return parser
 
@@ -155,6 +161,14 @@ def _count(v, field: str) -> int:
     return v
 
 
+def _pair(value, field: str) -> tuple:
+    """A two-element list: II's (y, z) answer, a tree's (y, z) pair of
+    sequences, or a strategy's (key, move) entry."""
+    if type(value) is not list or len(value) != 2:
+        raise InputError(f"{field} entries must be pairs, got {value!r}")
+    return tuple(value)
+
+
 def _object(data, field: str) -> dict:
     if type(data) is not dict:
         raise InputError(f"{field} must be an object, got {data!r}")
@@ -184,7 +198,13 @@ def _upset_to_json(upset: UpsetRep) -> dict:
 def _approx_from_json(data: dict, universe: Universe) -> ApproxFn:
     data = _object(data, "approx")
     table = _object(data["table"], "approx.table")
-    keys = [_stage(parse_seq(k), "approx.table key", universe) for k in table]
+    keys = []
+    for k in table:
+        try:
+            stage = parse_seq(k)
+        except ValueError as exc:
+            raise InputError(f"bad approx.table key {k!r}: {exc}") from exc
+        keys.append(_stage(stage, "approx.table key", universe))
     return ApproxFn(
         _notation(data["level"]),
         dict(zip(keys, _naturals(table.values(), "approx.table"))),
@@ -229,7 +249,8 @@ def _pair_tree_from_json(data: dict, field: str, alphabet: int) -> PairTree:
     if full:
         return PairTree(full=True)
     read = functools.partial(_naturals, field=f"{field}.pairs", below=alphabet)
-    return PairTree.from_pairs((read(y), read(z)) for y, z in data.get("pairs", []))
+    pairs = (_pair(p, f"{field}.pairs") for p in data.get("pairs", []))
+    return PairTree.from_pairs((read(y), read(z)) for y, z in pairs)
 
 
 def _game_from_json(data: dict) -> GameInstance:
@@ -247,14 +268,16 @@ def _game_from_json(data: dict) -> GameInstance:
 
 def _strategy_from_json(data: dict, alphabet: int) -> StrategyTable:
     data = _object(data, "strategy")
-    read = functools.partial(_naturals, field="strategy.moves", below=alphabet)
+    field = "strategy.moves"
+    read = functools.partial(_naturals, field=field, below=alphabet)
     side = data["side"]
     moves: dict = {}
-    for key, move in data["moves"]:
+    for entry in data["moves"]:
+        key, move = _pair(entry, field)
         if side == "I":
-            moves[tuple(map(read, key))] = read([move])[0]
+            moves[tuple(read(_pair(p, field)) for p in key)] = read([move])[0]
         else:
-            moves[read(key)] = read(move)
+            moves[read(key)] = read(_pair(move, field))
     return StrategyTable(side, _count(data["depth"], "strategy.depth"), moves)
 
 
@@ -297,7 +320,7 @@ def _fresh():
 
 
 def _run_verify(args):
-    universe = Universe(args.max_len, args.alphabet)
+    universe = Universe(args.maxLen, args.alphabet)
     levels = _levels(args.levels)
     report = ts_verify(_fresh(), universe, levels)
     results = [
@@ -310,15 +333,14 @@ def _run_verify(args):
         for r in report.results.values()
         for ce in r.counterexamples
     ]
-    config = {"maxLen": args.max_len, "alphabet": args.alphabet, "levels": args.levels}
     text = report.summary_lines() + [
         "counterexample: " + json.dumps(f, sort_keys=True) for f in failures
     ]
-    return config, results, failures, text
+    return results, failures, text
 
 
 def _run_jump(args):
-    universe = Universe(args.max_len, args.alphabet)
+    universe = Universe(args.maxLen, args.alphabet)
     op = DefaultOperator()
     results = []
     text = []
@@ -331,12 +353,11 @@ def _run_jump(args):
         })
         shown = ",".join(f"{e}@{t}" for e, t in trace.events) or "-"
         text.append(f"{seq_str(sigma)} p={trace.p} events={shown}")
-    config = {"maxLen": args.max_len, "alphabet": args.alphabet}
-    return config, results, [], text
+    return results, [], text
 
 
 def _run_truestages(args):
-    universe = Universe(args.max_len, args.alphabet)
+    universe = Universe(args.maxLen, args.alphabet)
     levels = _levels(args.levels)
     sys_ = _fresh()
     results = []
@@ -351,12 +372,11 @@ def _run_truestages(args):
                 "related": related,
             })
             text.append(f"{render(alpha)}\t{seq_str(sigma)}\t{seq_str(tau)}\t{related}")
-    config = {"maxLen": args.max_len, "alphabet": args.alphabet, "levels": args.levels}
-    return config, results, [], text
+    return results, [], text
 
 
 def _run_hk_roundtrip(args):
-    universe = Universe(args.max_len, args.alphabet)
+    universe = Universe(args.maxLen, args.alphabet)
     alpha = _notation(args.alpha)
     sys_ = _fresh()
     rng = random.Random(args.seed)
@@ -386,15 +406,11 @@ def _run_hk_roundtrip(args):
             "mismatches": mismatches,
         })
         text.append(f"run={run} eta={render(eta)} checked={checked} mismatches={mismatches}")
-    config = {
-        "maxLen": args.max_len, "alphabet": args.alphabet,
-        "alpha": args.alpha, "seed": args.seed,
-    }
-    return config, results, failures, text
+    return results, failures, text
 
 
 def _run_hk_convert(args):
-    universe = Universe(args.max_len, args.alphabet)
+    universe = Universe(args.maxLen, args.alphabet)
     data = _load_instance(args.instance)
     sys_ = _fresh()
     if "upsets" in data:
@@ -422,12 +438,8 @@ def _run_hk_convert(args):
         }
     else:
         raise InputError("instance must carry either 'upsets' or 'approx'")
-    config = {
-        "maxLen": args.max_len, "alphabet": args.alphabet,
-        "instance": args.instance, "eta": args.eta,
-    }
     text = ["conversion: " + json.dumps(result, sort_keys=True)]
-    return config, [result], [], text
+    return [result], [], text
 
 
 def _wadge_setup(args):
@@ -444,9 +456,8 @@ def _wadge_setup(args):
 def _run_wadge_decompose(args):
     _, _, _, tree = _wadge_setup(args)
     result = {"rank": tree.rank, "tree": _tree_to_json(tree)}
-    config = {"instance": args.instance}
     text = [f"rank={tree.rank}", "tree: " + json.dumps(result["tree"], sort_keys=True)]
-    return config, [result], [], text
+    return [result], [], text
 
 
 def _run_wadge_eval(args):
@@ -458,8 +469,7 @@ def _run_wadge_eval(args):
         value = int(decomposition_eval(sys_, tree, x))
         results.append({"x": seq_str(x), "value": value})
         text.append(f"{seq_str(x)}\t{value}")
-    config = {"instance": args.instance}
-    return config, results, [], text
+    return results, [], text
 
 
 def _game_setup(args):
@@ -467,13 +477,6 @@ def _game_setup(args):
         _count(args.depth, "--depth")
     data = _load_instance(args.instance)
     return data, _game_from_json(data), _fresh()
-
-
-def _total_table(table: StrategyTable) -> StrategyTable:
-    # A solver table stops at positions player I has already won; a
-    # constant extension keeps the induced plays total without touching
-    # any position that matters for correctness.
-    return StrategyTable(table.side, table.depth, dict(table.moves), fallback=lambda key: 0)
 
 
 def _run_lsr_solve(args):
@@ -484,10 +487,9 @@ def _run_lsr_solve(args):
         "byTurn": outcome.by_turn,
         "strategy": _strategy_to_json(outcome.strategy),
     }
-    config = {"instance": args.instance, "depth": args.depth}
     text = [f"status={outcome.status} byTurn={outcome.by_turn}",
             "strategy: " + json.dumps(result["strategy"], sort_keys=True)]
-    return config, [result], [], text
+    return [result], [], text
 
 
 def _run_lsr_referee(args):
@@ -496,7 +498,8 @@ def _run_lsr_referee(args):
         raw = _object(data["play"], "play")
         play = PartialPlay(
             _naturals(raw["xs"], "play.xs", game.alphabet),
-            tuple(_naturals((y, z), "play.yzs", game.alphabet) for y, z in raw["yzs"]),
+            tuple(_naturals(_pair(p, "play.yzs"), "play.yzs", game.alphabet)
+                  for p in raw["yzs"]),
         )
     except KeyError as exc:
         raise InputError(f"instance lacks a play field: {exc}") from exc
@@ -507,10 +510,9 @@ def _run_lsr_referee(args):
         "zbar": seq_str(verdict.zbar),
         "status": verdict.status,
     }
-    config = {"instance": args.instance}
     text = [f"status={verdict.status} F={result['F']} "
             f"ybar={result['ybar']} zbar={result['zbar']}"]
-    return config, [result], [], text
+    return [result], [], text
 
 
 def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: ()):
@@ -521,7 +523,8 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     any solving.  The strategy is the instance's pinned side I table or,
     failing that, the one solve finds at solve_depth; without a win for
     player I the report is the solver status.  Otherwise
-    analyse(checker, y, *fields) gives the result and its text lines.
+    analyse(checker, *fields), with the checker built for y, gives the
+    result and its text lines.
     """
     data, game, sys_ = _game_setup(args)
     try:
@@ -529,22 +532,20 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     except KeyError as exc:
         raise InputError("instance lacks a y field") from exc
     fields = read_fields(data, game)
-    config = {"instance": args.instance, "depth": args.depth}
     if "strategy" in data:
         table = _strategy_from_json(data["strategy"], game.alphabet)
     else:
         outcome = solve(sys_, game, depth=solve_depth)
         if outcome.status != "IWins":
-            return config, [{"solver": outcome.status}], [], [f"solver={outcome.status}"]
+            return [{"solver": outcome.status}], [], [f"solver={outcome.status}"]
         table = outcome.strategy
-    checker = CorrectnessChecker(sys_, game, _total_table(table))
-    result, text = analyse(checker, y, *fields)
-    return config, [result], [], text
+    result, text = analyse(CorrectnessChecker(sys_, game, table, y), *fields)
+    return [result], [], text
 
 
 def _run_lsr_separator(args):
-    def analyse(checker, y):
-        found = checker.separator_evidence(y)
+    def analyse(checker):
+        found = checker.separator_evidence()
         sigma = None if found.sigma is None else seq_str(found.sigma)
         result = {"status": found.status, "sigma": sigma}
         return result, [f"status={found.status} sigma={sigma}"]
@@ -558,8 +559,8 @@ def _run_lsr_adversarial(args):
         depth = args.depth if args.depth is not None else game.depth
         return v, depth, _count(data.get("searchBound", 3), "searchBound")
 
-    def analyse(checker, y, v, depth, bound):
-        transcript = adversarial_play(checker, y, v, depth, bound)
+    def analyse(checker, v, depth, bound):
+        transcript = adversarial_play(checker, v, depth, bound)
         result = _transcript_to_json(transcript)
         return result, [f"outcome={transcript.outcome} steps={len(transcript.steps)}",
                         "transcript: " + json.dumps(result, sort_keys=True)]
@@ -567,29 +568,14 @@ def _run_lsr_adversarial(args):
     return _check_strategy(args, None, analyse, read_fields)
 
 
-_HANDLERS = {
-    ("verify", None): _run_verify,
-    ("jump", None): _run_jump,
-    ("truestages", None): _run_truestages,
-    ("hk", "roundtrip"): _run_hk_roundtrip,
-    ("hk", "convert"): _run_hk_convert,
-    ("wadge", "decompose"): _run_wadge_decompose,
-    ("wadge", "eval"): _run_wadge_eval,
-    ("lsr", "solve"): _run_lsr_solve,
-    ("lsr", "referee"): _run_lsr_referee,
-    ("lsr", "separator"): _run_lsr_separator,
-    ("lsr", "adversarial"): _run_lsr_adversarial,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    action = getattr(args, "action", None)
-    handler = _HANDLERS[(args.command, action)]
-    name = args.command if action is None else f"{args.command} {action}"
+    args = build_parser().parse_args(argv)
+    # The report echoes every flag of the command but --format.
+    config = dict(vars(args))
+    name = " ".join(filter(None, (config.pop("command"), config.pop("action", None))))
+    del config["run"], config["format"]
     try:
-        config, results, failures, text = handler(args)
+        results, failures, text = args.run(args)
     except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

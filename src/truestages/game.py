@@ -200,17 +200,16 @@ class StrategyTable:
     """A deterministic strategy, keyed by the opponent's moves so far.
 
     For side I a key is the tuple of (y, z) pairs played by II and the
-    value is the next x.  For side II a key is the tuple of x values
-    played by I (the last one unanswered) and the value is a (y, z)
-    pair.  The player's own earlier moves are recovered by replay, so
-    they are not part of the key.  An optional fallback callable serves
-    plays outside the table.
+    value is the next x; apply_strategy answers 0 at any key the table
+    does not list.  For side II a key is the tuple of x values played
+    by I (the last one unanswered) and the value is a (y, z) pair.  The
+    player's own earlier moves are recovered by replay, so they are not
+    part of the key.
     """
 
     side: str  # "I" or "II"
     depth: int
     moves: dict
-    fallback: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.side not in ("I", "II"):
@@ -219,8 +218,6 @@ class StrategyTable:
     def move_at(self, key: tuple):
         if key in self.moves:
             return self.moves[key]
-        if self.fallback is not None:
-            return self.fallback(key)
         raise StrategyUndefinedError(
             f"side {self.side} strategy is undefined after opponent moves {key!r}"
         )
@@ -239,6 +236,9 @@ def apply_strategy(table: StrategyTable, y_prefix: Seq, sigma: Node) -> Seq:
 
     The pre-root token yields the empty sequence; otherwise the result
     has length |sigma| + 1 because I moves first and answers every pair.
+    I plays 0 at any history the table does not list: a solver table
+    stops at the positions I has already won, and no move there bears
+    on correctness.
     """
     if table.side != "I":
         raise ValueError("apply_strategy needs a side I strategy")
@@ -249,7 +249,7 @@ def apply_strategy(table: StrategyTable, y_prefix: Seq, sigma: Node) -> Seq:
     xs: list[int] = []
     yzs: tuple[Pair, ...] = ()
     for i in range(len(sigma) + 1):
-        xs.append(table.move_at(yzs))
+        xs.append(table.moves.get(yzs, 0))
         if i < len(sigma):
             yzs = yzs + ((y_prefix[i], sigma[i]),)
     return tuple(xs)
@@ -420,20 +420,22 @@ _LIMIT_WINDOW = 4
 
 class CorrectnessChecker(Memo):
     """Correctness predicates for II's candidate plays against a fixed
-    side I strategy.
+    side I strategy, along one fixed y.
 
     The strategy pulls the stage relations back onto candidate second
     coordinates: sigma precedes tau at level alpha when sigma is a
-    prefix of tau and the induced x-sequences are stage-related.  A
-    sequence is 0-correct when the referee lets the induced play run;
-    higher levels follow the stage recursion.  At limit levels the
-    unbounded quantifier over lower levels is checked on the first four
+    prefix of tau and the induced x-sequences, against the pair plays
+    (y, sigma) and (y, tau), are stage-related.  A sequence is
+    0-correct when the referee lets the induced play run; higher levels
+    follow the stage recursion.  At limit levels the unbounded
+    quantifier over lower levels is checked on the first four
     fundamental-sequence levels (_LIMIT_WINDOW) plus the one selected by
-    the height of the induced play.
+    the height of the induced play.  Every sigma asked about must be
+    covered by y.
     """
 
     def __init__(
-        self, sys: TrueStageSystem, game: GameInstance, table: StrategyTable
+        self, sys: TrueStageSystem, game: GameInstance, table: StrategyTable, y: Seq
     ) -> None:
         if table.side != "I":
             raise ValueError("correctness analysis needs a side I strategy")
@@ -441,110 +443,93 @@ class CorrectnessChecker(Memo):
         self.sys = sys
         self.game = game
         self.table = table
+        self.y = tuple(y)
 
-    def _memoized(self, fill: Callable, y_prefix: Seq, sigma: Node, *args):
-        """Memo._memoized on a normalised key: only the first |sigma|
-        entries of y matter, so y is cut to that length before keying
-        and filling."""
+    def _memoized(self, fill: Callable, sigma: Node, *args):
+        """Memo._memoized keyed by tuple(sigma), once y is known to
+        cover sigma."""
         if sigma is not PRE_ROOT:
             sigma = tuple(sigma)
-            _check_y_covers(y_prefix, sigma)
-            y_prefix = tuple(y_prefix[: len(sigma)])
-        else:
-            y_prefix = ()
-        return super()._memoized(fill, y_prefix, sigma, *args)
+            _check_y_covers(self.y, sigma)
+        return super()._memoized(fill, sigma, *args)
 
     # -- induced plays ------------------------------------------------
 
-    def play(self, y_prefix: Seq, sigma: Node) -> Seq:
+    def play(self, sigma: Node) -> Seq:
         if sigma is PRE_ROOT:
             return ()
-        return self._memoized(CorrectnessChecker._play, y_prefix, sigma)
+        return self._memoized(CorrectnessChecker._play, sigma)
 
-    def _play(self, y_prefix: Seq, sigma: Seq) -> Seq:
-        return apply_strategy(self.table, y_prefix, sigma)
+    def _play(self, sigma: Seq) -> Seq:
+        return apply_strategy(self.table, self.y, sigma)
 
-    def tri_leq(self, y_prefix: Seq, sigma: Node, tau: Node, alpha: OrdinalNotation) -> bool:
+    def tri_leq(self, sigma: Node, tau: Node, alpha: OrdinalNotation) -> bool:
         if not _prefix_of(sigma, tau):
             return False
-        return self.sys.leq(self.play(y_prefix, sigma), self.play(y_prefix, tau), alpha)
+        return self.sys.leq(self.play(sigma), self.play(tau), alpha)
 
-    def _related(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> list[Node]:
-        """The nodes tau with tri_leq(y, tau, sigma, alpha), shortest
-        first, read off one chain.  The strategy replays move by move, so
+    def _related(self, sigma: Node, alpha: OrdinalNotation) -> list[Node]:
+        """The nodes tau with tri_leq(tau, sigma, alpha), shortest first,
+        read off one chain.  The strategy replays move by move, so
         play(tau) is the prefix of play(sigma) of length |tau| + 1: the
         chain element of length 0 is the pre-root token and the one of
         length L is sigma[:L-1]."""
         return [
             sigma[: len(x) - 1] if x else PRE_ROOT
-            for x in self.sys.chain(self.play(y_prefix, sigma), alpha)
+            for x in self.sys.chain(self.play(sigma), alpha)
         ]
 
     # -- correctness --------------------------------------------------
 
-    def is_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
-        return self._memoized(CorrectnessChecker._is_correct, y_prefix, sigma, alpha)
+    def is_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
+        return self._memoized(CorrectnessChecker._is_correct, sigma, alpha)
 
-    def _is_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
+    def _is_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
         cls = classify(alpha)
         if cls.kind == "zero":
-            return self._zero_correct(y_prefix, sigma)
+            return self._zero_correct(sigma)
         if cls.kind == "successor":
             beta = cls.predecessor
-            if not self.is_strongly_correct(y_prefix, sigma, beta):
+            if not self.is_strongly_correct(sigma, beta):
                 return False
             # sigma ends its own beta chain and was just found strongly
             # correct, so only the proper nodes are asked; the alpha chain
             # is read only once a strongly beta-correct one needs it.
             kept: Optional[list[Node]] = None
-            for tau in self._related(y_prefix, sigma, beta)[:-1]:
+            for tau in self._related(sigma, beta)[:-1]:
                 # Never taken: tau's beta chain lies inside sigma's (transitivity).
-                if not self.is_strongly_correct(y_prefix, tau, beta):
+                if not self.is_strongly_correct(tau, beta):
                     continue
                 if kept is None:
-                    kept = self._related(y_prefix, sigma, alpha)
+                    kept = self._related(sigma, alpha)
                 if tau not in kept:
                     return False
             return True
-        k = self.sys.height(self.play(y_prefix, sigma), alpha)
+        k = self.sys.height(self.play(sigma), alpha)
         indices = sorted(set(range(_LIMIT_WINDOW)) | {k})
-        return all(
-            self.is_correct(y_prefix, sigma, fund_seq(alpha, j)) for j in indices
-        )
+        return all(self.is_correct(sigma, fund_seq(alpha, j)) for j in indices)
 
-    def is_strongly_correct(self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation) -> bool:
-        return self._memoized(
-            CorrectnessChecker._is_strongly_correct, y_prefix, sigma, alpha
-        )
+    def is_strongly_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
+        return self._memoized(CorrectnessChecker._is_strongly_correct, sigma, alpha)
 
-    def _is_strongly_correct(
-        self, y_prefix: Seq, sigma: Node, alpha: OrdinalNotation
-    ) -> bool:
-        return all(
-            self.is_correct(y_prefix, tau, alpha)
-            for tau in self._related(y_prefix, sigma, alpha)
-        )
+    def _is_strongly_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
+        return all(self.is_correct(tau, alpha) for tau in self._related(sigma, alpha))
 
-    def _zero_correct(self, y_prefix: Seq, sigma: Node) -> bool:
+    def _zero_correct(self, sigma: Node) -> bool:
         # Every round continues: the earlier ones by the memoised answer
         # for sigma's parent, the last one graded here.
         if sigma is PRE_ROOT or not sigma:
             return True
-        if not self.is_correct(y_prefix, sigma[:-1], ZERO):
+        if not self.is_correct(sigma[:-1], ZERO):
             return False
-        # y is cut to |sigma|, so (y, sigma) are the rounds played.
-        tree, f = _grade(self.sys, self.game, self.play(y_prefix, sigma[:-1]))
-        return tree.contains(*_read(f, tuple(zip(y_prefix, sigma))))
+        # y covers sigma, so zip pairs exactly the rounds played.
+        tree, f = _grade(self.sys, self.game, self.play(sigma[:-1]))
+        return tree.contains(*_read(f, tuple(zip(self.y, sigma))))
 
     # -- extension search ---------------------------------------------
 
     def extend_correct(
-        self,
-        y_prefix: Seq,
-        rho: Node,
-        sigma: Seq,
-        alpha: OrdinalNotation,
-        search_bound: int,
+        self, rho: Node, sigma: Seq, alpha: OrdinalNotation, search_bound: int
     ) -> ExtendResult:
         """The shortest strongly alpha-correct extension of sigma, the
         least in shortlex order among those by fewer than search_bound
@@ -560,29 +545,29 @@ class CorrectnessChecker(Memo):
             extends = len(sigma) == len(rho) + 1 and sigma[: len(rho)] == rho
         if not extends:
             raise ValueError("sigma must be a one-element extension of rho")
-        if not self.is_strongly_correct(y_prefix, rho, alpha):
+        if not self.is_strongly_correct(rho, alpha):
             raise ValueError(f"rho is not strongly {render(alpha)}-correct")
-        if not self.is_correct(y_prefix, sigma, ZERO):
+        if not self.is_correct(sigma, ZERO):
             raise ValueError("sigma is not 0-correct")
         if classify(alpha).kind == "zero":
             return ExtendResult("Found", sigma)
-        room = min(search_bound - 1, len(y_prefix) - len(sigma))
+        room = min(search_bound - 1, len(self.y) - len(sigma))
         for s in shortlex(room, self.game.alphabet):
-            if self.is_strongly_correct(y_prefix, sigma + s, alpha):
+            if self.is_strongly_correct(sigma + s, alpha):
                 return ExtendResult("Found", sigma + s)
         return ExtendResult("BoundExhausted")
 
     # -- evidence for the separating set ------------------------------
 
-    def separator_evidence(self, y_prefix: Seq) -> EvidenceResult:
+    def separator_evidence(self) -> EvidenceResult:
         """Shortest strongly xi-correct sigma whose induced play lands
         in W, scanning every length that y covers.  NoneWithin is a
         bounded negative, not a nonmembership claim."""
         xi = self.game.xi
-        for sigma in shortlex(len(y_prefix), self.game.alphabet):
-            if not eval_at(self.sys, self.game.w, self.play(y_prefix, sigma)):
+        for sigma in shortlex(len(self.y), self.game.alphabet):
+            if not eval_at(self.sys, self.game.w, self.play(sigma)):
                 continue
-            if self.is_strongly_correct(y_prefix, sigma, xi):
+            if self.is_strongly_correct(sigma, xi):
                 return EvidenceResult("Evidence", sigma)
         return EvidenceResult("NoneWithin")
 
@@ -616,12 +601,11 @@ class PlayTranscript:
 
 def adversarial_play(
     checker: CorrectnessChecker,
-    y_prefix: Seq,
     v_prefix: Optional[Seq],
     depth: int,
     search_bound: int,
 ) -> PlayTranscript:
-    """Try to defeat a side I strategy along y.
+    """Try to defeat a side I strategy along the checker's y.
 
     With v given (the T1 case) the start is the least separator
     evidence and each step appends the next v entry; without v (the T0
@@ -637,7 +621,7 @@ def adversarial_play(
     g = checker.game
     if v_prefix is not None:
         mode = "T1"
-        found = checker.separator_evidence(y_prefix)
+        found = checker.separator_evidence()
         if found.status != "Evidence":
             return PlayTranscript(mode, (), "NoEvidence")
         sigma = found.sigma
@@ -646,35 +630,32 @@ def adversarial_play(
         sigma = ()
 
     sigmas = [sigma]
-    steps = [_record(checker, y_prefix, v_prefix, sigmas, None)]
+    steps = [_record(checker, v_prefix, sigmas, None)]
     outcome = "ReachedDepth"
     failed: Optional[Seq] = None
     for i in range(depth):
-        if len(sigma) + 1 > len(y_prefix) or (
+        if len(sigma) + 1 > len(checker.y) or (
                 v_prefix is not None and i >= len(v_prefix)):
             outcome = "WitnessExhausted"
             break
         choices = range(g.alphabet) if v_prefix is None else (v_prefix[i],)
-        vi = next((u for u in choices
-                   if checker.is_correct(y_prefix, sigma + (u,), ZERO)), None)
+        vi = next((u for u in choices if checker.is_correct(sigma + (u,), ZERO)), None)
         if vi is None:
             outcome = "PlayerIWon"
             failed = sigma + (choices[-1],)
             break
-        ext = checker.extend_correct(y_prefix, sigma, sigma + (vi,), g.xi,
-                                     search_bound)
+        ext = checker.extend_correct(sigma, sigma + (vi,), g.xi, search_bound)
         if ext.status != "Found":
             outcome = "BoundExhausted"
             break
         sigma = ext.tau
         sigmas.append(sigma)
-        steps.append(_record(checker, y_prefix, v_prefix, sigmas, vi))
+        steps.append(_record(checker, v_prefix, sigmas, vi))
     return PlayTranscript(mode, tuple(steps), outcome, failed_extension=failed)
 
 
 def _record(
     checker: CorrectnessChecker,
-    y_prefix: Seq,
     v_prefix: Optional[Seq],
     sigmas: list[Seq],
     appended: Optional[int],
@@ -687,23 +668,23 @@ def _record(
     else:
         appended_matches = sigma[len(sigmas[-2])] == appended
     related = {
-        rho for rho in checker._related(y_prefix, sigma, xi)
+        rho for rho in checker._related(sigma, xi)
         if rho is not PRE_ROOT and (
             v_prefix is None
-            or eval_at(checker.sys, checker.game.w, checker.play(y_prefix, rho))
+            or eval_at(checker.sys, checker.game.w, checker.play(rho))
         )
     }
     witness_set_matches = related == set(sigmas)
     if v_prefix is not None and index > 0:
         witness_consistent = checker.game.t1.contains(
-            tuple(y_prefix[:index]), tuple(v_prefix[:index])
+            checker.y[:index], tuple(v_prefix[:index])
         )
     else:
         witness_consistent = None
     return PlayStep(
         index=index,
         sigma=sigma,
-        strongly_correct=checker.is_strongly_correct(y_prefix, sigma, xi),
+        strongly_correct=checker.is_strongly_correct(sigma, xi),
         appended_matches=appended_matches,
         witness_set_matches=witness_set_matches,
         witness_consistent=witness_consistent,

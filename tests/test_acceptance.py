@@ -286,40 +286,42 @@ def test_criterion_07_solver_matches_minimax():
 # -- criterion 8: correctness laws on sampled triples ---------------------
 
 
-def _law_violations(g, checker, levels, rng, count):
+def _law_violations(g, table, levels, rng, count):
     pool = [PRE_ROOT] + [
         s for n in range(4) for s in itertools.product(range(g.alphabet), repeat=n)
     ]
+    checkers: dict = {}  # one checker per y
     bad = []
     for _ in range(count):
         y = tuple(rng.randrange(g.alphabet) for _ in range(4))
         sigma = rng.choice(pool)
         alpha = rng.choice(levels)
-        strong = checker.is_strongly_correct(y, sigma, alpha)
-        plain = checker.is_correct(y, sigma, alpha)
+        checker = checkers.get(y)
+        if checker is None:
+            checker = checkers[y] = CorrectnessChecker(SYS, g, table, y)
+        strong = checker.is_strongly_correct(sigma, alpha)
+        plain = checker.is_correct(sigma, alpha)
         if strong and not plain:
             bad.append(("strong-implies-plain", y, sigma, alpha))
         if compare(alpha, ZERO) == 0 and strong != plain:
             bad.append(("level-zero-agree", y, sigma, alpha))
         if plain:
             for beta in levels:
-                if compare(beta, alpha) < 0 and not checker.is_strongly_correct(
-                    y, sigma, beta
-                ):
+                if compare(beta, alpha) < 0 and not checker.is_strongly_correct(sigma, beta):
                     bad.append(("lower-levels-strong", y, sigma, alpha, beta))
         if strong and sigma is not PRE_ROOT:
             for i in range(len(sigma) + 1):
                 rho = sigma[:i]
-                if checker.tri_leq(y, rho, sigma, alpha):
-                    if not checker.is_strongly_correct(y, rho, alpha):
+                if checker.tri_leq(rho, sigma, alpha):
+                    if not checker.is_strongly_correct(rho, alpha):
                         bad.append(("predecessors-strong", y, sigma, alpha, rho))
         if plain and sigma is not PRE_ROOT:
             for i in range(len(sigma)):
                 rho = sigma[:i]
-                if checker.is_correct(y, rho, alpha):
-                    if not checker.tri_leq(y, rho, sigma, alpha):
+                if checker.is_correct(rho, alpha):
+                    if not checker.tri_leq(rho, sigma, alpha):
                         bad.append(("correct-prefixes-related", y, sigma, alpha, rho))
-        if not checker.is_strongly_correct(y, PRE_ROOT, alpha):
+        if not checker.is_strongly_correct(PRE_ROOT, alpha):
             bad.append(("root-always-strong", y, alpha))
     return bad
 
@@ -333,20 +335,13 @@ def test_criterion_08_correctness_laws_sampled():
 
         base = seeded_game_instance(3)
         g = GameInstance(xi, UpsetRep(xi, base.w.generators), base.t0, base.t1, 2, 3)
-        fixed = StrategyTable("I", 8, {}, fallback=lambda key: 0)
-        violations += _law_violations(
-            g, CorrectnessChecker(SYS, g, fixed), levels, rng, 500
-        )
+        fixed = StrategyTable("I", 8, {})
+        violations += _law_violations(g, fixed, levels, rng, 500)
 
         g2 = y_mismatch_game(xi)
         outcome = solve(SYS, g2)
         assert outcome.status == "IWins"
-        winning = StrategyTable(
-            "I", 8, dict(outcome.strategy.moves), fallback=lambda key: 0
-        )
-        violations += _law_violations(
-            g2, CorrectnessChecker(SYS, g2, winning), levels, rng, 500
-        )
+        violations += _law_violations(g2, outcome.strategy, levels, rng, 500)
     assert violations == [], violations[:3]
     passed(8, "500 triples on each of six instances, zero violations")
 
@@ -354,11 +349,10 @@ def test_criterion_08_correctness_laws_sampled():
 # -- criterion 9: separation dichotomy ------------------------------------
 
 
-def _winning_checker(g):
+def _winning_table(g):
     outcome = solve(SYS, g)
     assert outcome.status == "IWins"
-    table = StrategyTable("I", 8, dict(outcome.strategy.moves), fallback=lambda k: 0)
-    return CorrectnessChecker(SYS, g, table)
+    return outcome.strategy
 
 
 def _t1_witnesses(g, depth):
@@ -392,16 +386,17 @@ def test_criterion_09_separation_dichotomy():
 
     assert len(winning) == 10
     for g in winning:
-        checker = _winning_checker(g)
+        table = _winning_table(g)
         depth = g.depth
         assert depth <= 4
         carriers = list(_t1_witnesses(g, depth))
+        checkers = {y: CorrectnessChecker(SYS, g, table, y) for y, _ in carriers}
         for y, _ in carriers:
-            assert checker.separator_evidence(y).status == "NoneWithin"
+            assert checkers[y].separator_evidence().status == "NoneWithin"
         rng = random.Random(9)
         sample = carriers if len(carriers) <= 4 else rng.sample(carriers, 4)
         for y, v in sample:
-            transcript = adversarial_play(checker, y, v, depth, search_bound=3)
+            transcript = adversarial_play(checkers[y], v, depth, search_bound=3)
             assert transcript.outcome != "ReachedDepth"
 
     for g in undetermined:

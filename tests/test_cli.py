@@ -177,6 +177,27 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
          "an 'approx' instance's eta is computed\n")
         for eta in ["5", "zz"]
     ]
+
+    # Every pair is a two-element list; a side I key entry of another
+    # shape would never match a history and so would silently mean 0.
+    def strategy(side, entry):
+        return {"strategy": {"side": side, "depth": 3, "moves": [entry]}}
+
+    pairs = [
+        ("separator", strategy("I", [[[0]], 1]), "strategy.moves", "[0]"),
+        ("separator", strategy("I", [[[0, 1, 1]], 1]), "strategy.moves", "[0, 1, 1]"),
+        ("referee", {"play": {"xs": [0], "yzs": [[0]]}}, "play.yzs", "[0]"),
+        ("referee", {"play": {"xs": [0], "yzs": [0]}}, "play.yzs", "0"),
+        ("solve", {"T0": {"pairs": [[[0]]]}}, "T0.pairs", "[[0]]"),
+        ("solve", {"T0": {"pairs": [5]}}, "T0.pairs", "5"),
+        ("separator", strategy("I", [[], 0, 1]), "strategy.moves", "[[], 0, 1]"),
+        ("adversarial", strategy("II", [[0], [0, 1, 1]]), "strategy.moves", "[0, 1, 1]"),
+    ]
+    for n, (action, fields, field, shown) in enumerate(pairs):
+        inst = tmp_path / f"pair-{n}.json"
+        inst.write_text(json.dumps({**QUICKWIN, **fields}))
+        cases.append((["lsr", action, "--instance", str(inst)],
+                      f"error: {field} entries must be pairs, got {shown}\n"))
     for argv, message in cases:
         code, out, err = run_main(capsys, *argv)
         assert (code, out, err) == (2, "", message)
@@ -306,12 +327,17 @@ def plus_stage(key):
      "approx.table key entries must be naturals below 2, got 7"),
     (["hk", "convert"], "hk-approx.json", plus_stage("[0,0,0,0]"),
      "approx.table key must have at most maxLen 3 entries, got [0,0,0,0]"),
+    (["hk", "convert"], "hk-approx.json", plus_stage("[x]"),
+     "bad approx.table key '[x]': invalid literal for int() with base 10: 'x'"),
+    (["hk", "convert"], "hk-approx.json", plus_stage("[1.5]"),
+     "bad approx.table key '[1.5]': invalid literal for int() with base 10: '1.5'"),
 ], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v",
         "referee-xs", "adversarial-strategy", "convert-generator",
         "decompose-generator", "solve-generator", "solve-tree-pair",
         "adversarial-strategy-key", "eval-query-answered",
         "eval-query-no-separator", "eval-query-too-long", "convert-key-negative",
-        "convert-key-outside", "convert-key-too-long"])
+        "convert-key-outside", "convert-key-too-long",
+        "convert-key-letter", "convert-key-float"])
 def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
                                                instance, edit, message):
     # Every move is drawn from the alphabet: x entries and side I

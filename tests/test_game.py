@@ -62,7 +62,7 @@ def never_win(sys_):
 
 
 def constant_zero():
-    return StrategyTable("I", 8, {}, fallback=lambda key: 0)
+    return StrategyTable("I", 8, {})
 
 
 # -- pair trees -----------------------------------------------------------
@@ -290,6 +290,10 @@ def test_apply_strategy_pre_root_is_empty():
 
 def test_apply_strategy_constant_zero():
     assert apply_strategy(constant_zero(), (9,), (4,)) == (0, 0)
+    # A listed history plays its move and an unlisted one plays 0.
+    partial = StrategyTable("I", 3, {(): 1, ((9, 4),): 1})
+    assert apply_strategy(partial, (9, 9), (4, 4)) == (1, 1, 0)
+    assert apply_strategy(partial, (9,), (5,)) == (1, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,10 +315,11 @@ def test_apply_strategy_rejects_side_two():
         apply_strategy(table, (), ())
 
 
-def test_undefined_play_raises():
-    table = StrategyTable("I", 3, {(): 0})
+def test_undefined_play_raises(never_win):
+    # A side II table answers only the x-plays it lists.
+    table = StrategyTable("II", 3, {(0,): (0, 0)})
     with pytest.raises(StrategyUndefinedError, match="undefined after opponent moves"):
-        apply_strategy(table, (1,), (1,))
+        extract_reduction(never_win, table, (0, 1))
 
 
 # -- correctness ----------------------------------------------------------
@@ -322,40 +327,38 @@ def test_undefined_play_raises():
 
 @pytest.mark.parametrize("y, sigma", [((0,), (0, 0)), ((), (1,))])
 def test_correctness_needs_enough_y(sys_, y, sigma):
-    chk = CorrectnessChecker(sys_, y_mismatch_game(ZERO), constant_zero())
+    chk = CorrectnessChecker(sys_, y_mismatch_game(ZERO), constant_zero(), y)
     msg = f"need {len(sigma)} values of y, got {len(y)}"
     with pytest.raises(ValueError, match=msg):
-        chk.is_correct(y, sigma, ZERO)
+        chk.is_correct(sigma, ZERO)
     with pytest.raises(ValueError, match=msg):
-        chk.is_strongly_correct(y, sigma, ZERO)
+        chk.is_strongly_correct(sigma, ZERO)
 
 
 def test_pre_root_is_strongly_correct_at_every_level(sys_, never_win):
-    chk = CorrectnessChecker(sys_, never_win, constant_zero())
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
     for name in ["0", "1", "2"]:
-        assert chk.is_strongly_correct((0, 0, 0), PRE_ROOT, LEVELS[name])
+        assert chk.is_strongly_correct(PRE_ROOT, LEVELS[name])
 
 
 def test_zero_correct_matches_referee_run(sys_):
     g = y_mismatch_game(ZERO)
-    r = solve(sys_, g)
-    padded = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
-    for table in (padded, r.strategy):
-        chk = CorrectnessChecker(sys_, g, table)
-        for y in itertools.product(range(2), repeat=3):
-            for n in range(3):
-                for sigma in itertools.product(range(2), repeat=n):
-                    xs: list[int] = []
-                    yzs = ()
-                    continues = True
-                    for i in range(len(sigma)):
-                        xs.append(table.move_at(yzs))
-                        yzs = yzs + ((y[i], sigma[i]),)
-                        v = referee(sys_, g, PartialPlay(tuple(xs), yzs))
-                        if v.status == "IWon":
-                            continues = False
-                            break
-                    assert chk.is_correct(y, sigma, ZERO) == continues
+    table = solve(sys_, g).strategy
+    for y in itertools.product(range(2), repeat=3):
+        chk = CorrectnessChecker(sys_, g, table, y)
+        for n in range(3):
+            for sigma in itertools.product(range(2), repeat=n):
+                xs: list[int] = []
+                yzs = ()
+                continues = True
+                for i in range(len(sigma)):
+                    xs.append(table.move_at(yzs))
+                    yzs = yzs + ((y[i], sigma[i]),)
+                    v = referee(sys_, g, PartialPlay(tuple(xs), yzs))
+                    if v.status == "IWon":
+                        continues = False
+                        break
+                assert chk.is_correct(sigma, ZERO) == continues
 
 
 def test_correctness_laws_on_sampled_triples(sys_):
@@ -364,7 +367,7 @@ def test_correctness_laws_on_sampled_triples(sys_):
         xi = LEVELS[name]
         base = seeded_game_instance(3)
         g = GameInstance(xi, UpsetRep(xi, base.w.generators), base.t0, base.t1, 2, 3)
-        chk = CorrectnessChecker(sys_, g, constant_zero())
+        checkers: dict = {}  # one checker per y
         levels = [LEVELS[t] for t in ["0", "1", "2"] if compare(LEVELS[t], xi) <= 0]
         pool = [PRE_ROOT] + [
             s for n in range(4) for s in itertools.product(range(2), repeat=n)
@@ -373,8 +376,11 @@ def test_correctness_laws_on_sampled_triples(sys_):
             y = tuple(rng.randrange(2) for _ in range(4))
             sigma = rng.choice(pool)
             alpha = rng.choice(levels)
-            strong = chk.is_strongly_correct(y, sigma, alpha)
-            plain = chk.is_correct(y, sigma, alpha)
+            chk = checkers.get(y)
+            if chk is None:
+                chk = checkers[y] = CorrectnessChecker(sys_, g, constant_zero(), y)
+            strong = chk.is_strongly_correct(sigma, alpha)
+            plain = chk.is_correct(sigma, alpha)
             if strong:
                 assert plain
             if compare(alpha, ZERO) == 0:
@@ -382,23 +388,23 @@ def test_correctness_laws_on_sampled_triples(sys_):
             if plain:
                 for beta in levels:
                     if compare(beta, alpha) < 0:
-                        assert chk.is_strongly_correct(y, sigma, beta)
+                        assert chk.is_strongly_correct(sigma, beta)
             if strong and sigma is not PRE_ROOT:
                 for i in range(len(sigma) + 1):
                     rho = sigma[:i]
-                    if chk.tri_leq(y, rho, sigma, alpha):
-                        assert chk.is_strongly_correct(y, rho, alpha)
+                    if chk.tri_leq(rho, sigma, alpha):
+                        assert chk.is_strongly_correct(rho, alpha)
             if plain and sigma is not PRE_ROOT:
                 for i in range(len(sigma)):
                     rho = sigma[:i]
-                    if chk.is_correct(y, rho, alpha):
-                        assert chk.tri_leq(y, rho, sigma, alpha)
-            assert chk.is_strongly_correct(y, PRE_ROOT, alpha)
+                    if chk.is_correct(rho, alpha):
+                        assert chk.tri_leq(rho, sigma, alpha)
+            assert chk.is_strongly_correct(PRE_ROOT, alpha)
 
 
 class ReferenceCorrectness:
-    """Correctness along one y from the definitions, independent of the
-    checker's memo and of the chains it reads.
+    """Correctness along the checker's y from the definitions,
+    independent of the checker's memo and of the chains it reads.
 
     One table per level gives every node's (correct, strongly correct)
     pair and is built straight from the tables below it: tri_leq asked
@@ -408,9 +414,9 @@ class ReferenceCorrectness:
     checker documents.  The nodes must be closed under prefixes.
     """
 
-    def __init__(self, chk: CorrectnessChecker, y: tuple, nodes: list):
+    def __init__(self, chk: CorrectnessChecker, nodes: list):
         self.chk = chk
-        self.y = y
+        self.y = chk.y
         self.nodes = nodes
         self.tables: dict = {}
 
@@ -418,7 +424,7 @@ class ReferenceCorrectness:
         prefixes = [] if sigma is PRE_ROOT else [sigma[:i] for i in range(len(sigma) + 1)]
         return [
             tau for tau in [PRE_ROOT] + prefixes
-            if self.chk.tri_leq(self.y, tau, sigma, alpha)
+            if self.chk.tri_leq(tau, sigma, alpha)
         ]
 
     def table(self, alpha) -> dict:
@@ -471,22 +477,26 @@ def test_checker_matches_straight_line_reference(xi, table_kind):
     if table_kind == "constant":
         table = constant_zero()
     elif table_kind == "copy":
-        table = StrategyTable("I", 8, {}, fallback=lambda k: k[-1][1] if k else 0)
+        histories = [
+            k for n in range(4)
+            for k in itertools.product(itertools.product(range(2), repeat=2), repeat=n)
+        ]
+        table = StrategyTable("I", 8, {k: k[-1][1] if k else 0 for k in histories})
     else:
         r = solve(sys2, g)
         assert r.status == "IWins"
-        table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
-    chk = CorrectnessChecker(sys2, g, table)
+        table = StrategyTable("I", 8, dict(r.strategy.moves))
     nodes = [PRE_ROOT] + Universe(3, 2).all_seqs()
     levels = [parse_ordinal(s) for s in ["0", "1", "2", "w", "w+1"]]
     seen = set()
     for y in itertools.product(range(2), repeat=3):
-        ref = ReferenceCorrectness(chk, y, nodes)
+        chk = CorrectnessChecker(sys2, g, table, y)
+        ref = ReferenceCorrectness(chk, nodes)
         for alpha in levels:
             want = ref.table(alpha)
             for sigma in nodes:
-                got = (chk.is_correct(y, sigma, alpha),
-                       chk.is_strongly_correct(y, sigma, alpha))
+                got = (chk.is_correct(sigma, alpha),
+                       chk.is_strongly_correct(sigma, alpha))
                 assert got == want[sigma], (y, sigma, render(alpha))
                 seen.add(got)
     assert {(False, False), (True, True)} <= seen
@@ -496,16 +506,15 @@ def test_limit_level_correctness_runs(sys_):
     base = seeded_game_instance(7)
     w = LEVELS["w"]
     g = GameInstance(w, UpsetRep(w, base.w.generators), base.t0, base.t1, 2, 3)
-    chk = CorrectnessChecker(sys_, g, constant_zero())
-    y = (0, 1, 0, 1)
-    assert chk.is_strongly_correct(y, PRE_ROOT, w)
-    assert chk.is_correct(y, (), w)
-    r = chk.extend_correct(y, PRE_ROOT, (), w, search_bound=3)
+    chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 1, 0, 1))
+    assert chk.is_strongly_correct(PRE_ROOT, w)
+    assert chk.is_correct((), w)
+    r = chk.extend_correct(PRE_ROOT, (), w, search_bound=3)
     assert r.status == "Found"
-    assert chk.is_strongly_correct(y, r.tau, w)
+    assert chk.is_strongly_correct(r.tau, w)
     assert r.tau == next(
         tau for n in range(3) for tau in itertools.product(range(2), repeat=n)
-        if chk.is_strongly_correct(y, tau, w)
+        if chk.is_strongly_correct(tau, w)
     )
 
 
@@ -513,90 +522,88 @@ def test_limit_level_correctness_runs(sys_):
 
 
 def test_extend_at_level_zero_returns_sigma(sys_, never_win):
-    chk = CorrectnessChecker(sys_, never_win, constant_zero())
-    assert chk.extend_correct((0, 0, 0), PRE_ROOT, (), ZERO, 3) == ExtendResult("Found", ())
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
+    assert chk.extend_correct(PRE_ROOT, (), ZERO, 3) == ExtendResult("Found", ())
 
 
 def test_extend_with_empty_search_space(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)
-    chk = CorrectnessChecker(sys_, g, constant_zero())
-    r = chk.extend_correct((0, 0, 0), PRE_ROOT, (), one, search_bound=0)
+    chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0))
+    r = chk.extend_correct(PRE_ROOT, (), one, search_bound=0)
     assert r == ExtendResult("BoundExhausted")
 
 
 def test_extend_found_is_independently_verified(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)
-    chk = CorrectnessChecker(sys_, g, constant_zero())
-    y = (0, 0, 0, 0)
-    r = chk.extend_correct(y, PRE_ROOT, (), one, search_bound=3)
+    chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0, 0))
+    r = chk.extend_correct(PRE_ROOT, (), one, search_bound=3)
     assert r.status == "Found"
-    assert chk.is_strongly_correct(y, r.tau, one)
+    assert chk.is_strongly_correct(r.tau, one)
     exhaustive = [
         tau for n in range(3) for tau in itertools.product(range(2), repeat=n)
-        if chk.is_strongly_correct(y, tau, one)
+        if chk.is_strongly_correct(tau, one)
     ]
     assert r.tau == exhaustive[0]  # the first in shortlex order
 
 
 def test_extend_precondition_errors(sys_, quick_win):
-    chk = CorrectnessChecker(sys_, quick_win, constant_zero())
-    y = (0, 0, 0)
+    chk = CorrectnessChecker(sys_, quick_win, constant_zero(), (0, 0, 0))
     with pytest.raises(ValueError, match="one-element extension"):
-        chk.extend_correct(y, PRE_ROOT, (0, 0), ZERO, 3)
+        chk.extend_correct(PRE_ROOT, (0, 0), ZERO, 3)
     with pytest.raises(ValueError, match="rho is not strongly 0-correct"):
-        chk.extend_correct(y, (0,), (0, 0), ZERO, 3)
+        chk.extend_correct((0,), (0, 0), ZERO, 3)
     with pytest.raises(ValueError, match="sigma is not 0-correct"):
-        chk.extend_correct(y, (), (0,), LEVELS["1"], 3)
+        chk.extend_correct((), (0,), LEVELS["1"], 3)
 
 
 # -- evidence and adversarial play ----------------------------------------
 
 
 def test_evidence_on_full_w(sys_, quick_win):
-    chk = CorrectnessChecker(sys_, quick_win, constant_zero())
-    assert chk.separator_evidence((0, 0, 0)) == EvidenceResult("Evidence", ())
+    chk = CorrectnessChecker(sys_, quick_win, constant_zero(), (0, 0, 0))
+    assert chk.separator_evidence() == EvidenceResult("Evidence", ())
 
 
 def test_no_evidence_on_empty_w(sys_, never_win):
-    chk = CorrectnessChecker(sys_, never_win, constant_zero())
     for bound in (0, 1, 2, 3):
-        assert chk.separator_evidence((0, 0, 0)[:bound]).status == "NoneWithin"
+        chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0)[:bound])
+        assert chk.separator_evidence().status == "NoneWithin"
 
 
 def test_evidence_separates_on_winning_instance(sys_):
     g = y_mismatch_game(ZERO)
     r = solve(sys_, g)
-    table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
-    chk = CorrectnessChecker(sys_, g, table)
-    ev1 = chk.separator_evidence((1, 1, 1, 1))
+    table = StrategyTable("I", 8, dict(r.strategy.moves))
+    ev1 = CorrectnessChecker(sys_, g, table, (1, 1, 1, 1)).separator_evidence()
     assert ev1.status == "NoneWithin"
-    ev0 = chk.separator_evidence((0, 0, 0, 0))
+    chk = CorrectnessChecker(sys_, g, table, (0, 0, 0, 0))
+    ev0 = chk.separator_evidence()
     assert ev0.status == "Evidence"
-    assert chk.is_strongly_correct((0, 0, 0, 0), ev0.sigma, g.xi)
+    assert chk.is_strongly_correct(ev0.sigma, g.xi)
 
 
 def test_adversarial_halts_on_winning_instance(sys_, quick_win):
     r = solve(sys_, quick_win)
-    table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
-    chk = CorrectnessChecker(sys_, quick_win, table)
-    t = adversarial_play(chk, (0, 0, 0), (0, 0, 0), depth=3, search_bound=3)
+    table = StrategyTable("I", 8, dict(r.strategy.moves))
+    chk = CorrectnessChecker(sys_, quick_win, table, (0, 0, 0))
+    t = adversarial_play(chk, (0, 0, 0), depth=3, search_bound=3)
     assert t.outcome == "PlayerIWon"
     assert len(t.steps) == 1
     assert t.steps[0].sigma == ()
     assert t.failed_extension == (0,)
     # In T0 mode no entry stays 0-correct, so the failed extension is the
     # last one tried: the largest entry of the alphabet.
-    t = adversarial_play(chk, (0, 0, 0), None, depth=3, search_bound=3)
+    t = adversarial_play(chk, None, depth=3, search_bound=3)
     assert (t.mode, t.outcome) == ("T0", "PlayerIWon")
     assert [s.sigma for s in t.steps] == [()]
     assert t.failed_extension == (1,)
 
 
 def test_adversarial_survives_on_undetermined_instance(sys_, never_win):
-    chk = CorrectnessChecker(sys_, never_win, constant_zero())
-    t = adversarial_play(chk, (0, 0, 0, 0), None, depth=3, search_bound=2)
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0, 0))
+    t = adversarial_play(chk, None, depth=3, search_bound=2)
     assert t.outcome == "ReachedDepth"
     assert [s.sigma for s in t.steps] == [(), (0,), (0, 0), (0, 0, 0)]
     for step in t.steps:
@@ -604,7 +611,7 @@ def test_adversarial_survives_on_undetermined_instance(sys_, never_win):
         assert step.witness_set_matches
     assert [s.appended_matches for s in t.steps] == [None, True, True, True]
     # y has four entries, so a fifth step has no y-entry to answer.
-    t = adversarial_play(chk, (0, 0, 0, 0), None, depth=5, search_bound=2)
+    t = adversarial_play(chk, None, depth=5, search_bound=2)
     assert t.outcome == "WitnessExhausted"
     assert [s.sigma for s in t.steps] == [(0,) * n for n in range(5)]
 
@@ -612,8 +619,8 @@ def test_adversarial_survives_on_undetermined_instance(sys_, never_win):
 def test_adversarial_t1_mode_tracks_witness(sys_, never_win):
     w = UpsetRep(ZERO, frozenset({()}))
     g = GameInstance(ZERO, w, ROOT_ONLY, FULL, alphabet=2, depth=3)
-    chk = CorrectnessChecker(sys_, g, constant_zero())
-    t = adversarial_play(chk, (1, 0, 1, 0), (1, 1, 0, 0), depth=3, search_bound=2)
+    chk = CorrectnessChecker(sys_, g, constant_zero(), (1, 0, 1, 0))
+    t = adversarial_play(chk, (1, 1, 0, 0), depth=3, search_bound=2)
     assert t.mode == "T1"
     assert t.outcome == "ReachedDepth"
     assert [s.sigma for s in t.steps] == [(), (1,), (1, 1), (1, 1, 0)]
@@ -622,14 +629,14 @@ def test_adversarial_t1_mode_tracks_witness(sys_, never_win):
         assert step.witness_set_matches
         assert step.witness_consistent in (None, True)
     # v has four entries, so a fifth step has no v-entry to append.
-    t = adversarial_play(chk, (1, 0, 1, 0), (1, 1, 0, 0), depth=5, search_bound=2)
+    t = adversarial_play(chk, (1, 1, 0, 0), depth=5, search_bound=2)
     assert t.outcome == "WitnessExhausted"
     assert [s.sigma for s in t.steps] == [(1, 1, 0, 0)[:n] for n in range(5)]
 
 
 def test_adversarial_without_evidence_reports_it(sys_, never_win):
-    chk = CorrectnessChecker(sys_, never_win, constant_zero())
-    t = adversarial_play(chk, (0, 0, 0), (0, 0, 0), depth=2, search_bound=2)
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
+    t = adversarial_play(chk, (0, 0, 0), depth=2, search_bound=2)
     assert t.outcome == "NoEvidence"
     assert t.steps == ()
     # The T0 play starts at the empty sequence, which is strongly
@@ -638,9 +645,9 @@ def test_adversarial_without_evidence_reports_it(sys_, never_win):
     # refuses it.
     w = UpsetRep(LEVELS["1"], frozenset())
     g = GameInstance(LEVELS["1"], w, FULL, ROOT_ONLY, alphabet=2, depth=3)
-    chk = CorrectnessChecker(Rootless(DefaultOperator()), g, constant_zero())
+    chk = CorrectnessChecker(Rootless(DefaultOperator()), g, constant_zero(), (0, 0, 0))
     with pytest.raises(ValueError, match="rho is not strongly 1-correct"):
-        adversarial_play(chk, (0, 0, 0), None, depth=2, search_bound=2)
+        adversarial_play(chk, None, depth=2, search_bound=2)
 
 
 # -- reduction extraction -------------------------------------------------
@@ -722,8 +729,7 @@ def test_finite_depth_evidence_artifact(sys_):
     r = solve(sys_, g)
     assert r.status == "IWins"
     assert r.by_turn == 2
-    table = StrategyTable("I", 8, dict(r.strategy.moves), fallback=lambda k: 0)
-    chk = CorrectnessChecker(sys_, g, table)
+    table = StrategyTable("I", 8, dict(r.strategy.moves))
     opening = table.move_at(())
     assert eval_at(sys_, g.w, (opening,))
     carrier = next(
@@ -733,11 +739,12 @@ def test_finite_depth_evidence_artifact(sys_):
         if all(g.t1.contains(y[:j], v[:j]) for j in range(1, 4))
     )
     y, v = carrier
-    assert chk.separator_evidence(y) == EvidenceResult("Evidence", ())
+    chk = CorrectnessChecker(sys_, g, table, y)
+    assert chk.separator_evidence() == EvidenceResult("Evidence", ())
     # every 0-correct sigma is still shorter than byTurn, and the
     # adversarial run never survives to the depth bound
     for n in range(4):
         for sigma in itertools.product(range(2), repeat=n):
-            if chk.is_correct(y, sigma, ZERO):
+            if chk.is_correct(sigma, ZERO):
                 assert len(sigma) < r.by_turn
-    assert adversarial_play(chk, y, v, 3, search_bound=3).outcome != "ReachedDepth"
+    assert adversarial_play(chk, v, 3, search_bound=3).outcome != "ReachedDepth"

@@ -104,22 +104,22 @@ def test_shared_checker_answers_like_a_fresh_one():
     y = (0, 1, 1, 0)
     levels = [parse_ordinal(s) for s in ("0", "1", "w", "w+1")]
     nodes = [PRE_ROOT] + Universe(4, 2).all_seqs()
-    questions = [(y, sigma, alpha) for alpha in levels for sigma in nodes]
+    questions = [(sigma, alpha) for alpha in levels for sigma in nodes]
 
     def checker():
-        table = StrategyTable("I", 8, {}, fallback=lambda key: 0)
-        return CorrectnessChecker(TrueStageSystem(DefaultOperator()), game, table)
+        table = StrategyTable("I", 8, {})
+        return CorrectnessChecker(TrueStageSystem(DefaultOperator()), game, table, y)
 
     shared = checker()
 
-    def ask(y, sigma, alpha):
-        return shared.is_correct(y, sigma, alpha), shared.is_strongly_correct(y, sigma, alpha)
+    def ask(sigma, alpha):
+        return shared.is_correct(sigma, alpha), shared.is_strongly_correct(sigma, alpha)
 
     fresh = checker()
     want = {
-        (y, sigma, alpha): (fresh.is_correct(y, sigma, alpha),
-                            fresh.is_strongly_correct(y, sigma, alpha))
-        for y, sigma, alpha in questions
+        (sigma, alpha): (fresh.is_correct(sigma, alpha),
+                         fresh.is_strongly_correct(sigma, alpha))
+        for sigma, alpha in questions
     }
     for got in answers_from_threads(ask, questions):
         assert got == want
