@@ -124,20 +124,21 @@ def _levels(text: str):
         raise InputError(f"bad level notation: {exc}") from exc
 
 
-def _notation(text: str):
+def _notation(text: str, field: str):
+    """An ordinal notation, from an instance field or a flag."""
     if type(text) is not str:
-        raise InputError(f"bad notation {text!r}: expected a string")
+        raise InputError(f"{field} must be a notation string, got {text!r}")
     try:
         return parse_ordinal(text)
     except ParseError as exc:
-        raise InputError(f"bad notation {text!r}: {exc}") from exc
+        raise InputError(f"bad {field} notation {text!r}: {exc}") from exc
 
 
 def _naturals(values, field: str, below: Optional[int] = None) -> tuple:
-    """The entries of an instance field as a tuple.  Each must be a
+    """The entries of an instance list as a tuple.  Each must be a
     natural, since the jump operator reads x, and less than `below` when
     it is given, since the game's moves are drawn from the alphabet."""
-    for v in values:
+    for v in _list(values, field):
         if type(v) is not int or v < 0 or (below is not None and v >= below):
             bound = "" if below is None else f" below {below}"
             raise InputError(f"{field} entries must be naturals{bound}, got {v!r}")
@@ -161,12 +162,12 @@ def _count(v, field: str) -> int:
     return v
 
 
-def _pair(value, field: str) -> tuple:
+def _pair(value, field: str) -> list:
     """A two-element list: II's (y, z) answer, a tree's (y, z) pair of
     sequences, or a strategy's (key, move) entry."""
     if type(value) is not list or len(value) != 2:
         raise InputError(f"{field} entries must be pairs, got {value!r}")
-    return tuple(value)
+    return value
 
 
 def _object(data, field: str) -> dict:
@@ -175,16 +176,32 @@ def _object(data, field: str) -> dict:
     return data
 
 
+def _list(data, field: str) -> list:
+    if type(data) is not list:
+        raise InputError(f"{field} must be a list, got {data!r}")
+    return data
+
+
+def _required(data: dict, field: str):
+    """The value of a required field, named by its dotted path; the
+    path's last part is the field's key in data."""
+    key = field.rpartition(".")[2]
+    if key not in data:
+        raise InputError(f"instance lacks the {field} field")
+    return data[key]
+
+
 # -- JSON forms: each reader beside its writer; a reader checks every
 # move against the alphabet as it reads it --------------------------------
 
 
 def _upset_from_json(data: dict, field: str, alphabet: int) -> UpsetRep:
     data = _object(data, field)
+    generators = f"{field}.generators"
     return UpsetRep(
-        _notation(data["level"]),
-        frozenset(_naturals(g, f"{field}.generators", alphabet)
-                  for g in data["generators"]),
+        _notation(_required(data, f"{field}.level"), f"{field}.level"),
+        frozenset(_naturals(g, generators, alphabet)
+                  for g in _list(_required(data, generators), generators)),
     )
 
 
@@ -197,18 +214,21 @@ def _upset_to_json(upset: UpsetRep) -> dict:
 
 def _approx_from_json(data: dict, universe: Universe) -> ApproxFn:
     data = _object(data, "approx")
-    table = _object(data["table"], "approx.table")
+    table = _object(_required(data, "approx.table"), "approx.table")
     keys = []
     for k in table:
         try:
             stage = parse_seq(k)
         except ValueError as exc:
             raise InputError(f"bad approx.table key {k!r}: {exc}") from exc
-        keys.append(_stage(stage, "approx.table key", universe))
-    return ApproxFn(
-        _notation(data["level"]),
-        dict(zip(keys, _naturals(table.values(), "approx.table"))),
-    )
+        keys.append(_stage(list(stage), "approx.table key", universe))
+    level = _notation(_required(data, "approx.level"), "approx.level")
+    table = dict(zip(keys, _naturals(list(table.values()), "approx.table")))
+    # The function is total: every stage of the universe is a key.
+    for stage in universe.all_seqs():
+        if stage not in table:
+            raise InputError(f"approx.table lacks the stage {seq_str(stage)}")
+    return ApproxFn(level, table)
 
 
 def _approx_to_json(fn: ApproxFn) -> dict:
@@ -248,21 +268,22 @@ def _pair_tree_from_json(data: dict, field: str, alphabet: int) -> PairTree:
         raise InputError(f"{field}.full must be a boolean, got {full!r}")
     if full:
         return PairTree(full=True)
-    read = functools.partial(_naturals, field=f"{field}.pairs", below=alphabet)
-    pairs = (_pair(p, f"{field}.pairs") for p in data.get("pairs", []))
+    field = f"{field}.pairs"
+    read = functools.partial(_naturals, field=field, below=alphabet)
+    pairs = (_pair(p, field) for p in _list(data.get("pairs", []), field))
     return PairTree.from_pairs((read(y), read(z)) for y, z in pairs)
 
 
 def _game_from_json(data: dict) -> GameInstance:
-    bounds = _object(data["bounds"], "bounds")
-    alphabet = _count(bounds["alphabet"], "bounds.alphabet")
+    bounds = _object(_required(data, "bounds"), "bounds")
+    alphabet = _count(_required(bounds, "bounds.alphabet"), "bounds.alphabet")
     return GameInstance(
-        xi=_notation(data["xi"]),
-        w=_upset_from_json(data["W"], "W", alphabet),
-        t0=_pair_tree_from_json(data["T0"], "T0", alphabet),
-        t1=_pair_tree_from_json(data["T1"], "T1", alphabet),
+        xi=_notation(_required(data, "xi"), "xi"),
+        w=_upset_from_json(_required(data, "W"), "W", alphabet),
+        t0=_pair_tree_from_json(_required(data, "T0"), "T0", alphabet),
+        t1=_pair_tree_from_json(_required(data, "T1"), "T1", alphabet),
         alphabet=alphabet,
-        depth=_count(bounds["depth"], "bounds.depth"),
+        depth=_count(_required(bounds, "bounds.depth"), "bounds.depth"),
     )
 
 
@@ -270,15 +291,19 @@ def _strategy_from_json(data: dict, alphabet: int) -> StrategyTable:
     data = _object(data, "strategy")
     field = "strategy.moves"
     read = functools.partial(_naturals, field=field, below=alphabet)
-    side = data["side"]
+    side = _required(data, "strategy.side")
+    if side not in ("I", "II"):
+        raise InputError(f"strategy.side must be 'I' or 'II', got {side!r}")
     moves: dict = {}
-    for entry in data["moves"]:
+    for entry in _list(_required(data, field), field):
         key, move = _pair(entry, field)
         if side == "I":
-            moves[tuple(read(_pair(p, field)) for p in key)] = read([move])[0]
+            history = tuple(read(_pair(p, field)) for p in _list(key, field))
+            moves[history] = read([move])[0]
         else:
             moves[read(key)] = read(_pair(move, field))
-    return StrategyTable(side, _count(data["depth"], "strategy.depth"), moves)
+    depth = _count(_required(data, "strategy.depth"), "strategy.depth")
+    return StrategyTable(side, depth, moves)
 
 
 def _strategy_to_json(table: StrategyTable) -> dict:
@@ -377,7 +402,7 @@ def _run_truestages(args):
 
 def _run_hk_roundtrip(args):
     universe = Universe(args.maxLen, args.alphabet)
-    alpha = _notation(args.alpha)
+    alpha = _notation(args.alpha, "--alpha")
     sys_ = _fresh()
     rng = random.Random(args.seed)
     results = []
@@ -414,9 +439,11 @@ def _run_hk_convert(args):
     data = _load_instance(args.instance)
     sys_ = _fresh()
     if "upsets" in data:
-        alpha = _notation(data["alpha"])
-        eta = _notation(args.eta if args.eta is not None else data["eta"])
-        upsets = [_upset_from_json(u, "upsets", args.alphabet) for u in data["upsets"]]
+        alpha = _notation(_required(data, "alpha"), "alpha")
+        eta = (_notation(args.eta, "--eta") if args.eta is not None
+               else _notation(_required(data, "eta"), "eta"))
+        upsets = [_upset_from_json(u, "upsets", args.alphabet)
+                  for u in _list(data["upsets"], "upsets")]
         fn, witness = dsets_to_witness(sys_, upsets, eta, alpha, universe)
         result = {
             "direction": "dsets-to-witness",
@@ -444,11 +471,11 @@ def _run_hk_convert(args):
 
 def _wadge_setup(args):
     data = _load_instance(args.instance)
-    lam = _notation(data["lambda"])
-    universe = Universe(_count(data["maxLen"], "maxLen"),
-                        _count(data["alphabet"], "alphabet"))
-    w0 = _upset_from_json(data["W0"], "W0", universe.alphabet)
-    w1 = _upset_from_json(data["W1"], "W1", universe.alphabet)
+    lam = _notation(_required(data, "lambda"), "lambda")
+    universe = Universe(_count(_required(data, "maxLen"), "maxLen"),
+                        _count(_required(data, "alphabet"), "alphabet"))
+    w0 = _upset_from_json(_required(data, "W0"), "W0", universe.alphabet)
+    w1 = _upset_from_json(_required(data, "W1"), "W1", universe.alphabet)
     sys_ = _fresh()
     return data, universe, sys_, wadge_tree(sys_, w0, w1, lam, universe)
 
@@ -462,7 +489,8 @@ def _run_wadge_decompose(args):
 
 def _run_wadge_eval(args):
     data, universe, sys_, tree = _wadge_setup(args)
-    queries = [_stage(q, "queries", universe) for q in data.get("queries", [])]
+    queries = [_stage(q, "queries", universe)
+               for q in _list(data.get("queries", []), "queries")]
     results = []
     text = []
     for x in queries or universe.maximal():
@@ -494,15 +522,11 @@ def _run_lsr_solve(args):
 
 def _run_lsr_referee(args):
     data, game, sys_ = _game_setup(args)
-    try:
-        raw = _object(data["play"], "play")
-        play = PartialPlay(
-            _naturals(raw["xs"], "play.xs", game.alphabet),
-            tuple(_naturals(_pair(p, "play.yzs"), "play.yzs", game.alphabet)
-                  for p in raw["yzs"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"instance lacks a play field: {exc}") from exc
+    raw = _object(_required(data, "play"), "play")
+    xs = _naturals(_required(raw, "play.xs"), "play.xs", game.alphabet)
+    yzs = _list(_required(raw, "play.yzs"), "play.yzs")
+    read = functools.partial(_naturals, field="play.yzs", below=game.alphabet)
+    play = PartialPlay(xs, tuple(read(_pair(p, "play.yzs")) for p in yzs))
     verdict = referee(sys_, game, play)
     result = {
         "F": list(verdict.f_indices),
@@ -527,10 +551,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     result and its text lines.
     """
     data, game, sys_ = _game_setup(args)
-    try:
-        y = _naturals(data["y"], "y", game.alphabet)
-    except KeyError as exc:
-        raise InputError("instance lacks a y field") from exc
+    y = _naturals(_required(data, "y"), "y", game.alphabet)
     fields = read_fields(data, game)
     if "strategy" in data:
         table = _strategy_from_json(data["strategy"], game.alphabet)

@@ -11,7 +11,12 @@ which makes the running "last number enumerated" drop and recover as
 sequences extend.  It computes the pairing inline and keeps each
 value's triangular number, so a value that recurs across oracles is
 squared once per operator; `cantor_pair` is the reference definition it
-must agree with.
+must agree with.  Its `last_code` gives a trace's p, the last code,
+without building the trace: an oracle's last entry i enters as
+pair(i, k), where k counts the earlier occurrences of i, and
+`tuple.count` finds k at C speed.  A stage system reads p through
+`last_code` when its operator has one, and through a checked trace
+otherwise.
 """
 
 from __future__ import annotations
@@ -95,6 +100,15 @@ class DefaultOperator:
                     t = triangular[i] = (i * i + i) >> 1
                 append(t)
         return JumpTrace(tuple(codes))
+
+    def last_code(self, sigma: Seq) -> int:
+        """trace(sigma).p, without the trace: the pair of sigma's last
+        value and its count of earlier occurrences; 0 when sigma is
+        empty."""
+        if not sigma:
+            return 0
+        i = sigma[-1]
+        return cantor_pair(i, sigma.count(i) - 1)
 
 
 def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:

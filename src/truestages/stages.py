@@ -10,6 +10,12 @@ below, and a relation answer is membership in a chain.  The oracle
 that climbs one level lists, for each chain element past the root, a
 segment: a bound on the lower-level jump, the count of codes known to
 lie below it, and those codes in increasing order.
+
+A successor chain reads only p, the last code of a stage's jump trace.
+When the operator has a `last_code` method, a p whose trace is not yet
+memoised is computed from the oracle without building the trace; the
+traces themselves are filled only for the readers of their codes, the
+segments and the verifier's TS7 extension check.
 """
 
 from __future__ import annotations
@@ -59,13 +65,24 @@ class TrueStageSystem(Memo):
     """Memoizing evaluator for the level-indexed relations of one
     enumeration operator.
 
-    One memo holds every chain, jump trace and oracle segment, each
-    computed once per system.  No leq answer is stored: leq reads
-    membership in a memoised chain."""
+    One memo holds every chain, jump trace, oracle segment and p, each
+    computed once per system.  A p entry is filled on the first read of
+    that p: from the memoised trace when there is one, otherwise from the
+    operator's `last_code` on the oracle, so no trace is built for it.
+    Such a p-only fill keeps its oracle until that trace is filled, as
+    it most often is once a segment needs it, so no oracle is built
+    twice.  An operator without `last_code` gives every p
+    through a memoised, checked trace.  No leq answer is stored: leq
+    reads membership in a memoised chain."""
 
     def __init__(self, operator: EnumerationOperator):
         super().__init__()
         self.operator = operator
+        self._last_code = getattr(operator, "last_code", None)
+        # The oracles of p-only fills, each kept until the trace of its
+        # (sigma, alpha) is filled; an oracle holds the memoised
+        # segments' own ints, so it costs a pointer per entry.
+        self._untraced: dict[tuple, Seq] = {}
 
     def leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
         sigma, tau = tuple(sigma), tuple(tau)
@@ -144,10 +161,22 @@ class TrueStageSystem(Memo):
         return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)
 
     def _trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
-        return enumerate_jump(self.operator, self.oracle(sigma, alpha))
+        oracle = self._untraced.pop((sigma, alpha), None)
+        if oracle is None:
+            oracle = self.oracle(sigma, alpha)
+        return enumerate_jump(self.operator, oracle)
 
     def p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
-        return self.trace_at(sigma, alpha).p
+        return self._memoized(TrueStageSystem._p, tuple(sigma), alpha)
+
+    def _p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
+        trace = self._memo.get((TrueStageSystem._trace_at, sigma, alpha))
+        if trace is None:
+            if self._last_code is not None:
+                oracle = self._untraced[sigma, alpha] = self.oracle(sigma, alpha)
+                return self._last_code(oracle)
+            trace = self.trace_at(sigma, alpha)
+        return trace.p
 
     def distance(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> Fraction:
         """2^-|rho| for the longest rho on both chains; 0 when equal."""

@@ -1,4 +1,3 @@
-import copy
 import functools
 import hashlib
 import io
@@ -135,7 +134,7 @@ def test_lsr_without_y_exits_two(capsys, tmp_path, action):
     code, out, err = run_main(capsys, "lsr", action, "--instance", str(inst))
     assert code == 2
     assert out == ""
-    assert "instance lacks a y field" in err
+    assert "instance lacks the y field" in err
 
 
 def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
@@ -155,11 +154,11 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     full_string.write_text(json.dumps({**INSTANCES["solve.json"], "T0": {"full": "no"}}))
     cases = [
         (["hk", "roundtrip", "--alpha", "w+"],
-         "error: bad notation 'w+': expected a term (at position 2)\n"),
+         "error: bad --alpha notation 'w+': expected a term (at position 2)\n"),
         (["hk", "convert", "--instance", str(empty)],
          "error: instance must carry either 'upsets' or 'approx'\n"),
         (["lsr", "referee", "--instance", str(no_play)],
-         "error: instance lacks a play field: 'play'\n"),
+         "error: instance lacks the play field\n"),
         (["hk", "convert", "--instance", hk_file, "--eta", "2"],
          "error: index 2 is beyond the copy of 2\n"),
         (["hk", "convert", "--instance", hk_file, "--eta", "0"],
@@ -442,6 +441,15 @@ def value_at(data, path):
     return functools.reduce(lambda node, key: node[key], path, data)
 
 
+def field_name(path):
+    """The dotted name an error gives the value at path: its object keys,
+    without list indices or the stage keys of approx.table, a map."""
+    keys = [key for key in path if type(key) is str]
+    if keys[:2] == ["approx", "table"]:
+        keys = keys[:2]
+    return ".".join(keys) or "instance"
+
+
 @st.composite
 def mutations(draw):
     """A golden command and one invalid change to its instance: a value
@@ -474,12 +482,27 @@ def mutation_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @example(mutation=("lsr-solve", ("T0",), [1]))
 @example(mutation=("hk-convert-approx", ("approx", "table"), [1]))
+# A list field given as a non-list, and a missing required key.
+@example(mutation=("lsr-separator", ("y",), 5))
+@example(mutation=("lsr-solve", ("W", "generators"), 5))
+@example(mutation=("lsr-referee", ("play", "yzs"), 5))
+@example(mutation=("wadge-eval", ("queries",), {"a": 1}))
+@example(mutation=("hk-convert-dsets", ("upsets",), "x"))
+@example(mutation=("lsr-adversarial", ("strategy", "moves"), None))
+@example(mutation=("lsr-solve", ("bounds", "depth"), MISSING))
+@example(mutation=("lsr-solve", ("xi",), MISSING))
+@example(mutation=("lsr-referee", ("play", "xs"), MISSING))
+@example(mutation=("wadge-eval", ("W1", "level"), MISSING))
+@example(mutation=("lsr-adversarial", ("strategy", "side"), MISSING))
+@example(mutation=("hk-convert-approx", ("approx", "table", "[0,1]"), MISSING))
 @given(mutations())
 def test_malformed_instances_fail_cleanly(mutation_dir, mutation):
-    # Bad input exits 2 with one error line; it never escapes main as a
-    # traceback.
+    # Bad input exits 2 with one error line that names the field; it
+    # never escapes main as a traceback.
     name, path, value = mutation
-    data = copy.deepcopy(INSTANCES[INSTANCE_OF[name]])
+    # A JSON round trip, not deepcopy: solve.json's trees share one pairs
+    # list, and a mutation must change only the field it names.
+    data = json.loads(json.dumps(INSTANCES[INSTANCE_OF[name]]))
     if not path:
         data = value
     elif value == MISSING:
@@ -497,6 +520,7 @@ def test_malformed_instances_fail_cleanly(mutation_dir, mutation):
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+        assert field_name(path) in err.getvalue()
 
 
 # -- report content -------------------------------------------------------

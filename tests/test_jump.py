@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from truestages.jump import (
@@ -68,6 +68,20 @@ def test_one_operator_pairs_like_cantor_pair_across_calls(seqs):
     op = DefaultOperator()
     for seq in seqs:
         assert op.trace(tuple(seq)).events == straight_line_trace(seq)
+
+
+# Long draws from small pools, so values repeat many times, with big
+# values on either side of 2**4000.
+_repeating_seqs = _pools.map(lambda pool: pool + [2**4000 - 1, 2**4000 + 1]).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=60))
+
+
+@example([])
+@example([2**4000] * 40 + [2**4000 - 1, 2**4000])
+@given(_repeating_seqs)
+def test_last_code_is_the_p_of_the_checked_trace(seq):
+    op = DefaultOperator()
+    assert op.last_code(tuple(seq)) == enumerate_jump(op, tuple(seq)).p
 
 
 def test_p_values():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from instance_tools import Rootless
 from test_jump import straight_line_trace
+from truestages import stages
 from truestages.hierarchy import eval_at, upset_close
 from truestages.jump import DefaultOperator, JumpTrace
 from truestages.ordinals import classify, fund_seq, parse_ordinal
@@ -300,6 +301,81 @@ class _Rewriter:
             first, second = base.codes
             return JumpTrace((first, second + 1000))
         return base
+
+
+def count_trace_fills(monkeypatch):
+    """Record the (sigma, alpha) of every trace the memo fills."""
+    filled = []
+
+    def counting(self, sigma, alpha):
+        filled.append((sigma, alpha))
+        return fill(self, sigma, alpha)
+
+    fill = TrueStageSystem._trace_at
+    monkeypatch.setattr(TrueStageSystem, "_trace_at", counting)
+    return filled
+
+
+def test_p_builds_no_trace_when_the_operator_has_last_code(monkeypatch):
+    filled = count_trace_fills(monkeypatch)
+    built = []
+
+    def counting_oracle(self, sigma, alpha):
+        built.append((tuple(sigma), alpha))
+        return oracle(self, sigma, alpha)
+
+    oracle = TrueStageSystem.oracle
+    monkeypatch.setattr(TrueStageSystem, "oracle", counting_oracle)
+    alpha = LEVELS["w+1"]
+    for tau in Universe(3, 2).all_seqs():
+        sys_ = TrueStageSystem(DefaultOperator())
+        p = sys_.p(tau, alpha)
+        assert (tau, alpha) not in filled
+        # The trace filled later agrees with the p read without it, and
+        # reuses the oracle that p read.
+        assert sys_.trace_at(tau, alpha).p == p
+        assert filled[-1] == (tau, alpha)
+        assert built.count((tau, alpha)) == 1
+
+
+def test_an_operator_without_last_code_gives_p_through_a_checked_trace(monkeypatch):
+    checked = []
+
+    def counting(op, sigma):
+        checked.append(tuple(sigma))
+        return real(op, sigma)
+
+    real = stages.enumerate_jump
+    monkeypatch.setattr(stages, "enumerate_jump", counting)
+    alpha = LEVELS["1"]
+    for tau in Universe(3, 2).all_seqs():
+        sys_ = TrueStageSystem(_Rewriter())
+        p = sys_.p(tau, alpha)
+        oracle = sys_.oracle(tau, alpha)
+        assert checked[-1] == oracle
+        assert p == _Rewriter().trace(oracle).p
+
+
+def test_verify_work_counts_are_pinned(monkeypatch):
+    # Exact counts for one verify run: p without a trace saves 38 trace
+    # fills and 1,236 jump events here.  Counts must not depend on the
+    # string hash seed.
+    filled = count_trace_fills(monkeypatch)
+    events = []
+
+    def counting(self, sigma):
+        trace = real(self, sigma)
+        events.append(len(trace.codes))
+        return trace
+
+    real = DefaultOperator.trace
+    monkeypatch.setattr(DefaultOperator, "trace", counting)
+    report = ts_verify(
+        TrueStageSystem(DefaultOperator()), Universe(3, 2),
+        [parse_ordinal(n) for n in ["0", "1", "w", "w+1", "w*2"]],
+    )
+    assert report.all_passed, report.summary_lines()
+    assert (len(filled), sum(events)) == (181, 4568)
 
 
 def test_verifier_reports_corrupted_operator():
