@@ -597,7 +597,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     del config["run"], config["format"]
     try:
         results, failures, text = args.run(args)
-    except (InputError, ValueError, KeyError, TypeError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except ResourceBoundError as exc:

@@ -492,19 +492,15 @@ class CorrectnessChecker(Memo):
             beta = cls.predecessor
             if not self.is_strongly_correct(sigma, beta):
                 return False
-            # sigma ends its own beta chain and was just found strongly
-            # correct, so only the proper nodes are asked; the alpha chain
-            # is read only once a strongly beta-correct one needs it.
-            kept: Optional[list[Node]] = None
-            for tau in self._related(sigma, beta)[:-1]:
-                # Never taken: tau's beta chain lies inside sigma's (transitivity).
-                if not self.is_strongly_correct(tau, beta):
-                    continue
-                if kept is None:
-                    kept = self._related(sigma, alpha)
-                if tau not in kept:
-                    return False
-            return True
+            # Each proper node tau on sigma's beta chain is strongly
+            # beta-correct as well, since tau's own chain is the prefix of
+            # sigma's that ends at tau; so tau needs only to stay on
+            # sigma's alpha chain, which is read only when there is a tau.
+            proper = self._related(sigma, beta)[:-1]
+            if not proper:
+                return True
+            kept = self._related(sigma, alpha)
+            return all(tau in kept for tau in proper)
         k = self.sys.height(self.play(sigma), alpha)
         indices = sorted(set(range(_LIMIT_WINDOW)) | {k})
         return all(self.is_correct(sigma, fund_seq(alpha, j)) for j in indices)

@@ -1,10 +1,13 @@
 """Difference-hierarchy conversions over upward-closed sets.
 
 Sets are represented by generator families that are closed upward under
-a level relation.  The four conversion directions connect level-set
-families, limit approximations, and ordinal-valued witness functions
-counting mind changes; the mind-change tree ranked in Kleene-Brouwer
-order turns an arbitrary approximation into a witness.
+a level relation.  Three conversion directions pass through
+ordinal-valued witness functions counting mind changes: an
+approximation to a witness (`approx_to_witness`, which ranks the
+mind-change tree in Kleene-Brouwer order), a lawful witness to an
+increasing difference family (`witness_to_dsets`), and an increasing
+difference family to an approximation and its witness
+(`dsets_to_witness`).
 """
 
 from __future__ import annotations
@@ -60,32 +63,6 @@ def eval_at(sys: TrueStageSystem, upset: UpsetRep, x_prefix: Seq) -> bool:
     return not upset.generators.isdisjoint(sys.chain(x_prefix, upset.level))
 
 
-def disjointify(
-    sys: TrueStageSystem,
-    upsets: list[UpsetRep],
-    alpha: OrdinalNotation,
-    universe: Universe,
-) -> list[UpsetRep]:
-    """Least-index refinement: a stage joins the n-th modified set only
-    below its own height and only when no earlier-indexed set claims it."""
-    level = successor(alpha)
-    for u in upsets:
-        if u.level != level:
-            raise ValueError(
-                f"expected level {render(level)}, got {render(u.level)}"
-            )
-    members: list[set[Seq]] = [set() for _ in upsets]
-    for tau in universe.all_seqs():
-        height = sys.height(tau, level)
-        for n, u in enumerate(upsets):
-            if n >= height:
-                break
-            if eval_at(sys, u, tau):
-                members[n].add(tau)
-                break
-    return [UpsetRep(level, frozenset(m)) for m in members]
-
-
 @dataclasses.dataclass(frozen=True)
 class ApproxFn:
     """A total guessing function on a finite universe."""
@@ -100,25 +77,6 @@ class ApproxFn:
         return self.table[sigma]
 
 
-def measurable_to_approx(
-    sys: TrueStageSystem,
-    upsets: list[UpsetRep],
-    alpha: OrdinalNotation,
-    universe: Universe,
-) -> ApproxFn:
-    """Read an approximation off a level-set family, disjointifying
-    first; value 0 everywhere outside the family."""
-    refined = disjointify(sys, upsets, alpha, universe)
-    table: dict[Seq, int] = {}
-    for tau in universe.all_seqs():
-        table[tau] = 0
-        for n, u in enumerate(refined):
-            if tau in u.generators:
-                table[tau] = n
-                break
-    return ApproxFn(alpha, table)
-
-
 def approx_limit(
     sys: TrueStageSystem, fn: ApproxFn, x_prefix: Seq
 ) -> tuple[int, bool]:
@@ -128,24 +86,6 @@ def approx_limit(
     value = fn.value(chain[-1])
     stable = len(chain) >= 2 and fn.value(chain[-2]) == value
     return value, stable
-
-
-def approx_to_level_sets(
-    sys: TrueStageSystem, fn: ApproxFn, universe: Universe
-) -> dict[tuple[int, int], UpsetRep]:
-    """Split the universe by guessed value and height."""
-    seqs = universe.all_seqs()
-    top_value = max(fn.value(s) for s in seqs)
-    top_height = max(sys.height(s, fn.level) for s in seqs)
-    family: dict[tuple[int, int], UpsetRep] = {}
-    for n in range(top_value + 1):
-        for k in range(top_height + 1):
-            gens = frozenset(
-                s for s in seqs
-                if fn.value(s) == n and sys.height(s, fn.level) == k
-            )
-            family[(n, k)] = UpsetRep(fn.level, gens)
-    return family
 
 
 @dataclasses.dataclass(frozen=True)

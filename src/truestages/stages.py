@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .jump import (
@@ -177,15 +176,6 @@ class TrueStageSystem(Memo):
                 return self._last_code(oracle)
             trace = self.trace_at(sigma, alpha)
         return trace.p
-
-    def distance(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> Fraction:
-        """2^-|rho| for the longest rho on both chains; 0 when equal."""
-        sigma, tau = tuple(sigma), tuple(tau)
-        if sigma == tau:
-            return Fraction(0)
-        on_tau = self.chain(tau, alpha)
-        common = [rho for rho in self.chain(sigma, alpha) if rho in on_tau]
-        return Fraction(1, 2 ** len(common[-1]))
 
 
 # ---------------------------------------------------------------------------

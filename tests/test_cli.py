@@ -377,6 +377,17 @@ def test_chain_without_its_own_play_is_internal(monkeypatch, tmp_path, quickwin_
             cli.main(["lsr", "solve", "--instance", instance])
 
 
+def test_an_internal_key_error_is_not_exit_two(monkeypatch):
+    # Every reader checks keys and types by field name, so a KeyError
+    # from inside a command is a defect and must propagate.
+    def broken(op, sigma):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "enumerate_jump", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
+
+
 @pytest.mark.parametrize("action", ["solve", "separator", "adversarial"])
 def test_exhausted_solver_budget_exits_three(capsys, monkeypatch, quickwin_file, action):
     # Running out of budget is neither a failed property nor bad input.

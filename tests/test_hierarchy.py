@@ -12,13 +12,10 @@ from truestages.hierarchy import (
     UpsetRep,
     WitnessFn,
     approx_limit,
-    approx_to_level_sets,
     approx_to_witness,
     difference_value,
-    disjointify,
     dsets_to_witness,
     eval_at,
-    measurable_to_approx,
     mind_change_tree,
     upset_close,
     verify_witness_laws,
@@ -78,101 +75,12 @@ def test_eval_at_is_monotone(sys_):
             assert eval_at(sys_, u, tau)
 
 
-def test_disjointify_identical_pair_kills_the_second(sys_):
-    u = upset_close(sys_, [(0,)], LVL1, UNI)
-    out = disjointify(sys_, [u, u], A0, UNI)
-    assert out[1].generators == frozenset()
-    assert out[0].generators
-
-
-def test_disjointify_empty_list(sys_):
-    assert disjointify(sys_, [], A0, UNI) == []
-
-
-def test_disjointify_rejects_wrong_level(sys_):
-    u = upset_close(sys_, [(0,)], A0, UNI)
-    with pytest.raises(ValueError):
-        disjointify(sys_, [u], A0, UNI)
-
-
-def test_disjointify_output_is_disjoint_on_random_families(sys_):
-    rng = random.Random(5)
-    for a in (0, 1):
-        alpha = from_int(a)
-        lvl = parse_ordinal(str(a + 1))
-        for _ in range(10):
-            fam = [
-                upset_close(sys_, rng.sample(UNI.all_seqs(), rng.randint(1, 3)),
-                            lvl, UNI)
-                for _ in range(rng.randint(1, 4))
-            ]
-            out = disjointify(sys_, fam, alpha, UNI)
-            for i in range(len(out)):
-                for j in range(i + 1, len(out)):
-                    assert not (out[i].generators & out[j].generators)
-
-
-def test_disjointify_upward_closed_on_coherent_families(sys_):
-    # families whose generators split on the first entry never race, so
-    # the vacuous-stub caveat does not bite
-    big = Universe(4, 3)
-    for a in (0, 1):
-        alpha = from_int(a)
-        lvl = parse_ordinal(str(a + 1))
-        fam = [upset_close(sys_, [(v,)], lvl, big) for v in range(3)]
-        out = disjointify(sys_, fam, alpha, big)
-        for u in out:
-            for s in u.generators:
-                for t in big.all_seqs():
-                    if sys_.leq(s, t, lvl):
-                        assert t in u.generators
-
-
-def test_measurable_to_approx_example(sys_):
-    big = Universe(2, 10)
-    fam = [
-        upset_close(sys_, [(0,)], LVL1, big),
-        upset_close(sys_, [(1,)], LVL1, big),
-    ]
-    f = measurable_to_approx(sys_, fam, A0, big)
-    assert f.value((1, 9)) == 1
-    assert f.value(()) == 0
-    assert f.value((0, 3)) == 0
-
-
-def test_measurable_to_approx_empty_family(sys_):
-    f = measurable_to_approx(sys_, [], A0, UNI)
-    assert set(f.table.values()) == {0}
-
-
 def test_approx_limit(sys_):
     const = ApproxFn(A0, {s: 7 for s in UNI.all_seqs()})
     assert approx_limit(sys_, const, (0, 1)) == (7, True)
     assert approx_limit(sys_, const, ()) == (7, False)
     by_parity = ApproxFn(A0, {s: len(s) % 2 for s in UNI.all_seqs()})
     assert approx_limit(sys_, by_parity, (1, 1)) == (0, False)
-
-
-def test_approx_to_level_sets_partitions_each_height(sys_):
-    fn = ApproxFn(A0, {s: len(s) % 2 for s in UNI.all_seqs()})
-    family = approx_to_level_sets(sys_, fn, UNI)
-    for k in range(4):
-        layers = [family[(n, k)].generators
-                  for n in (0, 1) if (n, k) in family]
-        height_k = {s for s in UNI.all_seqs() if sys_.height(s, A0) == k}
-        assert set().union(*layers) == height_k
-        assert not (layers[0] & layers[1])
-
-
-def test_approx_to_level_sets_constant(sys_):
-    fn = ApproxFn(A0, {s: 0 for s in UNI.all_seqs()})
-    family = approx_to_level_sets(sys_, fn, UNI)
-    for (n, k), u in family.items():
-        if n == 0:
-            assert u.generators == frozenset(
-                s for s in UNI.all_seqs() if sys_.height(s, A0) == k)
-        else:
-            assert u.generators == frozenset()
 
 
 def test_dsets_to_witness_worked_example(sys_):
