@@ -6,11 +6,13 @@ and II is graded only at the stages that currently look true and share
 that opinion: the referee collects z-entries at those stages and asks
 whether the collected pair still lies in the corresponding tree T0 or T1.
 The referee check is open for player I, so bounded-depth play is exactly
-solvable by backward induction.  The newest round is always graded,
-since x ends its own chain (TS2), so the replies to one x-play differ
-only in their own entries: the solver grades each x-play once and reads
-II's earlier answers once for all the replies to it, through the same
-reader as the referee.
+solvable by backward induction.  The search stops on a move of player I
+as soon as it cannot beat the best move found so far; ties go to the
+least move, so these cuts never change the value or the strategy.  The
+newest round is always graded, since x ends its own chain (TS2), so the
+replies to one x-play differ only in their own entries: the solver
+grades each x-play once and reads II's earlier answers once for all the
+replies to it, through the same reader as the referee.
 
 A strategy for player I pulls the true-stage relations back onto the
 candidate second coordinates that II might play.  The resulting
@@ -268,7 +270,7 @@ def solve(
     depth: Optional[int] = None,
     max_nodes: int = 1_000_000,
 ) -> SolveResult:
-    """Exhaustive backward induction within the instance bounds.
+    """Backward induction within the instance bounds.
 
     IWins carries the least round by which player I can force a win and
     a strategy achieving it (ties broken by least move).  Undetermined
@@ -297,7 +299,13 @@ class _Search:
     read once per x-play and position, by _read on F without its last
     round: F ends at the new round n + 1, so a reply adds only its own
     z, and its own y when |F| = n + 1 (else the y of round |F|), and
-    costs one set lookup."""
+    costs one set lookup.
+
+    value() returns the exact value and least-move argmin of a position
+    but skips what cannot change them: the replies to an x once they
+    refute it no sooner than the best x so far, and every further x once
+    one wins at the next round.  Where I cannot win, best stays None, so
+    nothing is skipped and each x keeps II's first surviving reply."""
 
     def __init__(self, sys: TrueStageSystem, g: GameInstance, depth: int,
                  max_nodes: int):
@@ -318,6 +326,11 @@ class _Search:
         b = self.g.alphabet
         best: Optional[tuple[int, int]] = None
         for x in range(b):
+            # x beats best only by winning before round bar, since ties go
+            # to the least x; with no best yet, bar lies past the depth.
+            bar = self.depth + 1 if best is None else best[0]
+            if bar == n + 1:
+                break  # no move wins before round n + 1
             xs2 = xs + (x,)
             grade = self.grades.get(xs2)
             if grade is None:
@@ -329,7 +342,7 @@ class _Search:
             worst = 0
             surviving: Optional[Pair] = None
             for y in range(b):
-                if surviving is not None:
+                if surviving is not None or worst >= bar:
                     break
                 ybar = ypre + ((y if last == n else yzs[last][0]),)
                 for z in range(b):
@@ -339,20 +352,20 @@ class _Search:
                             f"solver exceeded {self.max_nodes} referee evaluations"
                         )
                     if not (full or (ybar, zpre + (z,)) in pairs):
-                        if worst < n + 1:
-                            worst = n + 1
-                        continue
-                    sub = self.value(xs2, yzs + ((y, z),))
-                    if sub is None:
-                        surviving = (y, z)
-                        break
+                        sub = n + 1
+                    else:
+                        sub = self.value(xs2, yzs + ((y, z),))
+                        if sub is None:
+                            surviving = (y, z)
+                            break
                     if sub > worst:
                         worst = sub
-            if surviving is None:
-                if best is None or (worst, x) < best:
-                    best = (worst, x)
-            else:
+                        if worst >= bar:
+                            break
+            if surviving is not None:
                 self.ii_choice[(xs, yzs, x)] = surviving
+            elif worst < bar:
+                best = (worst, x)
         if best is None:
             return None
         self.i_choice[(xs, yzs)] = best[1]
@@ -363,8 +376,9 @@ class _Search:
         x = self.i_choice[(xs, yzs)]
         moves[yzs] = x
         xs2 = xs + (x,)
-        # value() searched every reply to the chosen x: a reply that
-        # continued left an i_choice entry, a reply I won left none.
+        # value() searched every reply to the chosen x, since none was cut
+        # while it beat every earlier x: a reply that continued left an
+        # i_choice entry, a reply I won left none.
         for y in range(b):
             for z in range(b):
                 yzs2 = yzs + ((y, z),)

@@ -22,6 +22,7 @@ from truestages.game import (
     PairTree,
     PartialPlay,
     ResourceBoundError,
+    SolveResult,
     StrategyTable,
     StrategyUndefinedError,
     adversarial_play,
@@ -183,18 +184,18 @@ def test_solve_node_budget_is_enforced(sys_, quick_win):
 
 def pinned_game(xi: str) -> GameInstance:
     """Both trees hold every pair of length <= 2, so player I wins by
-    round 3 and the search covers the whole tree up to there."""
+    round 3 and never earlier."""
     level = parse_ordinal(xi)
     both = pointwise_tree(2, 2, lambda a, b: True)
     w = UpsetRep(level, frozenset({(0, 1), (1, 0, 1)}))
     return GameInstance(level, w, both, both, alphabet=2, depth=4)
 
 
-@pytest.mark.parametrize("xi, budget", [("0", 1592), ("1", 2408), ("w", 1268)])
+@pytest.mark.parametrize("xi, budget", [("0", 214), ("1", 321), ("w", 232)])
 def test_solve_node_count_is_pinned(xi, budget):
-    """Pins the exact number of positions the search visits: a search
-    that skips or revisits a position moves the least budget that
-    succeeds."""
+    """Pins the exact number of replies the search judges: a search that
+    cuts fewer or more replies, or judges one twice, moves the least
+    budget that succeeds."""
     g = pinned_game(xi)
     r = solve(TrueStageSystem(DefaultOperator()), g, max_nodes=budget)
     assert r.status == "IWins"
@@ -263,9 +264,9 @@ def test_chain_without_its_own_play_is_a_contract_violation(xi):
         referee(sys_, g, PartialPlay((1, 0), ((0, 0), (1, 1))))
 
 
-def test_winning_strategy_replay_beats_every_reply(sys_):
-    g = y_mismatch_game(ZERO)
-    r = solve(sys_, g)
+def assert_beats_every_reply(sys_, g: GameInstance, r) -> None:
+    """Replays r's side-I strategy against every reply of II, judged by
+    the referee: I wins each play by round r.by_turn."""
 
     def walk(xs, yzs):
         x = r.strategy.moves[yzs]
@@ -279,6 +280,98 @@ def test_winning_strategy_replay_beats_every_reply(sys_):
                 walk(xs2, yzs2)
 
     walk((), ())
+
+
+def test_winning_strategy_replay_beats_every_reply(sys_):
+    g = y_mismatch_game(ZERO)
+    assert_beats_every_reply(sys_, g, solve(sys_, g))
+
+
+def reference_solve(sys_, g: GameInstance) -> SolveResult:
+    """Full minimax with no cuts, every reply judged by the referee.
+
+    I's strategy plays the least move among those that force a win by
+    the least round; II's plays, against each x, the first reply in
+    (y, z) order from which I cannot force a win."""
+    pairs = list(itertools.product(range(g.alphabet), repeat=2))
+    values: dict = {}
+
+    def continues(xs, yzs):
+        return referee(sys_, g, PartialPlay(xs, yzs)).status == "Continues"
+
+    def value(xs, yzs):
+        """(least round by which I forces a win, least such x), or None."""
+        if len(xs) == g.depth:
+            return None
+        if (xs, yzs) not in values:
+            wins = []
+            for x in range(g.alphabet):
+                rounds = [
+                    value(xs + (x,), yzs + (p,)) if continues(xs + (x,), yzs + (p,))
+                    else (len(xs) + 1,)
+                    for p in pairs
+                ]
+                if None not in rounds:
+                    wins.append((max(r[0] for r in rounds), x))
+            values[(xs, yzs)] = min(wins) if wins else None
+        return values[(xs, yzs)]
+
+    def fill_i(moves, xs, yzs):
+        x = moves[yzs] = value(xs, yzs)[1]
+        for p in pairs:
+            if continues(xs + (x,), yzs + (p,)):
+                fill_i(moves, xs + (x,), yzs + (p,))
+
+    def fill_ii(moves, xs, yzs):
+        if len(xs) == g.depth:
+            return
+        for x in range(g.alphabet):
+            reply = next(
+                p for p in pairs
+                if continues(xs + (x,), yzs + (p,))
+                and value(xs + (x,), yzs + (p,)) is None
+            )
+            moves[xs + (x,)] = reply
+            fill_ii(moves, xs + (x,), yzs + (reply,))
+
+    moves: dict = {}
+    root = value((), ())
+    if root is None:
+        fill_ii(moves, (), ())
+        return SolveResult("Undetermined", StrategyTable("II", g.depth, moves))
+    fill_i(moves, (), ())
+    return SolveResult("IWins", StrategyTable("I", g.depth, moves), by_turn=root[0])
+
+
+def test_solve_matches_the_full_minimax_reference():
+    """The solver's cuts skip only what cannot change a value or the
+    least move that reaches it, so its whole result, strategy included,
+    is the uncut search's."""
+    shapes = [(2, 3, 40), (2, 4, 12), (3, 2, 40), (3, 3, 4)]  # alphabet, depth, seeds
+    games = [seeded_game_instance(seed, b, d) for b, d, n in shapes for seed in range(n)]
+    statuses = {2: set(), 3: set()}
+    for g in games:
+        sys_ = TrueStageSystem(DefaultOperator())
+        r = solve(sys_, g)
+        assert r == reference_solve(sys_, g)
+        statuses[g.alphabet].add(r.status)
+    assert statuses == {2: {"IWins", "Undetermined"}, 3: {"IWins", "Undetermined"}}
+
+
+def test_alphabet_three_depth_five_solve_fits_the_default_budget():
+    """Both trees hold every pair of length <= 3 and W lies off the
+    all-zero branch, so I wins at round 4 and never earlier.  A search
+    of every reply to every x judges more replies than the default
+    budget allows."""
+    level = parse_ordinal("1")
+    both = pointwise_tree(3, 3, lambda a, b: True)
+    w = UpsetRep(level, frozenset({(0, 1), (1, 0, 2)}))
+    g = GameInstance(level, w, both, both, alphabet=3, depth=5)
+    sys_ = TrueStageSystem(DefaultOperator())
+    r = solve(sys_, g)
+    assert r.status == "IWins"
+    assert r.by_turn == 4
+    assert_beats_every_reply(sys_, g, r)
 
 
 # -- strategies -----------------------------------------------------------
