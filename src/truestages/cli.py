@@ -119,9 +119,12 @@ def _load_instance(path: str) -> dict:
 
 def _levels(text: str):
     try:
-        return [parse_ordinal(part) for part in text.split(",") if part]
+        levels = [parse_ordinal(part) for part in text.split(",") if part]
     except ParseError as exc:
         raise InputError(f"bad level notation: {exc}") from exc
+    if not levels:
+        raise InputError(f"--levels names no level: {text!r}")
+    return levels
 
 
 def _notation(text: str, field: str):

@@ -17,11 +17,18 @@ pair(i, k), where k counts the earlier occurrences of i, and
 `tuple.count` finds k at C speed.  A stage system reads p through
 `last_code` when its operator has one, and through a checked trace
 otherwise.
+
+`checked_trace` is the one checked way to a trace.  It checks the bounds
+and reads the codes in sorted order to check that none repeats; the
+stage system cuts each oracle segment from that same sorted list, so a
+trace's codes are sorted once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
+from itertools import islice
 from typing import Protocol
 
 from .universe import Seq
@@ -111,9 +118,11 @@ class DefaultOperator:
         return cantor_pair(i, sigma.count(i) - 1)
 
 
-def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
+def checked_trace(op: EnumerationOperator, sigma: Seq) -> tuple[JumpTrace, list[int]]:
     """Run the operator and check the per-call trace invariants: at most
-    one code per entry of sigma, and no code twice."""
+    one code per entry of sigma, and no code twice.  Returns the trace
+    and its codes in increasing order: the check sorts them once, and no
+    code repeats exactly when each sorted code is below the next."""
     trace = op.trace(tuple(sigma))
     n = len(sigma)
     codes = trace.codes
@@ -121,6 +130,13 @@ def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
         raise ContractViolationError(
             f"event ({codes[n]},{n + 1}) out of bounds for a sequence of length {n}"
         )
-    if len(set(codes)) != len(codes):
+    ordered = sorted(codes)
+    if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
         raise ContractViolationError("duplicate code enumerated")
-    return trace
+    return trace, ordered
+
+
+def enumerate_jump(op: EnumerationOperator, sigma: Seq) -> JumpTrace:
+    """The trace of sigma, checked by `checked_trace`, without its
+    sorted codes."""
+    return checked_trace(op, sigma)[0]

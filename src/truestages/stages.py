@@ -9,7 +9,9 @@ it: a successor chain is one suffix-minimum pass over the chain a level
 below, and a relation answer is membership in a chain.  The oracle
 that climbs one level lists, for each chain element past the root, a
 segment: a bound on the lower-level jump, the count of codes known to
-lie below it, and those codes in increasing order.
+lie below it, and those codes in increasing order.  A trace's fill cuts
+its segment from the sorted codes that the trace's duplicate check
+read, so no segment sorts or filters codes again.
 
 A successor chain reads only p, the last code of a stage's jump trace.
 When the operator has a `last_code` method, a p whose trace is not yet
@@ -22,13 +24,15 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Iterable
 
 from .jump import (
     ContractViolationError,
     EnumerationOperator,
     JumpTrace,
-    enumerate_jump,
+    checked_trace,
 )
 from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
 from .universe import Seq, Universe, seq_str
@@ -65,13 +69,14 @@ class TrueStageSystem(Memo):
     enumeration operator.
 
     One memo holds every chain, jump trace, oracle segment and p, each
-    computed once per system.  A p entry is filled on the first read of
-    that p: from the memoised trace when there is one, otherwise from the
-    operator's `last_code` on the oracle, so no trace is built for it.
-    Such a p-only fill keeps its oracle until that trace is filled, as
-    it most often is once a segment needs it, so no oracle is built
-    twice.  An operator without `last_code` gives every p
-    through a memoised, checked trace.  No leq answer is stored: leq
+    computed once per system; a trace's fill stores the segment of the
+    same (sigma, alpha) beside it.  A p entry is filled on the first
+    read of that p: from the memoised trace when there is one, otherwise
+    from the operator's `last_code` on the oracle, so no trace is built
+    for it.  Such a p-only fill keeps its oracle until that trace is
+    filled, as it most often is once a segment needs it, so no oracle is
+    built twice.  An operator without `last_code` gives every p through
+    a memoised, checked trace.  No leq answer is stored: leq
     reads membership in a memoised chain."""
 
     def __init__(self, operator: EnumerationOperator):
@@ -147,14 +152,13 @@ class TrueStageSystem(Memo):
 
     def _segment(self, rho: Seq, level: OrdinalNotation) -> tuple[int, ...]:
         """rho's segment below level: the bound p, the number n of codes
-        under it, then those codes in increasing order.  A segment is
-        shared by every later stage whose chain contains rho, so it is
-        filled once per (rho, level) through the memo."""
-        trace = self.trace_at(rho, level)
-        bound = trace.p
-        below = [e for e in trace.codes if e < bound]
-        below.sort()
-        return (bound, len(below), *below)
+        under it, then those codes in increasing order.  The fill of
+        rho's trace stores it, so this fill runs only while that trace is
+        unfilled.  A segment is shared by every later stage whose chain
+        contains rho, so it is read once per (rho, level) through the
+        memo."""
+        self.trace_at(rho, level)
+        return self._memo[TrueStageSystem._segment, rho, level]
 
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
         return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)
@@ -163,7 +167,13 @@ class TrueStageSystem(Memo):
         oracle = self._untraced.pop((sigma, alpha), None)
         if oracle is None:
             oracle = self.oracle(sigma, alpha)
-        return enumerate_jump(self.operator, oracle)
+        trace, ordered = checked_trace(self.operator, oracle)
+        # The segment is cut from the codes the check sorted, under the
+        # lock this fill holds; no other fill sorts them again.
+        bound = trace.p
+        n = bisect_left(ordered, bound)
+        self._memo[TrueStageSystem._segment, sigma, alpha] = (bound, n, *islice(ordered, n))
+        return trace
 
     def p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         return self._memoized(TrueStageSystem._p, tuple(sigma), alpha)

@@ -114,11 +114,18 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
-def test_bad_level_notation_exits_two(capsys):
-    code, _, err = run_main(capsys, "truestages", "--max-len", "2",
-                            "--alphabet", "2", "--levels", "0,zz")
-    assert code == 2
-    assert "bad level notation" in err
+@pytest.mark.parametrize("argv, message", [
+    (["truestages", "--max-len", "2", "--alphabet", "2", "--levels", "0,zz"],
+     "bad level notation"),
+    # A verification of no level would pass every property on 0 checks.
+    (["verify", "--levels", ","], "--levels names no level"),
+    (["truestages", "--levels", ","], "--levels names no level"),
+], ids=["notation", "verify-none", "truestages-none"])
+def test_bad_level_notation_exits_two(capsys, argv, message):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_unknown_command_exits_two(capsys):
@@ -358,11 +365,25 @@ class DuplicateCodeOperator:
         return JumpTrace((4,) * len(sigma))
 
 
-def test_jump_dump_checks_the_trace_contract(capsys, monkeypatch):
+class LastCodeDuplicateOperator(DuplicateCodeOperator):
+    """Repeats codes as above, but reads p as the default operator does,
+    so no p builds a trace."""
+
+    last_code = DefaultOperator.last_code
+
+
+@pytest.mark.parametrize("operator, argv", [
+    (DuplicateCodeOperator, ["jump", "--max-len", "2", "--alphabet", "2"]),
+    # The first failing trace is one that only TS7's extension check reads.
+    (DuplicateCodeOperator, ["verify", "--max-len", "2", "--levels", "0"]),
+    # The first failing trace is filled for an oracle segment.
+    (LastCodeDuplicateOperator, ["verify", "--max-len", "2", "--levels", "2"]),
+], ids=["jump", "verify-ts7", "verify-segment"])
+def test_jump_dump_checks_the_trace_contract(monkeypatch, operator, argv):
     # An operator bug is internal, not bad input: it must not become exit 2.
-    monkeypatch.setattr(cli, "DefaultOperator", DuplicateCodeOperator)
+    monkeypatch.setattr(cli, "DefaultOperator", operator)
     with pytest.raises(ContractViolationError, match="duplicate code"):
-        cli.main(["jump", "--max-len", "2", "--alphabet", "2"])
+        cli.main(argv)
 
 
 def test_chain_without_its_own_play_is_internal(monkeypatch, tmp_path, quickwin_file):

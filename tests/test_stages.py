@@ -194,6 +194,8 @@ def test_relations_match_the_reference(sys_, name):
     for tau in seqs:
         assert sys_.chain(tau, alpha) == ref_chain(tau, alpha), tau
         assert sys_.height(tau, alpha) == ref_height(tau, alpha), tau
+        # The oracle holds every segment of tau's chain.
+        assert sys_.oracle(tau, alpha) == ref_oracle(tau, alpha), tau
         for sigma in seqs:
             assert sys_.leq(sigma, tau, alpha) == ref_leq(sigma, tau, alpha), (sigma, tau)
 
@@ -333,8 +335,8 @@ def test_an_operator_without_last_code_gives_p_through_a_checked_trace(monkeypat
         checked.append(tuple(sigma))
         return real(op, sigma)
 
-    real = stages.enumerate_jump
-    monkeypatch.setattr(stages, "enumerate_jump", counting)
+    real = stages.checked_trace
+    monkeypatch.setattr(stages, "checked_trace", counting)
     alpha = LEVELS["1"]
     for tau in Universe(3, 2).all_seqs():
         sys_ = TrueStageSystem(_Rewriter())
