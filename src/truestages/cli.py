@@ -165,6 +165,18 @@ def _count(v, field: str) -> int:
     return v
 
 
+def _positive(v, field: str) -> int:
+    """A count that must be at least 1: an alphabet or a depth bound."""
+    if _count(v, field) == 0:
+        raise InputError(f"{field} must be positive, got 0")
+    return v
+
+
+def _universe(max_len, alphabet, fields=("--max-len", "--alphabet")) -> Universe:
+    """The stages of at most max_len moves below alphabet."""
+    return Universe(_count(max_len, fields[0]), _positive(alphabet, fields[1]))
+
+
 def _pair(value, field: str) -> list:
     """A two-element list: II's (y, z) answer, a tree's (y, z) pair of
     sequences, or a strategy's (key, move) entry."""
@@ -279,14 +291,14 @@ def _pair_tree_from_json(data: dict, field: str, alphabet: int) -> PairTree:
 
 def _game_from_json(data: dict) -> GameInstance:
     bounds = _object(_required(data, "bounds"), "bounds")
-    alphabet = _count(_required(bounds, "bounds.alphabet"), "bounds.alphabet")
+    alphabet = _positive(_required(bounds, "bounds.alphabet"), "bounds.alphabet")
     return GameInstance(
         xi=_notation(_required(data, "xi"), "xi"),
         w=_upset_from_json(_required(data, "W"), "W", alphabet),
         t0=_pair_tree_from_json(_required(data, "T0"), "T0", alphabet),
         t1=_pair_tree_from_json(_required(data, "T1"), "T1", alphabet),
         alphabet=alphabet,
-        depth=_count(_required(bounds, "bounds.depth"), "bounds.depth"),
+        depth=_positive(_required(bounds, "bounds.depth"), "bounds.depth"),
     )
 
 
@@ -348,7 +360,7 @@ def _fresh():
 
 
 def _run_verify(args):
-    universe = Universe(args.maxLen, args.alphabet)
+    universe = _universe(args.maxLen, args.alphabet)
     levels = _levels(args.levels)
     report = ts_verify(_fresh(), universe, levels)
     results = [
@@ -368,7 +380,7 @@ def _run_verify(args):
 
 
 def _run_jump(args):
-    universe = Universe(args.maxLen, args.alphabet)
+    universe = _universe(args.maxLen, args.alphabet)
     op = DefaultOperator()
     results = []
     text = []
@@ -385,7 +397,7 @@ def _run_jump(args):
 
 
 def _run_truestages(args):
-    universe = Universe(args.maxLen, args.alphabet)
+    universe = _universe(args.maxLen, args.alphabet)
     levels = _levels(args.levels)
     sys_ = _fresh()
     results = []
@@ -404,7 +416,7 @@ def _run_truestages(args):
 
 
 def _run_hk_roundtrip(args):
-    universe = Universe(args.maxLen, args.alphabet)
+    universe = _universe(args.maxLen, args.alphabet)
     alpha = _notation(args.alpha, "--alpha")
     sys_ = _fresh()
     rng = random.Random(args.seed)
@@ -438,7 +450,7 @@ def _run_hk_roundtrip(args):
 
 
 def _run_hk_convert(args):
-    universe = Universe(args.maxLen, args.alphabet)
+    universe = _universe(args.maxLen, args.alphabet)
     data = _load_instance(args.instance)
     sys_ = _fresh()
     if "upsets" in data:
@@ -475,8 +487,8 @@ def _run_hk_convert(args):
 def _wadge_setup(args):
     data = _load_instance(args.instance)
     lam = _notation(_required(data, "lambda"), "lambda")
-    universe = Universe(_count(_required(data, "maxLen"), "maxLen"),
-                        _count(_required(data, "alphabet"), "alphabet"))
+    universe = _universe(_required(data, "maxLen"), _required(data, "alphabet"),
+                         ("maxLen", "alphabet"))
     w0 = _upset_from_json(_required(data, "W0"), "W0", universe.alphabet)
     w1 = _upset_from_json(_required(data, "W1"), "W1", universe.alphabet)
     sys_ = _fresh()
@@ -505,7 +517,7 @@ def _run_wadge_eval(args):
 
 def _game_setup(args):
     if getattr(args, "depth", None) is not None:  # lsr referee has no --depth
-        _count(args.depth, "--depth")
+        _positive(args.depth, "--depth")
     data = _load_instance(args.instance)
     return data, _game_from_json(data), _fresh()
 

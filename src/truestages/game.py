@@ -202,11 +202,11 @@ class StrategyTable:
     """A deterministic strategy, keyed by the opponent's moves so far.
 
     For side I a key is the tuple of (y, z) pairs played by II and the
-    value is the next x; apply_strategy answers 0 at any key the table
-    does not list.  For side II a key is the tuple of x values played
-    by I (the last one unanswered) and the value is a (y, z) pair.  The
-    player's own earlier moves are recovered by replay, so they are not
-    part of the key.
+    value is the next x; player I plays 0 at any key the table does not
+    list.  For side II a key is the tuple of x values played by I (the
+    last one unanswered) and the value is a (y, z) pair.  The player's
+    own earlier moves are recovered by replay, so they are not part of
+    the key.
     """
 
     side: str  # "I" or "II"
@@ -223,38 +223,6 @@ class StrategyTable:
         raise StrategyUndefinedError(
             f"side {self.side} strategy is undefined after opponent moves {key!r}"
         )
-
-
-def _check_y_covers(y_prefix: Seq, sigma: Seq) -> None:
-    """The pair play (y, sigma) needs a y-entry for every sigma-entry."""
-    if len(y_prefix) < len(sigma):
-        raise ValueError(
-            f"need {len(sigma)} values of y, got {len(y_prefix)}"
-        )
-
-
-def apply_strategy(table: StrategyTable, y_prefix: Seq, sigma: Node) -> Seq:
-    """The x-sequence player I produces against the pair play (y, sigma).
-
-    The pre-root token yields the empty sequence; otherwise the result
-    has length |sigma| + 1 because I moves first and answers every pair.
-    I plays 0 at any history the table does not list: a solver table
-    stops at the positions I has already won, and no move there bears
-    on correctness.
-    """
-    if table.side != "I":
-        raise ValueError("apply_strategy needs a side I strategy")
-    if sigma is PRE_ROOT:
-        return ()
-    sigma = tuple(sigma)
-    _check_y_covers(y_prefix, sigma)
-    xs: list[int] = []
-    yzs: tuple[Pair, ...] = ()
-    for i in range(len(sigma) + 1):
-        xs.append(table.moves.get(yzs, 0))
-        if i < len(sigma):
-            yzs = yzs + ((y_prefix[i], sigma[i]),)
-    return tuple(xs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -461,21 +429,28 @@ class CorrectnessChecker(Memo):
 
     def _memoized(self, fill: Callable, sigma: Node, *args):
         """Memo._memoized keyed by tuple(sigma), once y is known to
-        cover sigma."""
+        cover sigma, so that (y, sigma) pairs every entry of sigma."""
         if sigma is not PRE_ROOT:
             sigma = tuple(sigma)
-            _check_y_covers(self.y, sigma)
+            if len(self.y) < len(sigma):
+                raise ValueError(f"need {len(sigma)} values of y, got {len(self.y)}")
         return super()._memoized(fill, sigma, *args)
 
     # -- induced plays ------------------------------------------------
 
     def play(self, sigma: Node) -> Seq:
+        """Player I's x-sequence against the pair play (y, sigma), one
+        move longer than sigma; () at the pre-root token.  I plays 0 at
+        any history the table does not list: a solver table stops where
+        I has already won, and no move there bears on correctness."""
         if sigma is PRE_ROOT:
             return ()
         return self._memoized(CorrectnessChecker._play, sigma)
 
     def _play(self, sigma: Seq) -> Seq:
-        return apply_strategy(self.table, self.y, sigma)
+        # I's answer to the last pair extends the play of sigma's parent.
+        before = self.play(sigma[:-1]) if sigma else ()
+        return before + (self.table.moves.get(tuple(zip(self.y, sigma)), 0),)
 
     def tri_leq(self, sigma: Node, tau: Node, alpha: OrdinalNotation) -> bool:
         if not _prefix_of(sigma, tau):
@@ -484,10 +459,10 @@ class CorrectnessChecker(Memo):
 
     def _related(self, sigma: Node, alpha: OrdinalNotation) -> list[Node]:
         """The nodes tau with tri_leq(tau, sigma, alpha), shortest first,
-        read off one chain.  The strategy replays move by move, so
-        play(tau) is the prefix of play(sigma) of length |tau| + 1: the
-        chain element of length 0 is the pre-root token and the one of
-        length L is sigma[:L-1]."""
+        read off one chain.  Each play extends its parent's play by
+        construction, so play(tau) is the prefix of play(sigma) of length
+        |tau| + 1: the chain element of length 0 is the pre-root token
+        and the one of length L is sigma[:L-1]."""
         return [
             sigma[: len(x) - 1] if x else PRE_ROOT
             for x in self.sys.chain(self.play(sigma), alpha)

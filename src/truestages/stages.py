@@ -9,9 +9,10 @@ it: a successor chain is one suffix-minimum pass over the chain a level
 below, and a relation answer is membership in a chain.  The oracle
 that climbs one level lists, for each chain element past the root, a
 segment: a bound on the lower-level jump, the count of codes known to
-lie below it, and those codes in increasing order.  A trace's fill cuts
-its segment from the sorted codes that the trace's duplicate check
-read, so no segment sorts or filters codes again.
+lie below it, and those codes in increasing order.  A segment lives in
+its trace's memo entry: the trace's fill cuts it from the sorted codes
+that the trace's duplicate check read, so no segment sorts or filters
+codes again.
 
 A successor chain reads only p, the last code of a stage's jump trace.
 When the operator has a `last_code` method, a p whose trace is not yet
@@ -68,16 +69,16 @@ class TrueStageSystem(Memo):
     """Memoizing evaluator for the level-indexed relations of one
     enumeration operator.
 
-    One memo holds every chain, jump trace, oracle segment and p, each
-    computed once per system; a trace's fill stores the segment of the
-    same (sigma, alpha) beside it.  A p entry is filled on the first
-    read of that p: from the memoised trace when there is one, otherwise
-    from the operator's `last_code` on the oracle, so no trace is built
-    for it.  Such a p-only fill keeps its oracle until that trace is
-    filled, as it most often is once a segment needs it, so no oracle is
-    built twice.  An operator without `last_code` gives every p through
-    a memoised, checked trace.  No leq answer is stored: leq
-    reads membership in a memoised chain."""
+    One memo holds every chain, jump trace and p, each computed once per
+    system; a trace's entry also holds the oracle segment its own fill
+    cuts, so every fill writes only its own entry.  A p entry is filled
+    on the first read of that p: from the memoised trace when there is
+    one, otherwise from the operator's `last_code` on the oracle, so no
+    trace is built for it.  Such a p-only fill keeps its oracle until
+    that trace is filled, as it most often is once a segment needs it,
+    so no oracle is built twice.  An operator without `last_code` gives
+    every p through a memoised, checked trace.  No leq answer is stored:
+    leq reads membership in a memoised chain."""
 
     def __init__(self, operator: EnumerationOperator):
         super().__init__()
@@ -147,45 +148,37 @@ class TrueStageSystem(Memo):
         for rho in self.chain(sigma, alpha)[1:]:
             level = (cls.predecessor if cls.kind == "successor"
                      else fund_seq(alpha, self.height(rho, alpha)))
-            out.extend(self._memoized(TrueStageSystem._segment, rho, level))
+            out.extend(self._memoized(TrueStageSystem._trace_at, rho, level)[1])
         return tuple(out)
 
-    def _segment(self, rho: Seq, level: OrdinalNotation) -> tuple[int, ...]:
-        """rho's segment below level: the bound p, the number n of codes
-        under it, then those codes in increasing order.  The fill of
-        rho's trace stores it, so this fill runs only while that trace is
-        unfilled.  A segment is shared by every later stage whose chain
-        contains rho, so it is read once per (rho, level) through the
-        memo."""
-        self.trace_at(rho, level)
-        return self._memo[TrueStageSystem._segment, rho, level]
-
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
-        return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)
+        return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)[0]
 
-    def _trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
+    def _trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> tuple[JumpTrace, Seq]:
+        """sigma's checked trace at level alpha and its segment: the bound
+        p, the number n of codes under it, then those codes in increasing
+        order, cut from the codes the check sorted.  A segment is shared
+        by every later stage whose chain contains sigma, so it is cut
+        once per (sigma, alpha) and read from the memo."""
         oracle = self._untraced.pop((sigma, alpha), None)
         if oracle is None:
             oracle = self.oracle(sigma, alpha)
         trace, ordered = checked_trace(self.operator, oracle)
-        # The segment is cut from the codes the check sorted, under the
-        # lock this fill holds; no other fill sorts them again.
         bound = trace.p
         n = bisect_left(ordered, bound)
-        self._memo[TrueStageSystem._segment, sigma, alpha] = (bound, n, *islice(ordered, n))
-        return trace
+        return trace, (bound, n, *islice(ordered, n))
 
     def p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         return self._memoized(TrueStageSystem._p, tuple(sigma), alpha)
 
     def _p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
-        trace = self._memo.get((TrueStageSystem._trace_at, sigma, alpha))
-        if trace is None:
-            if self._last_code is not None:
-                oracle = self._untraced[sigma, alpha] = self.oracle(sigma, alpha)
-                return self._last_code(oracle)
-            trace = self.trace_at(sigma, alpha)
-        return trace.p
+        entry = self._memo.get((TrueStageSystem._trace_at, sigma, alpha))
+        if entry is not None:
+            return entry[0].p
+        if self._last_code is not None:
+            oracle = self._untraced[sigma, alpha] = self.oracle(sigma, alpha)
+            return self._last_code(oracle)
+        return self.trace_at(sigma, alpha).p
 
 
 # ---------------------------------------------------------------------------

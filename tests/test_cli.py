@@ -225,6 +225,9 @@ def with_fields(**fields):
     return lambda data: {**data, **fields}
 
 
+side_two_strategy = with_fields(strategy={"side": "II", "depth": 3, "moves": []})
+
+
 def approx_value(value):
     return with_fields(approx={"level": "w+1", "table": {"[]": value}})
 
@@ -258,16 +261,48 @@ def approx_value(value):
      "approx.table entries must be naturals, got 1.9"),
     (["hk", "convert"], approx_value("1"),
      "approx.table entries must be naturals, got '1'"),
+    (["lsr", "separator"], side_two_strategy,
+     "correctness analysis needs a side I strategy"),
+    (["lsr", "adversarial"], side_two_strategy,
+     "correctness analysis needs a side I strategy"),
+    (["hk", "convert"],
+     with_fields(alpha="1", eta="3", upsets=[{"level": "2", "generators": [[0]]}]),
+     "expected level 1, got 2"),
+    (["hk", "convert"], with_fields(approx={"level": "w+1", "table": {"0,1": 0}}),
+     "bad approx.table key '0,1': expected a bracketed sequence, got '0,1'"),
+    (["lsr", "solve", "--depth", "0"], with_fields(),
+     "--depth must be positive, got 0"),
+    (["lsr", "separator", "--depth", "0"], with_fields(),
+     "--depth must be positive, got 0"),
+    (["lsr", "adversarial", "--depth", "0"], with_fields(),
+     "--depth must be positive, got 0"),
+    (["lsr", "solve"], with_fields(bounds={"alphabet": 2, "depth": 0}),
+     "bounds.depth must be positive, got 0"),
+    (["lsr", "solve"], with_fields(bounds={"alphabet": 0, "depth": 3}),
+     "bounds.alphabet must be positive, got 0"),
+    (["hk", "convert", "--alphabet", "0"], with_fields(),
+     "--alphabet must be positive, got 0"),
+    (["hk", "convert", "--max-len", "-1"], with_fields(),
+     "--max-len must be a natural, got -1"),
+    (["wadge", "eval"], with_fields(alphabet=0),
+     "alphabet must be positive, got 0"),
+    (["wadge", "decompose"], with_fields(maxLen=-1),
+     "maxLen must be a natural, got -1"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative",
         "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
         "solve-depth-flag", "adversarial-depth-flag", "convert-table-float",
-        "convert-table-string"])
+        "convert-table-string", "separator-side-two", "adversarial-side-two",
+        "convert-upset-level", "convert-key-unbracketed", "solve-depth-zero",
+        "separator-depth-zero", "adversarial-depth-zero", "solve-bounds-depth-zero",
+        "solve-bounds-alphabet-zero", "convert-alphabet-zero",
+        "convert-max-len-negative", "eval-alphabet-zero", "decompose-max-len-negative"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is
     # bad input, not a broken trace contract; so is a count or an
-    # approximation value that is not a natural.
+    # approximation value that is not a natural, an alphabet or a depth
+    # of 0, and a strategy or an upset of the wrong kind.
     if command[0] == "wadge":
         with open(wadge_file) as fh:
             data = json.load(fh)

@@ -26,7 +26,6 @@ from truestages.game import (
     StrategyTable,
     StrategyUndefinedError,
     adversarial_play,
-    apply_strategy,
     extract_reduction,
     referee,
     solve,
@@ -377,35 +376,76 @@ def test_alphabet_three_depth_five_solve_fits_the_default_budget():
 # -- strategies -----------------------------------------------------------
 
 
-def test_apply_strategy_pre_root_is_empty():
-    assert apply_strategy(constant_zero(), (7, 7), PRE_ROOT) == ()
+def replay(table, y, sigma):
+    """Player I's moves against the pair play (y, sigma), read straight
+    off the table: the answer to the first i pairs for each i up to
+    |sigma|, and 0 where the table lists no answer."""
+    if sigma is PRE_ROOT:
+        return ()
+    yzs = tuple(zip(y, sigma))
+    return tuple(table.moves.get(yzs[:i], 0) for i in range(len(sigma) + 1))
 
 
-def test_apply_strategy_constant_zero():
-    assert apply_strategy(constant_zero(), (9,), (4,)) == (0, 0)
+def test_apply_strategy_pre_root_is_empty(sys_, never_win):
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (7, 7))
+    assert chk.play(PRE_ROOT) == ()
+
+
+def test_apply_strategy_constant_zero(sys_, never_win):
+    def play(table, y, sigma):
+        return CorrectnessChecker(sys_, never_win, table, y).play(sigma)
+
+    assert play(constant_zero(), (9,), (4,)) == (0, 0)
     # A listed history plays its move and an unlisted one plays 0.
     partial = StrategyTable("I", 3, {(): 1, ((9, 4),): 1})
-    assert apply_strategy(partial, (9, 9), (4, 4)) == (1, 1, 0)
-    assert apply_strategy(partial, (9,), (5,)) == (1, 0)
+    assert play(partial, (9, 9), (4, 4)) == (1, 1, 0)
+    assert play(partial, (9,), (5,)) == (1, 0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=4))
-def test_apply_strategy_length_law(sigma):
+def test_apply_strategy_length_law(sys_, never_win, sigma):
     sigma = tuple(sigma)
     y = tuple(1 for _ in sigma)
-    assert len(apply_strategy(constant_zero(), y, sigma)) == len(sigma) + 1
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), y)
+    assert len(chk.play(sigma)) == len(sigma) + 1
 
 
-def test_apply_strategy_needs_enough_y():
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_each_play_matches_the_straight_line_replay(sys_, never_win, data):
+    """Each play is memoised as its parent's play and one move, so a
+    fresh checker asked for sigma first and then for every prefix must
+    agree with the table read straight through."""
+    moves = st.integers(0, 2)
+    y = tuple(data.draw(st.lists(moves, max_size=4), label="y"))
+    sigma = tuple(data.draw(st.lists(moves, max_size=len(y)), label="sigma"))
+    yzs = tuple(zip(y, sigma))
+    # Answers at the histories this play reaches, some left unlisted,
+    # and at histories it never reaches.
+    listed = data.draw(st.lists(st.booleans(), min_size=len(sigma) + 1,
+                                max_size=len(sigma) + 1), label="listed")
+    table = {yzs[:i]: data.draw(moves) for i, on in enumerate(listed) if on}
+    pair = st.tuples(moves, moves)
+    table.update(data.draw(st.dictionaries(
+        st.lists(pair, max_size=4).map(tuple), moves, max_size=4), label="others"))
+    table = StrategyTable("I", 4, table)
+    chk = CorrectnessChecker(sys_, never_win, table, y)
+    assert chk.play(sigma) == replay(table, y, sigma)
+    for i in range(len(sigma)):
+        assert chk.play(sigma[:i]) == replay(table, y, sigma[:i])
+
+
+def test_apply_strategy_needs_enough_y(sys_, never_win):
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (1,))
     with pytest.raises(ValueError, match="need 2 values of y, got 1"):
-        apply_strategy(constant_zero(), (1,), (0, 0))
+        chk.play((0, 0))
 
 
-def test_apply_strategy_rejects_side_two():
+def test_apply_strategy_rejects_side_two(sys_, never_win):
     table = StrategyTable("II", 3, {})
-    with pytest.raises(ValueError, match="needs a side I strategy"):
-        apply_strategy(table, (), ())
+    with pytest.raises(ValueError, match="correctness analysis needs a side I strategy"):
+        CorrectnessChecker(sys_, never_win, table, ())
 
 
 def test_undefined_play_raises(never_win):
@@ -537,7 +577,7 @@ class ReferenceCorrectness:
             rounds = 0 if sigma is PRE_ROOT else len(sigma)
             return all(
                 referee(chk.sys, chk.game, PartialPlay(
-                    apply_strategy(chk.table, y, sigma[: i - 1]),
+                    replay(chk.table, y, sigma[: i - 1]),
                     tuple(zip(y[:i], sigma[:i])),
                 )).status == "Continues"
                 for i in range(1, rounds + 1)
@@ -552,7 +592,7 @@ class ReferenceCorrectness:
                 for tau in self.related(sigma, cls.predecessor)
                 if below[tau][1]
             )
-        xs = () if sigma is PRE_ROOT else apply_strategy(chk.table, y, sigma)
+        xs = replay(chk.table, y, sigma)
         k = chk.sys.height(xs, alpha)
         return all(
             self.table(fund_seq(alpha, j))[sigma][0] for j in sorted({0, 1, 2, 3, k})

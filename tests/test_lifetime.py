@@ -65,7 +65,7 @@ def test_memoised_default_traces_are_columns():
     sys_ = TrueStageSystem(DefaultOperator())
     for tau in Universe(3, 2).all_seqs():
         sys_.p(tau, parse_ordinal("w+1"))
-    traces = [v for v in sys_._memo.values() if isinstance(v, JumpTrace)]
+    traces = [v[0] for k, v in sys_._memo.items() if k[0] is TrueStageSystem._trace_at]
     assert len(traces) > len(Universe(3, 2).all_seqs())
     for trace in traces:
         assert type(trace.codes) is tuple

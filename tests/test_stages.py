@@ -97,14 +97,8 @@ def test_oracle_segment_examples(sys_):
 
 
 def test_each_oracle_segment_is_filled_once(monkeypatch):
-    fills = []
-
-    def counting_segment(self, rho, level):
-        fills.append((rho, level))
-        return fill(self, rho, level)
-
-    fill = TrueStageSystem._segment
-    monkeypatch.setattr(TrueStageSystem, "_segment", counting_segment)
+    # A segment is cut by the fill of its own trace's entry.
+    fills = count_trace_fills(monkeypatch)
     sys_ = TrueStageSystem(DefaultOperator())
     for sigma in Universe(4, 2).all_seqs():
         sys_.oracle(sigma, LEVELS["w+1"])
