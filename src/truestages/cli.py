@@ -166,7 +166,7 @@ def _count(v, field: str) -> int:
 
 
 def _positive(v, field: str) -> int:
-    """A count that must be at least 1: an alphabet or a depth bound."""
+    """A count that must be at least 1: an alphabet, a depth or a search bound."""
     if _count(v, field) == 0:
         raise InputError(f"{field} must be positive, got 0")
     return v
@@ -593,7 +593,7 @@ def _run_lsr_adversarial(args):
     def read_fields(data, game):
         v = _naturals(data["v"], "v", game.alphabet) if "v" in data else None
         depth = args.depth if args.depth is not None else game.depth
-        return v, depth, _count(data.get("searchBound", 3), "searchBound")
+        return v, depth, _positive(data.get("searchBound", 3), "searchBound")
 
     def analyse(checker, v, depth, bound):
         transcript = adversarial_play(checker, v, depth, bound)

@@ -1,14 +1,14 @@
 """Difference-hierarchy conversions over upward-closed sets.
 
-Sets are represented by generator families that are closed upward under
-a level relation.  Three conversion directions pass through
-ordinal-valued witness functions counting mind changes: an
-approximation to a witness (`approx_to_witness`, which ranks the
-mind-change tree in Kleene-Brouwer order), a lawful witness to an
-increasing difference family (`witness_to_dsets`), and an increasing
-difference family to an approximation and its witness
-(`dsets_to_witness`).
-"""
+Sets are generator families closed upward under a level relation.  Three
+conversions pass through ordinal-valued witnesses counting mind changes:
+an approximation to a witness (`approx_to_witness`, which ranks the
+mind-change tree in Kleene-Brouwer order; one pass over the chains
+builds the tree and each stage's longest tree node on its chain), a
+lawful witness to an increasing difference family (`witness_to_dsets`),
+and an increasing difference family to an approximation and its
+witness (`dsets_to_witness`).  `difference_value` takes a copy of eta
+only for a point that some set of the family contains."""
 
 from __future__ import annotations
 
@@ -111,18 +111,26 @@ def verify_witness_laws(
     """Check the three monotonicity laws over every comparable pair;
     returns one record per violation.  The strict predecessors of tau
     are its chain without tau, shortest first, so the pairs come in
-    prefix order."""
+    prefix order.  Each value of tau is read once, after its predecessors'
+    values of the same table, so a partial table fails where it did when
+    every pair read both values."""
     violations: list[dict] = []
     alpha = fn.level
     for tau in universe.all_seqs():
-        for sigma in sys.chain(tau, alpha)[:-1]:
-            os, ot = witness.value(sigma), witness.value(tau)
-            if ot > os:
+        below = sys.chain(tau, alpha)[:-1]
+        if not below:
+            continue
+        before = [witness.value(sigma) for sigma in below]
+        ot = witness.value(tau)
+        guesses = [fn.value(sigma) for sigma in below]
+        ft = fn.value(tau)
+        for sigma, os, fs in zip(below, before, guesses):
+            if ot._key > os._key:
                 violations.append({
                     "clause": "i", "sigma": list(sigma), "tau": list(tau),
                     "detail": f"o rose from {render(os)} to {render(ot)}",
                 })
-            if fn.value(sigma) != fn.value(tau) and ot >= os:
+            if fs != ft and ot._key >= os._key:
                 violations.append({
                     "clause": "ii", "sigma": list(sigma), "tau": list(tau),
                     "detail": f"value changed but o kept {render(ot)}",
@@ -206,36 +214,34 @@ def witness_to_dsets(
             f"{first['detail']}"
         )
     adjusted: dict[Seq, OrdinalNotation] = {}
+    odd = parity(eta)
     for sigma in universe.all_seqs():
         o_val = witness.value(sigma)
         want = fn.value(sigma)
         if want not in (0, 1):
-            raise ValueError(
-                f"two-valued approximation required, got {want} at {seq_str(sigma)}"
-            )
-        if int(parity(o_val) != parity(eta)) == want:
-            adjusted[sigma] = o_val
-        else:
-            adjusted[sigma] = successor(o_val)
-        if adjusted[sigma] > eta:
-            raise ValueError(
-                f"adjusted witness exceeds eta at {seq_str(sigma)}"
-            )
+            raise ValueError(f"two-valued approximation required, "
+                             f"got {want} at {seq_str(sigma)}")
+        if int(parity(o_val) != odd) != want:
+            o_val = successor(o_val)
+        if o_val._key > eta._key:
+            raise ValueError(f"adjusted witness exceeds eta at {seq_str(sigma)}")
+        adjusted[sigma] = o_val
     copy = enum_copy(eta)
     if eta.is_finite():
         indices = list(copy)
     else:
         # An infinite copy is read up to the last item that an adjusted
         # value below eta takes.
-        pending = {v for v in adjusted.values() if v < eta}
+        pending = {v for v in adjusted.values() if v._key < eta._key}
         indices = []
         while pending:
             indices.append(next(copy))
             pending.discard(indices[-1])
-    ranked = sorted(adjusted, key=adjusted.__getitem__)
-    values = [adjusted[s] for s in ranked]
+    # Sorted and cut on order keys, whose order is the notation order.
+    ranked = sorted(adjusted, key=lambda s: adjusted[s]._key)
+    keys = [adjusted[s]._key for s in ranked]
     return [
-        UpsetRep(alpha, frozenset(ranked[: bisect_right(values, nu)]))
+        UpsetRep(alpha, frozenset(ranked[: bisect_right(keys, nu._key)]))
         for nu in indices
     ]
 
@@ -248,44 +254,49 @@ def difference_value(
 ) -> int:
     """The parity rule: odd-side membership is decided by the least
     ordinal index whose set contains the point; outside them all, 0.
-    x_prefix's chain is read once per level the family uses."""
-    copy = enum_copy(eta)
+    x_prefix's chain is read once per level the family uses, membership
+    is read first, and the copy of eta is taken only up to the last
+    member, so a point outside every set takes no copy."""
+    if eta.is_zero():
+        raise ValueError("eta must be positive")
     chains: dict[OrdinalNotation, tuple[Seq, ...]] = {}
-    best: Optional[OrdinalNotation] = None
+    members = []
     for n, u in enumerate(upsets):
-        nu = next(copy, None)
         chain = chains.get(u.level)
         if chain is None:
             chain = chains[u.level] = sys.chain(x_prefix, u.level)
         if not u.generators.isdisjoint(chain):
-            if nu is None:
-                raise ValueError(f"index {n} is beyond the copy of {render(eta)}")
-            if best is None or nu < best:
-                best = nu
-    if best is None:
+            members.append(n)
+    if not members:
         return 0
+    copy = list(islice(enum_copy(eta), members[-1] + 1))
+    beyond = [n for n in members if n >= len(copy)]
+    if beyond:
+        raise ValueError(f"index {beyond[0]} is beyond the copy of {render(eta)}")
+    best = min(copy[n] for n in members)
     return int(parity(best) != parity(eta))
 
 
 def mind_change_tree(
     sys: TrueStageSystem, fn: ApproxFn, universe: Universe
-) -> dict[Seq, Optional[Seq]]:
-    """The stages whose guess differs from their immediate predecessor's,
-    each mapped to its longest tree predecessor; the root maps to None.
-    Filled in shortlex order, so every stage before sigma on its chain is
-    shorter and already placed or passed over."""
+) -> tuple[dict[Seq, Optional[Seq]], dict[Seq, Seq]]:
+    """The mind-change tree, which maps each stage whose guess differs
+    from its immediate predecessor's to its longest tree predecessor and
+    the root to None, and each stage's longest tree node on its chain.
+    One shortlex pass reads each chain once: a chain element's own chain
+    is the prefix that ends at it, so the longest node on sigma's chain
+    below sigma is its immediate predecessor's."""
     alpha = fn.level
     parent: dict[Seq, Optional[Seq]] = {(): None}
+    last: dict[Seq, Seq] = {(): ()}
     for sigma in universe.all_seqs()[1:]:
         chain = sys.chain(sigma, alpha)
+        node = last[chain[-2]]
         if fn.value(chain[-2]) != fn.value(sigma):
-            parent[sigma] = _last_on_tree(chain[:-1], parent)
-    return parent
-
-
-def _last_on_tree(chain: tuple[Seq, ...], tree: dict[Seq, Optional[Seq]]) -> Seq:
-    """The longest stage of chain that is a node of tree."""
-    return next(rho for rho in reversed(chain) if rho in tree)
+            parent[sigma] = node
+            node = sigma
+        last[sigma] = node
+    return parent, last
 
 
 def approx_to_witness(
@@ -294,10 +305,7 @@ def approx_to_witness(
     """Rank the mind-change tree and read the witness off the longest
     tree node on each stage's chain.  Values stay strictly below eta, so
     the eta clause of the laws never fires."""
-    tree = mind_change_tree(sys, fn, universe)
+    tree, last = mind_change_tree(sys, fn, universe)
     eta, ranks = kb_rank(tree)
-    table = {
-        sigma: from_int(ranks[_last_on_tree(sys.chain(sigma, fn.level), tree)])
-        for sigma in universe.all_seqs()
-    }
+    table = {sigma: from_int(ranks[node]) for sigma, node in last.items()}
     return eta, WitnessFn(eta, table)

@@ -4,6 +4,7 @@ initial-segment alphabet."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Iterator
 
@@ -29,9 +30,13 @@ class Universe:
         if self.alphabet < 1:
             raise ValueError("alphabet must contain at least one value")
 
+    @functools.cached_property
+    def _members(self) -> tuple[Seq, ...]:
+        return tuple(shortlex(self.max_len, self.alphabet))
+
     def all_seqs(self) -> list[Seq]:
-        """All members, in shortlex order."""
-        return list(shortlex(self.max_len, self.alphabet))
+        """All members, in shortlex order, as a fresh list."""
+        return list(self._members)
 
     def maximal(self) -> list[Seq]:
         return list(itertools.product(range(self.alphabet), repeat=self.max_len))

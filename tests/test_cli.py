@@ -16,7 +16,7 @@ from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, DefaultOperator, JumpTrace
 from truestages.stages import TrueStageSystem
-from truestages.universe import Universe
+from truestages.universe import Universe, seq_str
 
 QUICKWIN = {
     "xi": "0",
@@ -288,6 +288,26 @@ def approx_value(value):
      "alphabet must be positive, got 0"),
     (["wadge", "decompose"], with_fields(maxLen=-1),
      "maxLen must be a natural, got -1"),
+    (["lsr", "adversarial"], with_fields(searchBound=0),
+     "searchBound must be positive, got 0"),
+    (["lsr", "solve"], with_fields(xi="1", W={"level": "2", "generators": [[]]}),
+     "W lives at level 2, expected 1"),
+    (["wadge", "decompose"],
+     lambda data: {**data, "W0": {"level": "w",
+                                  "generators": data["W0"]["generators"] + [[0]]}},
+     "W0 and W1 overlap at [0]"),
+    (["wadge", "decompose"], with_fields(maxLen=2, W1={"level": "w", "generators": [[0]]}),
+     "maximal sequence [1,0] is uncovered"),
+    (["wadge", "decompose"], with_fields(**{"lambda": "1"}),
+     "1 is not a limit level"),
+    (["hk", "convert"],
+     with_fields(alpha="0", eta="2", upsets=[{"level": "0", "generators": [[]]},
+                                             {"level": "0", "generators": [[0]]}]),
+     "family is not increasing: set 0 (index 0) is not contained in set 1 (index 1)"),
+    (["hk", "convert"],
+     with_fields(approx={"level": "0", "table": {
+         seq_str(s): 2 if s == () else 0 for s in Universe(3, 2).all_seqs()}}),
+     "two-valued approximation required, got 2 at []"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative",
         "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
@@ -296,13 +316,18 @@ def approx_value(value):
         "convert-upset-level", "convert-key-unbracketed", "solve-depth-zero",
         "separator-depth-zero", "adversarial-depth-zero", "solve-bounds-depth-zero",
         "solve-bounds-alphabet-zero", "convert-alphabet-zero",
-        "convert-max-len-negative", "eval-alphabet-zero", "decompose-max-len-negative"])
+        "convert-max-len-negative", "eval-alphabet-zero", "decompose-max-len-negative",
+        "adversarial-search-bound-zero", "solve-w-level", "decompose-overlap",
+        "decompose-uncovered", "decompose-successor-lambda", "convert-not-increasing",
+        "convert-not-two-valued"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is
     # bad input, not a broken trace contract; so is a count or an
-    # approximation value that is not a natural, an alphabet or a depth
-    # of 0, and a strategy or an upset of the wrong kind.
+    # approximation value that is not a natural, an alphabet, a depth or
+    # a search bound of 0, a strategy or an upset of the wrong kind, and
+    # an instance whose parts do not fit together, which the library
+    # rejects.
     if command[0] == "wadge":
         with open(wadge_file) as fh:
             data = json.load(fh)
@@ -695,6 +720,22 @@ def test_roundtrip_reads_chains_not_pairs(capsys, monkeypatch):
     code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
     assert code == 0
     assert counts == {"leq": 0, "eval_at": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
+
+
+def test_roundtrip_work_counts_are_pinned(capsys, monkeypatch):
+    # Exact counts for one roundtrip run: the mind-change tree and the
+    # witness table share one read of each stage's chain (2,864 chain
+    # calls when the table read every chain again), and a point outside
+    # every set of the family takes no copy of eta (180 copies when every
+    # stable point took one).  Counts must not depend on the string hash
+    # seed.
+    counts = {}
+    count_calls(monkeypatch, TrueStageSystem, "chain", counts)
+    count_calls(monkeypatch, hierarchy, "enum_copy", counts)
+    code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
+    assert code == 0
+    assert counts == {"chain": 2244, "enum_copy": 134}
     assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
 
 

@@ -667,6 +667,21 @@ def test_extend_with_empty_search_space(sys_):
     assert r == ExtendResult("BoundExhausted")
 
 
+def test_extend_search_bound_edge(sys_):
+    """A bound of b searches extensions by at most b - 1 entries.  Here
+    () is strongly w-correct, so its shortest strongly correct extension
+    is () itself, by 0 entries: bound 1 finds it and bound 0 does not.
+    No longer shortest extension was found to pin: on random small games
+    at levels 1 to w*2, every prefix of a strongly correct node was
+    strongly correct."""
+    w = LEVELS["w"]
+    g = GameInstance(w, UpsetRep(w, frozenset()), FULL, ROOT_ONLY, 2, 3)
+    chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0))
+    assert chk.is_strongly_correct((), w)
+    assert chk.extend_correct(PRE_ROOT, (), w, 1) == ExtendResult("Found", ())
+    assert chk.extend_correct(PRE_ROOT, (), w, 0) == ExtendResult("BoundExhausted")
+
+
 def test_extend_found_is_independently_verified(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)

@@ -24,7 +24,9 @@ from truestages.hierarchy import (
 from test_ordinals import ref_compare
 from test_stages import ref_chain, ref_leq
 from truestages.jump import DefaultOperator
-from truestages.ordinals import enum_copy, from_int, parity, parse_ordinal, render, successor
+from truestages.ordinals import (
+    enum_copy, from_int, kb_rank, parity, parse_ordinal, render, successor,
+)
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe, parse_seq
 
@@ -206,6 +208,18 @@ def test_difference_value_reads_a_chain_per_level(sys_, eta):
     assert set(got.values()) == {0, 1}
 
 
+def test_difference_value_names_the_first_member_beyond_the_copy(sys_):
+    # The copy of 2 has indices 0 and 1; (1,) lies in sets 1, 3 and 4.
+    family = [UpsetRep(A0, frozenset(g)) for g in
+              [{(0,)}, {(1,)}, {(0,)}, {(1,)}, {()}]]
+    with pytest.raises(ValueError, match="index 3 is beyond the copy of 2"):
+        difference_value(sys_, family, from_int(2), (1,))
+    assert difference_value(sys_, family[:2], from_int(2), (1,)) == 1
+    assert difference_value(sys_, family[:4], from_int(2), ()) == 0
+    with pytest.raises(ValueError, match="eta must be positive"):
+        difference_value(sys_, family[:2], from_int(0), ())
+
+
 # (f, witness eta, o, eta passed in, the error named) on UNI at level 0.
 BAD_WITNESSES = {
     "clause-i": (lambda s: 0, 3, lambda s: min(len(s), 2), 3, r"law \(i\)"),
@@ -271,7 +285,39 @@ def test_approx_to_witness_single_change(sys_):
 
 def test_mind_change_tree_nodes(sys_):
     fn = ApproxFn(A0, {s: int(s[:1] == (0,)) for s in UNI.all_seqs()})
-    assert mind_change_tree(sys_, fn, UNI) == {(): None, (0,): ()}
+    tree, last = mind_change_tree(sys_, fn, UNI)
+    assert tree == {(): None, (0,): ()}
+    assert last == {s: s[:1] if s[:1] == (0,) else () for s in UNI.all_seqs()}
+
+
+def ref_last_on_tree(chain, tree):
+    """The longest stage of chain that is a node of tree."""
+    return next(rho for rho in reversed(chain) if rho in tree)
+
+
+def ref_mind_change_tree(fn, universe):
+    """The tree found by scanning each new node's reference chain for the
+    longest node already placed."""
+    parent = {(): None}
+    for sigma in universe.all_seqs()[1:]:
+        chain = ref_chain(sigma, fn.level)
+        if fn.value(chain[-2]) != fn.value(sigma):
+            parent[sigma] = ref_last_on_tree(chain[:-1], parent)
+    return parent
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["0", "1", "2", "w", "w+1", "w*2"]))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_tree_and_witness_match_the_chain_scan(bits, level):
+    seqs = REF.all_seqs()
+    fn = ApproxFn(parse_ordinal(level), {s: (bits >> i) & 1 for i, s in enumerate(seqs)})
+    want = ref_mind_change_tree(fn, REF)
+    nodes = {s: ref_last_on_tree(ref_chain(s, fn.level), want) for s in seqs}
+    assert mind_change_tree(_SHARED, fn, REF) == (want, nodes)
+    want_eta, ranks = kb_rank(want)
+    eta, witness = approx_to_witness(_SHARED, fn, REF)
+    assert (eta, witness.eta) == (want_eta, want_eta)
+    assert witness.table == {s: from_int(ranks[nodes[s]]) for s in seqs}
 
 
 @given(st.integers(0, 2 ** 15 - 1), st.sampled_from([0, 1]))

@@ -354,7 +354,7 @@ _KB_UNIVERSE = Universe(4, 2)
 def test_kb_rank_matches_root_path_order(bits, level):
     seqs = _KB_UNIVERSE.all_seqs()
     fn = ApproxFn(parse_ordinal(level), {s: (bits >> i) & 1 for i, s in enumerate(seqs)})
-    tree = mind_change_tree(_KB_SYSTEM, fn, _KB_UNIVERSE)
+    tree, _ = mind_change_tree(_KB_SYSTEM, fn, _KB_UNIVERSE)
     eta, ranks = kb_rank(tree)
     assert ranks == ref_kb_ranks(tree)
     assert eta == from_int(len(tree))
