@@ -47,12 +47,8 @@ from .hierarchy import (
 from .jump import DefaultOperator, enumerate_jump
 from .ordinals import ParseError, parse_ordinal, render
 from .stages import TrueStageSystem, ts_verify
-from .universe import Universe, parse_seq, seq_str
+from .universe import InputError, Universe, parse_seq, seq_str
 from .wadge import DecompositionTree, decomposition_eval, wadge_tree
-
-
-class InputError(Exception):
-    """Unusable input: missing file, malformed JSON, bad notation."""
 
 
 # Built once per process: parsing reads the parser and never changes it,
@@ -612,7 +608,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     del config["run"], config["format"]
     try:
         results, failures, text = args.run(args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except ResourceBoundError as exc:

@@ -27,7 +27,7 @@ from .ordinals import (
     successor,
 )
 from .stages import TrueStageSystem
-from .universe import Seq, Universe, seq_str
+from .universe import InputError, Seq, Universe, seq_str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,15 +157,16 @@ def dsets_to_witness(
     length; eta itself is always a candidate and the full universe
     stands behind it.
     """
-    copy = enum_copy(eta)
+    if eta.is_zero():
+        raise InputError("eta must be positive")
     for u in upsets:
         if u.level != alpha:
-            raise ValueError(
+            raise InputError(
                 f"expected level {render(alpha)}, got {render(u.level)}"
             )
-    ordinals = list(islice(copy, len(upsets)))
+    ordinals = list(islice(enum_copy(eta), len(upsets)))
     if len(ordinals) < len(upsets):
-        raise ValueError(
+        raise InputError(
             f"index {len(ordinals)} is beyond the copy of {render(eta)}"
         )
     seqs = universe.all_seqs()
@@ -175,7 +176,7 @@ def dsets_to_witness(
     for n, nu in enumerate(ordinals):
         for m, mu in enumerate(ordinals):
             if nu < mu and not membership[n] <= membership[m]:
-                raise ValueError(
+                raise InputError(
                     f"family is not increasing: set {n} (index {render(nu)}) "
                     f"is not contained in set {m} (index {render(mu)})"
                 )
@@ -219,7 +220,7 @@ def witness_to_dsets(
         o_val = witness.value(sigma)
         want = fn.value(sigma)
         if want not in (0, 1):
-            raise ValueError(f"two-valued approximation required, "
+            raise InputError(f"two-valued approximation required, "
                              f"got {want} at {seq_str(sigma)}")
         if int(parity(o_val) != odd) != want:
             o_val = successor(o_val)

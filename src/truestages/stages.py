@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import weakref
 from bisect import bisect_left
 from itertools import islice
 from typing import Callable, Iterable
@@ -39,30 +40,48 @@ from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
 from .universe import Seq, Universe, seq_str
 
 
+class _Entries(dict):
+    """A memo's entries, keyed by (fill, *args).  A hit is a plain
+    subscript, served by the dict itself; only a miss runs Python code.
+    The miss takes the lock, reads the entry again and otherwise stores
+    fill(owner, *args), so each value is computed once even when threads
+    race.  The owner is held through a weak reference, so an owner and
+    its entries form no reference cycle and are freed together by
+    reference counting."""
+
+    __slots__ = ("_owner", "_lock")
+
+    def __init__(self, owner: "Memo"):
+        super().__init__()
+        self._owner = weakref.ref(owner)
+        self._lock = threading.RLock()
+
+    def __missing__(self, key: tuple):
+        with self._lock:
+            hit = self.get(key)
+            if hit is None:
+                fill, *args = key
+                hit = self[key] = fill(self._owner(), *args)
+            return hit
+
+
 class Memo:
     """The one memo block: values computed once per instance and stored
-    under their fill function and arguments.  A hit is read without the
-    lock; a miss takes the lock, reads again and fills, so each value is
-    computed once.  One instance may be shared across threads: this
-    rests on `dict.get` and item assignment being atomic, as they are in
+    under their fill function and arguments.  A reader subscripts
+    `self._memo[fill, *args]`: a hit is one dict read, with no lock and
+    no Python frame, and a miss fills the entry under the lock (see
+    `_Entries`), so each value is computed once.  `_memo.get` peeks
+    without filling.  One instance may be shared across threads: this
+    rests on dict reads and item assignment being atomic, as they are in
     CPython."""
 
     def __init__(self):
-        self._lock = threading.RLock()
-        self._memo: dict[tuple, object] = {}
+        self._memo = _Entries(self)
 
     def _memoized(self, fill: Callable, *args):
         """The value of fill(self, *args), computed once and stored
         under (fill, *args)."""
-        key = (fill, *args)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is None:
-                hit = self._memo[key] = fill(self, *args)
-            return hit
+        return self._memo[(fill, *args)]
 
 
 class TrueStageSystem(Memo):
@@ -78,7 +97,13 @@ class TrueStageSystem(Memo):
     that trace is filled, as it most often is once a segment needs it,
     so no oracle is built twice.  An operator without `last_code` gives
     every p through a memoised, checked trace.  No leq answer is stored:
-    leq reads membership in a memoised chain."""
+    leq reads membership in a memoised chain.
+
+    The readers `leq`, `chain`, `oracle`, `p`, `trace_at` and the chain
+    fill itself subscript the memo under `TrueStageSystem._chain` (and so
+    on), looked up when they run, so a hit costs one dict read and a
+    patched fill still fills.  `height` reads through `chain`, so a
+    subclass that overrides `chain` still sees every height read."""
 
     def __init__(self, operator: EnumerationOperator):
         super().__init__()
@@ -95,7 +120,7 @@ class TrueStageSystem(Memo):
             return True
         if tau[: len(sigma)] != sigma:
             return False
-        return sigma in self.chain(tau, alpha)
+        return sigma in self._memo[TrueStageSystem._chain, tau, alpha]
 
     def height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         """Number of strict predecessors; at a limit this recursion only
@@ -112,7 +137,7 @@ class TrueStageSystem(Memo):
     def chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
         """The prefixes of tau that look true to tau at level alpha,
         shortest first, tau itself last."""
-        return self._memoized(TrueStageSystem._chain, tuple(tau), alpha)
+        return self._memo[TrueStageSystem._chain, tuple(tau), alpha]
 
     def _chain(self, tau: Seq, alpha: OrdinalNotation) -> tuple[Seq, ...]:
         cls = classify(alpha)
@@ -124,17 +149,22 @@ class TrueStageSystem(Memo):
             beta = cls.predecessor
             kept: list[Seq] = []
             floor = None
-            for rho in reversed(self.chain(tau, beta)):
-                p = self.p(rho, beta)
+            memo = self._memo
+            for rho in reversed(memo[TrueStageSystem._chain, tau, beta]):
+                p = memo[TrueStageSystem._p, rho, beta]
                 if floor is None or p <= floor:
                     kept.append(rho)
                     floor = p
             return tuple(reversed(kept))
         # A proper prefix stays when it is on tau's chain at the member of
-        # the fundamental sequence that its own height picks.
+        # the fundamental sequence that its own height picks.  Any later
+        # member would do as well: TS9 says the answer is the same at
+        # every index from the height on, so the index is immaterial
+        # wherever the verifier's TS9 property holds.
         return tuple(
             rho for rho in (tau[:i] for i in range(len(tau)))
-            if rho in self.chain(tau, fund_seq(alpha, self.height(rho, alpha)))
+            if rho in self._memo[TrueStageSystem._chain, tau,
+                                 fund_seq(alpha, self.height(rho, alpha))]
         ) + (tau,)
 
     def oracle(self, sigma: Seq, alpha: OrdinalNotation) -> Seq:
@@ -144,15 +174,16 @@ class TrueStageSystem(Memo):
         cls = classify(alpha)
         if cls.kind == "zero":
             return tuple(sigma)
+        memo = self._memo
         out: list[int] = []
-        for rho in self.chain(sigma, alpha)[1:]:
+        for rho in memo[TrueStageSystem._chain, tuple(sigma), alpha][1:]:
             level = (cls.predecessor if cls.kind == "successor"
                      else fund_seq(alpha, self.height(rho, alpha)))
-            out.extend(self._memoized(TrueStageSystem._trace_at, rho, level)[1])
+            out.extend(memo[TrueStageSystem._trace_at, rho, level][1])
         return tuple(out)
 
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
-        return self._memoized(TrueStageSystem._trace_at, tuple(sigma), alpha)[0]
+        return self._memo[TrueStageSystem._trace_at, tuple(sigma), alpha][0]
 
     def _trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> tuple[JumpTrace, Seq]:
         """sigma's checked trace at level alpha and its segment: the bound
@@ -169,7 +200,7 @@ class TrueStageSystem(Memo):
         return trace, (bound, n, *islice(ordered, n))
 
     def p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
-        return self._memoized(TrueStageSystem._p, tuple(sigma), alpha)
+        return self._memo[TrueStageSystem._p, tuple(sigma), alpha]
 
     def _p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         entry = self._memo.get((TrueStageSystem._trace_at, sigma, alpha))

@@ -11,6 +11,13 @@ from typing import Iterator
 Seq = tuple[int, ...]
 
 
+class InputError(ValueError):
+    """Input that cannot be served: a missing file, malformed JSON, a
+    bad notation, or an instance whose parts do not fit together.  The
+    command line exits 2 on this error and on no other; any other error
+    is a defect and propagates."""
+
+
 def shortlex(max_len: int, alphabet: int) -> Iterator[Seq]:
     """Every sequence over range(alphabet) of length at most max_len,
     shortest first and lexicographic within a length.  Lazy, so a scan

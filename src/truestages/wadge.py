@@ -16,7 +16,7 @@ from typing import Optional
 from .hierarchy import UpsetRep, eval_at
 from .ordinals import OrdinalNotation, classify, fund_seq, render
 from .stages import TrueStageSystem
-from .universe import Seq, Universe, seq_str
+from .universe import InputError, Seq, Universe, seq_str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,18 +39,18 @@ def wadge_tree(
     universe: Universe,
 ) -> DecompositionTree:
     if classify(lam).kind != "limit":
-        raise ValueError(f"{render(lam)} is not a limit level")
+        raise InputError(f"{render(lam)} is not a limit level")
     for name, w in (("W0", w0), ("W1", w1)):
         if w.level != lam:
-            raise ValueError(
+            raise InputError(
                 f"{name} lives at level {render(w.level)}, expected {render(lam)}"
             )
     for sigma in universe.all_seqs():
         if eval_at(sys, w0, sigma) and eval_at(sys, w1, sigma):
-            raise ValueError(f"W0 and W1 overlap at {seq_str(sigma)}")
+            raise InputError(f"W0 and W1 overlap at {seq_str(sigma)}")
     for x in universe.maximal():
         if not (eval_at(sys, w0, x) or eval_at(sys, w1, x)):
-            raise ValueError(f"maximal sequence {seq_str(x)} is uncovered")
+            raise InputError(f"maximal sequence {seq_str(x)} is uncovered")
 
     by_height: dict[int, list[Seq]] = {}
     for tau in universe.all_seqs():

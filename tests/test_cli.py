@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import io
@@ -308,6 +309,15 @@ def approx_value(value):
      with_fields(approx={"level": "0", "table": {
          seq_str(s): 2 if s == () else 0 for s in Universe(3, 2).all_seqs()}}),
      "two-valued approximation required, got 2 at []"),
+    (["wadge", "decompose"],
+     lambda data: {**data, "W0": {**data["W0"], "level": "w+1"}},
+     "W0 lives at level w+1, expected w"),
+    (["lsr", "referee"], with_fields(play={"xs": [0], "yzs": []}),
+     "player I has made 1 moves but player II has made 0"),
+    (["lsr", "referee"], with_fields(play={"xs": [], "yzs": []}),
+     "referee needs at least one completed round"),
+    (["lsr", "solve"], with_fields(T0={"pairs": [[[0], [0, 1]]]}),
+     "pair lengths differ: [0], [0,1]"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative",
         "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
@@ -319,7 +329,8 @@ def approx_value(value):
         "convert-max-len-negative", "eval-alphabet-zero", "decompose-max-len-negative",
         "adversarial-search-bound-zero", "solve-w-level", "decompose-overlap",
         "decompose-uncovered", "decompose-successor-lambda", "convert-not-increasing",
-        "convert-not-two-valued"])
+        "convert-not-two-valued", "decompose-w0-level", "referee-unanswered",
+        "referee-no-round", "solve-pair-lengths"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is
@@ -456,6 +467,24 @@ def test_chain_without_its_own_play_is_internal(monkeypatch, tmp_path, quickwin_
     for instance in (quickwin_file, str(limit)):
         with pytest.raises(ContractViolationError, match="does not end at"):
             cli.main(["lsr", "solve", "--instance", instance])
+
+
+@pytest.mark.parametrize("name, command, instance", [
+    ("dsets_to_witness", ["hk", "convert"], "hk_file"),
+    ("wadge_tree", ["wadge", "decompose"], "wadge_file"),
+    ("solve", ["lsr", "solve"], "quickwin_file"),
+])
+def test_an_internal_value_error_is_not_exit_two(request, monkeypatch, name, command,
+                                                 instance):
+    # Only InputError means bad input: any other ValueError, even one from
+    # a library call that rejects bad instances, is a defect and must
+    # propagate.
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, name, broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(command + ["--instance", request.getfixturevalue(instance)])
 
 
 def test_an_internal_key_error_is_not_exit_two(monkeypatch):
@@ -728,14 +757,37 @@ def test_roundtrip_work_counts_are_pinned(capsys, monkeypatch):
     # witness table share one read of each stage's chain (2,864 chain
     # calls when the table read every chain again), and a point outside
     # every set of the family takes no copy of eta (180 copies when every
-    # stable point took one).  Counts must not depend on the string hash
-    # seed.
+    # stable point took one).  The count is of the public chain, which
+    # is every read the hierarchy layer makes; the stage system's own
+    # reads subscript its memo (2,244 calls when they went through
+    # chain).  Counts must not depend on the string hash seed.
     counts = {}
     count_calls(monkeypatch, TrueStageSystem, "chain", counts)
     count_calls(monkeypatch, hierarchy, "enum_copy", counts)
     code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
     assert code == 0
-    assert counts == {"chain": 2244, "enum_copy": 134}
+    assert counts == {"chain": 1864, "enum_copy": 134}
+    assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
+
+
+def test_roundtrip_memo_entries_are_pinned(capsys, monkeypatch):
+    # Each fill writes one memo entry, so the entries per fill kind count
+    # the fills of one roundtrip run exactly: how a hit is served must not
+    # change what is filled.  Counts must not depend on the string hash
+    # seed.
+    systems = []
+    real = cli._fresh
+
+    def fresh():
+        systems.append(real())
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "_fresh", fresh)
+    code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
+    assert code == 0
+    assert len(systems) == 1
+    kinds = collections.Counter(fill.__name__ for fill, *_ in systems[0]._memo)
+    assert kinds == {"_chain": 205, "_p": 155, "_trace_at": 133}
     assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
 
 

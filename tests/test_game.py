@@ -635,6 +635,36 @@ def test_checker_matches_straight_line_reference(xi, table_kind):
     assert {(False, False), (True, True)} <= seen
 
 
+# Every history of up to 3 pairs over {0, 1}, the keys of a random table.
+HISTORIES = [
+    k for n in range(4)
+    for k in itertools.product(itertools.product(range(2), repeat=2), repeat=n)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.integers(0, 1), min_size=len(HISTORIES), max_size=len(HISTORIES)),
+       st.tuples(*[st.integers(0, 1)] * 3))
+def test_checker_matches_reference_on_random_games(seed, moves, y):
+    """Random games, random side-I tables and a random y: unlike the
+    pinned game, tree membership here depends on more than the size of
+    F, and the induced plays differ from node to node.  Level 0 is
+    compared too: a checker that grades only a node's last round agrees
+    with the reference at every level above 0, since strong 0-correctness
+    grades every prefix and w's fundamental sequence starts at 1."""
+    g = seeded_game_instance(seed)
+    table = StrategyTable("I", 8, dict(zip(HISTORIES, moves)))
+    chk = CorrectnessChecker(TrueStageSystem(DefaultOperator()), g, table, y)
+    nodes = [PRE_ROOT] + Universe(3, 2).all_seqs()
+    ref = ReferenceCorrectness(chk, nodes)
+    for alpha in (parse_ordinal(s) for s in ["0", "1", "2", "w"]):
+        want = ref.table(alpha)
+        for sigma in nodes:
+            got = (chk.is_correct(sigma, alpha), chk.is_strongly_correct(sigma, alpha))
+            assert got == want[sigma], (sigma, render(alpha))
+
+
 def test_limit_level_correctness_runs(sys_):
     base = seeded_game_instance(7)
     w = LEVELS["w"]

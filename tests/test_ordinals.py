@@ -33,6 +33,21 @@ from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
 
 
+def test_from_int_reads_the_interned_notation():
+    assert from_int(0) is ZERO
+    for n in list(range(1, 41)) + [10**30]:
+        assert from_int(n) is OrdinalNotation(((ZERO, n),))
+        assert from_int(n) is from_int(n)
+
+
+def test_from_int_rejects_negatives_and_stores_nothing():
+    naturals = from_int.__self__
+    before = dict(naturals)
+    with pytest.raises(ValueError, match="naturals only"):
+        from_int(-1)
+    assert naturals == before
+
+
 ROUND_TRIPS = [
     "0", "1", "17", "w", "w+1", "w+13", "w*2", "w*2+5", "w*9",
     "w^2", "w^2*3+w+4", "w^3+w^2*2+5", "w^5*4+w*7+2", "w^w",

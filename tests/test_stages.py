@@ -10,7 +10,7 @@ from truestages import stages
 from truestages.hierarchy import eval_at, upset_close
 from truestages.jump import DefaultOperator, JumpTrace
 from truestages.ordinals import classify, fund_seq, parse_ordinal
-from truestages.stages import TrueStageSystem, ts_verify
+from truestages.stages import Memo, TrueStageSystem, ts_verify
 from truestages.universe import Universe
 
 LEVELS = {s: parse_ordinal(s) for s in ["0", "1", "2", "3", "4", "5", "w", "w+1"]}
@@ -19,6 +19,24 @@ LEVELS = {s: parse_ordinal(s) for s in ["0", "1", "2", "3", "4", "5", "w", "w+1"
 @pytest.fixture(scope="module")
 def sys_():
     return TrueStageSystem(DefaultOperator())
+
+
+def test_a_memo_hit_never_fills_again_and_get_never_fills():
+    memo = Memo()
+    fills = []
+
+    def fill(owner, n):
+        fills.append(n)
+        return (owner, n)
+
+    assert memo._memo.get((fill, 1)) is None
+    assert fills == [] and not memo._memo
+    first = memo._memoized(fill, 1)
+    assert first == (memo, 1)
+    assert memo._memoized(fill, 1) is first
+    assert memo._memo[fill, 1] is first
+    assert memo._memo.get((fill, 1)) is first
+    assert fills == [1]
 
 
 def test_level_zero_is_the_prefix_order(sys_):
