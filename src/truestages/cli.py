@@ -45,7 +45,7 @@ from .hierarchy import (
     witness_to_dsets,
 )
 from .jump import DefaultOperator, enumerate_jump
-from .ordinals import ParseError, parse_ordinal, render
+from .ordinals import CeilingError, ParseError, parse_ordinal, render, successor
 from .stages import TrueStageSystem, ts_verify
 from .universe import InputError, Universe, parse_seq, seq_str
 from .wadge import DecompositionTree, decomposition_eval, wadge_tree
@@ -358,6 +358,12 @@ def _fresh():
 def _run_verify(args):
     universe = _universe(args.maxLen, args.alphabet)
     levels = _levels(args.levels)
+    # The club check reads alpha+1 beside each level alpha.
+    for alpha in levels:
+        try:
+            successor(alpha)
+        except CeilingError as exc:
+            raise InputError(str(exc)) from exc
     report = ts_verify(_fresh(), universe, levels)
     results = [
         {"property": r.name, "passed": r.passed, "checked": r.checked,

@@ -31,6 +31,7 @@ The ceiling is fixed at ``w^w``: constructing a notation above it raises
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Iterator, Optional
 
@@ -126,22 +127,13 @@ OMEGA = OrdinalNotation(((ONE, 1),))
 _CEILING = OrdinalNotation(((OMEGA, 1),))
 
 
-class _Naturals(dict):
-    """The finite notations by value.  A hit is one dict read; a miss
-    rejects a negative n and otherwise stores the interned notation of
-    n, so a large n adds one entry."""
-
-    __slots__ = ()
-
-    def __missing__(self, n: int) -> OrdinalNotation:
-        if n < 0:
-            raise ValueError("naturals only")
-        nu = self[n] = OrdinalNotation(((ZERO, n),))
-        return nu
-
-
-# from_int(n) is the notation of the natural n.
-from_int = _Naturals({0: ZERO}).__getitem__
+@functools.cache
+def from_int(n: int) -> OrdinalNotation:
+    """The notation of the natural n.  A hit is one C-level cache read;
+    a negative n raises and is not stored, and a large n adds one entry."""
+    if n < 0:
+        raise ValueError("naturals only")
+    return ZERO if n == 0 else OrdinalNotation(((ZERO, n),))
 
 
 def compare(a: OrdinalNotation, b: OrdinalNotation) -> int:

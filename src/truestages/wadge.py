@@ -110,7 +110,7 @@ def decomposition_eval(
             if not sep.generators.isdisjoint(chain)
         ]
         if len(matches) != 1:
-            raise ValueError(
+            raise InputError(
                 f"{len(matches)} separators match {seq_str(x_prefix)} "
                 f"at node {seq_str(tree.node)}"
             )

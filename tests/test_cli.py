@@ -121,7 +121,11 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     # A verification of no level would pass every property on 0 checks.
     (["verify", "--levels", ","], "--levels names no level"),
     (["truestages", "--levels", ","], "--levels names no level"),
-], ids=["notation", "verify-none", "truestages-none"])
+    # verify's club check reads alpha+1 beside each level, and the
+    # ceiling has no successor.
+    (["verify", "--max-len", "1", "--alphabet", "2", "--levels", "0,w^w"],
+     "notation w^w+1 exceeds the ceiling w^w"),
+], ids=["notation", "verify-none", "truestages-none", "verify-ceiling"])
 def test_bad_level_notation_exits_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
     assert (code, out) == (2, "")
@@ -318,6 +322,8 @@ def approx_value(value):
      "referee needs at least one completed round"),
     (["lsr", "solve"], with_fields(T0={"pairs": [[[0], [0, 1]]]}),
      "pair lengths differ: [0], [0,1]"),
+    (["wadge", "eval"], with_fields(queries=[[]]),
+     "0 separators match [] at node []"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative",
         "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
@@ -330,7 +336,7 @@ def approx_value(value):
         "adversarial-search-bound-zero", "solve-w-level", "decompose-overlap",
         "decompose-uncovered", "decompose-successor-lambda", "convert-not-increasing",
         "convert-not-two-valued", "decompose-w0-level", "referee-unanswered",
-        "referee-no-round", "solve-pair-lengths"])
+        "referee-no-round", "solve-pair-lengths", "eval-undecided-query"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is
