@@ -9,8 +9,9 @@ property failed (the report lists counterexamples), 2 on usage or
 input errors, 3 when the game solver exhausted its node budget.
 
 Each command is declared once, in build_parser, with its flags and its
-handler.  A handler returns the report's results, failures and text
-lines; the report's config echoes every flag but --format.
+handler.  A handler returns the report's results, its failures, and a
+zero-argument callable that gives the text lines, which main calls only
+for --format text; the report's config echoes every flag but --format.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import json
 import random
 import sys as _sys
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from .game import (
@@ -348,6 +350,62 @@ def _transcript_to_json(t: PlayTranscript) -> dict:
     }
 
 
+def _report_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for the
+    values a report holds: dicts with str keys, lists, tuples, strs, ints,
+    bools and None.  Anything else, such as a float, a set or a non-str
+    key, raises TypeError, so a value that json would write some other
+    way fails instead of changing the bytes.  json.dumps never uses its C
+    encoder when it indents; this writes every piece into one list and
+    joins it once."""
+    parts: list = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, indent: str, put) -> None:
+    """Write value as json does at this indent: a newline and the
+    spaces of the enclosing container."""
+    if isinstance(value, str):
+        put(_escape(value))
+    elif value is None:
+        put("null")
+    elif value is True:  # bool before int: True is an int
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = comma
+        put(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {key!r}")
+            put(sep + _escape(key) + ": ")
+            _write_json(item, inner, put)
+            sep = comma
+        put(indent + "}")
+    else:
+        raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")
+
+
 def _fresh():
     return TrueStageSystem(DefaultOperator())
 
@@ -375,17 +433,15 @@ def _run_verify(args):
         for r in report.results.values()
         for ce in r.counterexamples
     ]
-    text = report.summary_lines() + [
+    return results, failures, lambda: report.summary_lines() + [
         "counterexample: " + json.dumps(f, sort_keys=True) for f in failures
     ]
-    return results, failures, text
 
 
 def _run_jump(args):
     universe = _universe(args.maxLen, args.alphabet)
     op = DefaultOperator()
     results = []
-    text = []
     for sigma in universe.all_seqs():
         trace = enumerate_jump(op, sigma)
         results.append({
@@ -393,28 +449,30 @@ def _run_jump(args):
             "events": [[e, t] for e, t in trace.events],
             "p": trace.p,
         })
-        shown = ",".join(f"{e}@{t}" for e, t in trace.events) or "-"
-        text.append(f"{seq_str(sigma)} p={trace.p} events={shown}")
-    return results, [], text
+    return results, [], lambda: [
+        f"{r['sigma']} p={r['p']} events="
+        + (",".join(f"{e}@{t}" for e, t in r["events"]) or "-")
+        for r in results
+    ]
 
 
 def _run_truestages(args):
     universe = _universe(args.maxLen, args.alphabet)
     levels = _levels(args.levels)
     sys_ = _fresh()
-    results = []
-    text = []
-    for alpha in levels:
-        for sigma, tau in universe.prefix_pairs():
-            related = int(sys_.leq(sigma, tau, alpha))
-            results.append({
-                "alpha": render(alpha),
-                "sigma": seq_str(sigma),
-                "tau": seq_str(tau),
-                "related": related,
-            })
-            text.append(f"{render(alpha)}\t{seq_str(sigma)}\t{seq_str(tau)}\t{related}")
-    return results, [], text
+    results = [
+        {
+            "alpha": render(alpha),
+            "sigma": seq_str(sigma),
+            "tau": seq_str(tau),
+            "related": int(sys_.leq(sigma, tau, alpha)),
+        }
+        for alpha in levels
+        for sigma, tau in universe.prefix_pairs()
+    ]
+    return results, [], lambda: [
+        f"{r['alpha']}\t{r['sigma']}\t{r['tau']}\t{r['related']}" for r in results
+    ]
 
 
 def _run_hk_roundtrip(args):
@@ -424,7 +482,6 @@ def _run_hk_roundtrip(args):
     rng = random.Random(args.seed)
     results = []
     failures = []
-    text = []
     for run in range(20):
         table = {s: rng.randrange(2) for s in universe.all_seqs()}
         fn = ApproxFn(alpha, table)
@@ -447,8 +504,10 @@ def _run_hk_roundtrip(args):
             "run": run, "eta": render(eta), "checked": checked,
             "mismatches": mismatches,
         })
-        text.append(f"run={run} eta={render(eta)} checked={checked} mismatches={mismatches}")
-    return results, failures, text
+    return results, failures, lambda: [
+        f"run={r['run']} eta={r['eta']} checked={r['checked']} mismatches={r['mismatches']}"
+        for r in results
+    ]
 
 
 def _run_hk_convert(args):
@@ -482,8 +541,7 @@ def _run_hk_convert(args):
         }
     else:
         raise InputError("instance must carry either 'upsets' or 'approx'")
-    text = ["conversion: " + json.dumps(result, sort_keys=True)]
-    return [result], [], text
+    return [result], [], lambda: ["conversion: " + json.dumps(result, sort_keys=True)]
 
 
 def _wadge_setup(args):
@@ -500,21 +558,20 @@ def _wadge_setup(args):
 def _run_wadge_decompose(args):
     _, _, _, tree = _wadge_setup(args)
     result = {"rank": tree.rank, "tree": _tree_to_json(tree)}
-    text = [f"rank={tree.rank}", "tree: " + json.dumps(result["tree"], sort_keys=True)]
-    return [result], [], text
+    return [result], [], lambda: [
+        f"rank={tree.rank}", "tree: " + json.dumps(result["tree"], sort_keys=True)
+    ]
 
 
 def _run_wadge_eval(args):
     data, universe, sys_, tree = _wadge_setup(args)
     queries = [_stage(q, "queries", universe)
                for q in _list(data.get("queries", []), "queries")]
-    results = []
-    text = []
-    for x in queries or universe.maximal():
-        value = int(decomposition_eval(sys_, tree, x))
-        results.append({"x": seq_str(x), "value": value})
-        text.append(f"{seq_str(x)}\t{value}")
-    return results, [], text
+    results = [
+        {"x": seq_str(x), "value": int(decomposition_eval(sys_, tree, x))}
+        for x in queries or universe.maximal()
+    ]
+    return results, [], lambda: [f"{r['x']}\t{r['value']}" for r in results]
 
 
 def _game_setup(args):
@@ -532,9 +589,10 @@ def _run_lsr_solve(args):
         "byTurn": outcome.by_turn,
         "strategy": _strategy_to_json(outcome.strategy),
     }
-    text = [f"status={outcome.status} byTurn={outcome.by_turn}",
-            "strategy: " + json.dumps(result["strategy"], sort_keys=True)]
-    return [result], [], text
+    return [result], [], lambda: [
+        f"status={outcome.status} byTurn={outcome.by_turn}",
+        "strategy: " + json.dumps(result["strategy"], sort_keys=True),
+    ]
 
 
 def _run_lsr_referee(args):
@@ -551,9 +609,10 @@ def _run_lsr_referee(args):
         "zbar": seq_str(verdict.zbar),
         "status": verdict.status,
     }
-    text = [f"status={verdict.status} F={result['F']} "
-            f"ybar={result['ybar']} zbar={result['zbar']}"]
-    return [result], [], text
+    return [result], [], lambda: [
+        f"status={verdict.status} F={result['F']} "
+        f"ybar={result['ybar']} zbar={result['zbar']}"
+    ]
 
 
 def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: ()):
@@ -565,7 +624,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     failing that, the one solve finds at solve_depth; without a win for
     player I the report is the solver status.  Otherwise
     analyse(checker, *fields), with the checker built for y, gives the
-    result and its text lines.
+    result and the callable that gives its text lines.
     """
     data, game, sys_ = _game_setup(args)
     y = _naturals(_required(data, "y"), "y", game.alphabet)
@@ -575,7 +634,7 @@ def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: (
     else:
         outcome = solve(sys_, game, depth=solve_depth)
         if outcome.status != "IWins":
-            return [{"solver": outcome.status}], [], [f"solver={outcome.status}"]
+            return [{"solver": outcome.status}], [], lambda: [f"solver={outcome.status}"]
         table = outcome.strategy
     result, text = analyse(CorrectnessChecker(sys_, game, table, y), *fields)
     return [result], [], text
@@ -586,7 +645,7 @@ def _run_lsr_separator(args):
         found = checker.separator_evidence()
         sigma = None if found.sigma is None else seq_str(found.sigma)
         result = {"status": found.status, "sigma": sigma}
-        return result, [f"status={found.status} sigma={sigma}"]
+        return result, lambda: [f"status={found.status} sigma={sigma}"]
 
     return _check_strategy(args, args.depth, analyse)
 
@@ -600,8 +659,10 @@ def _run_lsr_adversarial(args):
     def analyse(checker, v, depth, bound):
         transcript = adversarial_play(checker, v, depth, bound)
         result = _transcript_to_json(transcript)
-        return result, [f"outcome={transcript.outcome} steps={len(transcript.steps)}",
-                        "transcript: " + json.dumps(result, sort_keys=True)]
+        return result, lambda: [
+            f"outcome={transcript.outcome} steps={len(transcript.steps)}",
+            "transcript: " + json.dumps(result, sort_keys=True),
+        ]
 
     return _check_strategy(args, None, analyse, read_fields)
 
@@ -627,11 +688,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "failures": failures,
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_report_json(report))
     else:
         print(f"command: {name}")
         print("config: " + json.dumps(config, sort_keys=True))
-        for line in text:
+        for line in text():
             print(line)
         if failures:
             print(f"failures: {len(failures)}")

@@ -204,11 +204,14 @@ def parity(a: OrdinalNotation) -> int:
     return 0
 
 
+@functools.cache
 def fund_seq(lam: OrdinalNotation, k: int) -> OrdinalNotation:
     """The k-th member of the canonical fundamental sequence of a limit.
 
     (b + w^(g+1))[k] = b + w^g * (k+1); (b + w^g)[k] = b + w^(g[k]) for
-    g a limit.  In particular w[k] = k+1.
+    g a limit.  In particular w[k] = k+1.  Cached like from_int: the
+    relations ask for a few (lam, k) pairs many times, a hit is one
+    C-level cache read, and a call that raises stores nothing.
     """
     if k < 0:
         raise ValueError("index must be a natural")

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from instance_tools import Selfless
-from test_golden import COMMANDS, INSTANCES
+from test_golden import COMMANDS, DIGESTS, INSTANCES, report_digest, write_instances
 from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, DefaultOperator, JumpTrace
@@ -662,6 +662,49 @@ def test_json_envelope_keys(capsys):
     assert report["command"] == "jump"
     assert report["failures"] == []
     assert {"sigma": "[]", "events": [], "p": 0} in report["results"]
+
+
+# Strings that json escapes: quotes, backslashes, controls, non-ASCII
+# and lone surrogates, mixed into arbitrary text.
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+                              st.characters()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_TEXT
+    | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(value={"": [], "b": {}, "a": ((), [[{"\u00e9\"": [None, True, -1, 2**70]}]])})
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    # The running interpreter's json is the reference; each value is also
+    # written four containers deep.
+    for v in (value, {"d": [({"e": value},)]}):
+        assert cli._report_json(v) == json.dumps(v, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0, {"a": 2.0}], {1, 2}, {"a": frozenset()}, {1: "a"}, [{"a": {0: 1}}],
+])
+def test_report_writer_refuses_what_json_might_write_otherwise(value):
+    with pytest.raises(TypeError):
+        cli._report_json(value)
+
+
+def test_json_reports_never_call_json_dumps(tmp_path, monkeypatch):
+    write_instances(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called for a JSON report")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    for name in sorted(COMMANDS):
+        assert report_digest(name, "json") == DIGESTS[name, "json"], name
 
 
 def test_relation_dump_lines(capsys):

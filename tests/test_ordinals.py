@@ -174,6 +174,24 @@ def test_fund_seq_rejects_non_limits():
         fund_seq(parse_ordinal("w+1"), 0)
 
 
+def test_fund_seq_repeats_read_the_interned_notation():
+    lam = parse_ordinal("w^2+w*3")
+    first = fund_seq(lam, 5)
+    assert first is parse_ordinal("w^2+w*2+6")
+    assert fund_seq(lam, 5) is first
+    assert fund_seq.__wrapped__(lam, 5) is first
+
+
+def test_fund_seq_rejections_raise_every_time_and_store_nothing():
+    before = fund_seq.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="index must be a natural"):
+            fund_seq(OMEGA, -1)
+        with pytest.raises(ValueError, match=r"^w\+1 is not a limit$"):
+            fund_seq(parse_ordinal("w+1"), 0)
+    assert fund_seq.cache_info().currsize == before
+
+
 def test_equal_notations_are_one_object():
     assert parse_ordinal("w+1") is successor(OMEGA)
     assert fund_seq(parse_ordinal("w*2"), 0) is parse_ordinal("w+1")
