@@ -485,8 +485,8 @@ def _run_hk_roundtrip(args):
     for run in range(20):
         table = {s: rng.randrange(2) for s in universe.all_seqs()}
         fn = ApproxFn(alpha, table)
-        eta, witness = approx_to_witness(sys_, fn, universe)
-        family = witness_to_dsets(sys_, fn, witness, eta, alpha, universe)
+        witness = approx_to_witness(sys_, fn, universe)
+        family = witness_to_dsets(sys_, fn, witness, universe)
         checked = 0
         mismatches = 0
         for x in universe.maximal():
@@ -494,14 +494,14 @@ def _run_hk_roundtrip(args):
             if not stable:
                 continue
             checked += 1
-            got = difference_value(sys_, family, eta, x)
+            got = difference_value(sys_, family, x)
             if got != want:
                 mismatches += 1
                 failures.append({
                     "run": run, "x": seq_str(x), "expected": want, "got": got,
                 })
         results.append({
-            "run": run, "eta": render(eta), "checked": checked,
+            "run": run, "eta": render(witness.eta), "checked": checked,
             "mismatches": mismatches,
         })
     return results, failures, lambda: [
@@ -531,13 +531,13 @@ def _run_hk_convert(args):
             raise InputError("--eta applies only to an 'upsets' instance; "
                              "an 'approx' instance's eta is computed")
         fn = _approx_from_json(data["approx"], universe)
-        eta, witness = approx_to_witness(sys_, fn, universe)
-        family = witness_to_dsets(sys_, fn, witness, eta, fn.level, universe)
+        witness = approx_to_witness(sys_, fn, universe)
+        family = witness_to_dsets(sys_, fn, witness, universe)
         result = {
             "direction": "approx-to-witness",
-            "eta": render(eta),
+            "eta": render(witness.eta),
             "witness": _witness_to_json(witness),
-            "family": [_upset_to_json(u) for u in family],
+            "family": [_upset_to_json(u) for _, u in family.sets],
         }
     else:
         raise InputError("instance must carry either 'upsets' or 'approx'")

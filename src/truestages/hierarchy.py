@@ -7,8 +7,8 @@ mind-change tree in Kleene-Brouwer order; one pass over the chains
 builds the tree and each stage's longest tree node on its chain), a
 lawful witness to an increasing difference family (`witness_to_dsets`),
 and an increasing difference family to an approximation and its
-witness (`dsets_to_witness`).  `difference_value` takes a copy of eta
-only for a point that some set of the family contains."""
+witness (`dsets_to_witness`).  A `DifferenceFamily` carries each set's
+index in the copy of eta, so `difference_value` takes no copy."""
 
 from __future__ import annotations
 
@@ -70,12 +70,6 @@ class ApproxFn:
     level: OrdinalNotation
     table: dict[Seq, int]
 
-    def value(self, sigma: Seq) -> int:
-        sigma = tuple(sigma)
-        if sigma not in self.table:
-            raise ValueError(f"{seq_str(sigma)} is outside the table")
-        return self.table[sigma]
-
 
 def approx_limit(
     sys: TrueStageSystem, fn: ApproxFn, x_prefix: Seq
@@ -83,8 +77,8 @@ def approx_limit(
     """Value along the apparent-truth chain of a prefix, plus a bit
     reporting whether the last step kept it constant."""
     chain = sys.chain(tuple(x_prefix), fn.level)
-    value = fn.value(chain[-1])
-    stable = len(chain) >= 2 and fn.value(chain[-2]) == value
+    value = fn.table[chain[-1]]
+    stable = len(chain) >= 2 and fn.table[chain[-2]] == value
     return value, stable
 
 
@@ -95,11 +89,14 @@ class WitnessFn:
     eta: OrdinalNotation
     table: dict[Seq, OrdinalNotation]
 
-    def value(self, sigma: Seq) -> OrdinalNotation:
-        sigma = tuple(sigma)
-        if sigma not in self.table:
-            raise ValueError(f"{seq_str(sigma)} is outside the table")
-        return self.table[sigma]
+
+@dataclasses.dataclass(frozen=True)
+class DifferenceFamily:
+    """An increasing difference family over a copy of eta: each set with
+    its index in the copy, in copy order."""
+
+    eta: OrdinalNotation
+    sets: tuple[tuple[OrdinalNotation, UpsetRep], ...]
 
 
 def verify_witness_laws(
@@ -120,10 +117,10 @@ def verify_witness_laws(
         below = sys.chain(tau, alpha)[:-1]
         if not below:
             continue
-        before = [witness.value(sigma) for sigma in below]
-        ot = witness.value(tau)
-        guesses = [fn.value(sigma) for sigma in below]
-        ft = fn.value(tau)
+        before = [witness.table[sigma] for sigma in below]
+        ot = witness.table[tau]
+        guesses = [fn.table[sigma] for sigma in below]
+        ft = fn.table[tau]
         for sigma, os, fs in zip(below, before, guesses):
             if ot._key > os._key:
                 violations.append({
@@ -136,7 +133,7 @@ def verify_witness_laws(
                     "detail": f"value changed but o kept {render(ot)}",
                 })
     for sigma in universe.all_seqs():
-        if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
+        if witness.table[sigma] == witness.eta and fn.table[sigma] != 0:
             violations.append({
                 "clause": "iii", "sigma": list(sigma), "tau": list(sigma),
                 "detail": "o reached eta with a nonzero value",
@@ -197,10 +194,8 @@ def witness_to_dsets(
     sys: TrueStageSystem,
     fn: ApproxFn,
     witness: WitnessFn,
-    eta: OrdinalNotation,
-    alpha: OrdinalNotation,
     universe: Universe,
-) -> list[UpsetRep]:
+) -> DifferenceFamily:
     """Rebuild an increasing family from a lawful (f, o) pair.
 
     o is nudged to o or o+1 so that its parity against eta encodes f,
@@ -214,11 +209,12 @@ def witness_to_dsets(
             f"({seq_str(tuple(first['sigma']))}, {seq_str(tuple(first['tau']))}): "
             f"{first['detail']}"
         )
+    eta = witness.eta
     adjusted: dict[Seq, OrdinalNotation] = {}
     odd = parity(eta)
     for sigma in universe.all_seqs():
-        o_val = witness.value(sigma)
-        want = fn.value(sigma)
+        o_val = witness.table[sigma]
+        want = fn.table[sigma]
         if want not in (0, 1):
             raise InputError(f"two-valued approximation required, "
                              f"got {want} at {seq_str(sigma)}")
@@ -241,41 +237,30 @@ def witness_to_dsets(
     # Sorted and cut on order keys, whose order is the notation order.
     ranked = sorted(adjusted, key=lambda s: adjusted[s]._key)
     keys = [adjusted[s]._key for s in ranked]
-    return [
-        UpsetRep(alpha, frozenset(ranked[: bisect_right(keys, nu._key)]))
+    return DifferenceFamily(eta, tuple(
+        (nu, UpsetRep(fn.level, frozenset(ranked[: bisect_right(keys, nu._key)])))
         for nu in indices
-    ]
+    ))
 
 
 def difference_value(
-    sys: TrueStageSystem,
-    upsets: list[UpsetRep],
-    eta: OrdinalNotation,
-    x_prefix: Seq,
+    sys: TrueStageSystem, family: DifferenceFamily, x_prefix: Seq
 ) -> int:
     """The parity rule: odd-side membership is decided by the least
     ordinal index whose set contains the point; outside them all, 0.
-    x_prefix's chain is read once per level the family uses, membership
-    is read first, and the copy of eta is taken only up to the last
-    member, so a point outside every set takes no copy."""
-    if eta.is_zero():
-        raise ValueError("eta must be positive")
+    x_prefix's chain is read once per level the family uses."""
     chains: dict[OrdinalNotation, tuple[Seq, ...]] = {}
     members = []
-    for n, u in enumerate(upsets):
+    for nu, u in family.sets:
         chain = chains.get(u.level)
         if chain is None:
             chain = chains[u.level] = sys.chain(x_prefix, u.level)
         if not u.generators.isdisjoint(chain):
-            members.append(n)
+            members.append(nu)
     if not members:
         return 0
-    copy = list(islice(enum_copy(eta), members[-1] + 1))
-    beyond = [n for n in members if n >= len(copy)]
-    if beyond:
-        raise ValueError(f"index {beyond[0]} is beyond the copy of {render(eta)}")
-    best = min(copy[n] for n in members)
-    return int(parity(best) != parity(eta))
+    best = min(members, key=lambda nu: nu._key)
+    return int(parity(best) != parity(family.eta))
 
 
 def mind_change_tree(
@@ -293,7 +278,7 @@ def mind_change_tree(
     for sigma in universe.all_seqs()[1:]:
         chain = sys.chain(sigma, alpha)
         node = last[chain[-2]]
-        if fn.value(chain[-2]) != fn.value(sigma):
+        if fn.table[chain[-2]] != fn.table[sigma]:
             parent[sigma] = node
             node = sigma
         last[sigma] = node
@@ -302,11 +287,11 @@ def mind_change_tree(
 
 def approx_to_witness(
     sys: TrueStageSystem, fn: ApproxFn, universe: Universe
-) -> tuple[OrdinalNotation, WitnessFn]:
+) -> WitnessFn:
     """Rank the mind-change tree and read the witness off the longest
     tree node on each stage's chain.  Values stay strictly below eta, so
     the eta clause of the laws never fires."""
     tree, last = mind_change_tree(sys, fn, universe)
     eta, ranks = kb_rank(tree)
     table = {sigma: from_int(ranks[node]) for sigma, node in last.items()}
-    return eta, WitnessFn(eta, table)
+    return WitnessFn(eta, table)

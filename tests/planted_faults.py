@@ -64,7 +64,8 @@ FAULTS = [
           "return all(tau in kept for tau in proper)", "return True",
           "tests/test_game.py::test_checker_matches_straight_line_reference"),
     Fault("difference-value-largest-index", "src/truestages/hierarchy.py",
-          "best = min(copy[n] for n in members)", "best = max(copy[n] for n in members)",
+          "best = min(members, key=lambda nu: nu._key)",
+          "best = max(members, key=lambda nu: nu._key)",
           "tests/test_acceptance.py::test_criterion_03_round_trip_100_functions"),
     Fault("grade-ignores-x-opinion", "src/truestages/game.py",
           "if rho and (not in_w or eval_at(sys, g.w, rho))", "if rho",

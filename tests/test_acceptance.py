@@ -120,13 +120,13 @@ def test_criterion_03_round_trip_100_functions():
     for alpha in (from_int(0), from_int(1)):
         for _ in range(50):
             fn = ApproxFn(alpha, {s: rng.randrange(2) for s in uni.all_seqs()})
-            eta, witness = approx_to_witness(SYS, fn, uni)
-            family = witness_to_dsets(SYS, fn, witness, eta, alpha, uni)
+            witness = approx_to_witness(SYS, fn, uni)
+            family = witness_to_dsets(SYS, fn, witness, uni)
             for x in uni.maximal():
                 want, stable = approx_limit(SYS, fn, x)
                 if not stable:
                     continue
-                assert difference_value(SYS, family, eta, x) == want
+                assert difference_value(SYS, family, x) == want
                 checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60
@@ -143,10 +143,10 @@ def test_criterion_04_witness_laws_hold():
     for alpha in (from_int(0), from_int(1)):
         for _ in range(15):
             fn = ApproxFn(alpha, {s: rng.randrange(2) for s in uni.all_seqs()})
-            eta, witness = approx_to_witness(SYS, fn, uni)
+            witness = approx_to_witness(SYS, fn, uni)
             violations += verify_witness_laws(SYS, fn, witness, uni)
             for value in witness.table.values():
-                if compare(value, eta) >= 0:
+                if compare(value, witness.eta) >= 0:
                     violations.append({"clause": "below-eta", "value": value})
     pool = [s for s in uni.all_seqs() if len(s) <= 2]
     for alpha in (from_int(0), from_int(1)):

@@ -804,18 +804,20 @@ def test_roundtrip_reads_chains_not_pairs(capsys, monkeypatch):
 def test_roundtrip_work_counts_are_pinned(capsys, monkeypatch):
     # Exact counts for one roundtrip run: the mind-change tree and the
     # witness table share one read of each stage's chain (2,864 chain
-    # calls when the table read every chain again), and a point outside
-    # every set of the family takes no copy of eta (180 copies when every
-    # stable point took one).  The count is of the public chain, which
-    # is every read the hierarchy layer makes; the stage system's own
-    # reads subscript its memo (2,244 calls when they went through
-    # chain).  Counts must not depend on the string hash seed.
+    # calls when the table read every chain again), and each of the 20
+    # conversions walks the copy of eta once, since its family carries
+    # the copy indices that difference_value reads (134 copies when each
+    # point that some set holds took its own, 180 when every stable
+    # point did).  The count is of the public chain, which is every read
+    # the hierarchy layer makes; the stage system's own reads subscript
+    # its memo (2,244 calls when they went through chain).  Counts must
+    # not depend on the string hash seed.
     counts = {}
     count_calls(monkeypatch, TrueStageSystem, "chain", counts)
     count_calls(monkeypatch, hierarchy, "enum_copy", counts)
     code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
     assert code == 0
-    assert counts == {"chain": 1864, "enum_copy": 134}
+    assert counts == {"chain": 1864, "enum_copy": 20}
     assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from truestages import cli
 from truestages.hierarchy import (
     ApproxFn,
+    DifferenceFamily,
     UpsetRep,
     WitnessFn,
     approx_limit,
@@ -92,9 +93,9 @@ def test_dsets_to_witness_worked_example(sys_):
         upset_close(sys_, [()], A0, UNI),
     ]
     f, o = dsets_to_witness(sys_, family, eta, A0, UNI)
-    assert render(o.value((0,))) == "0" and f.value((0,)) == 0
-    assert render(o.value((1,))) == "2" and f.value((1,)) == 0
-    assert render(o.value((1, 1))) == "1" and f.value((1, 1)) == 1
+    assert render(o.table[(0,)]) == "0" and f.table[(0,)] == 0
+    assert render(o.table[(1,)]) == "2" and f.table[(1,)] == 0
+    assert render(o.table[(1, 1)]) == "1" and f.table[(1, 1)] == 1
     assert verify_witness_laws(sys_, f, o, UNI) == []
 
 
@@ -121,10 +122,25 @@ def test_witness_to_dsets_round_trip_membership(sys_):
     # largest copy index the witness uses.
     for eta in (from_int(2), parse_ordinal("w")):
         f, o = dsets_to_witness(sys_, family, eta, A0, UNI)
-        back = witness_to_dsets(sys_, f, o, eta, A0, UNI)
-        assert len(back) == 2
+        back = witness_to_dsets(sys_, f, o, UNI)
+        assert back.eta == eta and len(back.sets) == 2
         for x in UNI.all_seqs():
-            assert difference_value(sys_, back, eta, x) == f.value(x)
+            assert difference_value(sys_, back, x) == f.table[x]
+
+
+@pytest.mark.parametrize("name", ["2", "w", "w+1"])
+def test_family_indices_are_a_prefix_of_the_copy(sys_, name):
+    # The copy of w+1 starts at w, so the smaller set goes to the smaller
+    # of the first two indices.
+    eta = parse_ordinal(name)
+    first = list(islice(enum_copy(eta), 2))
+    small, full = upset_close(sys_, [(0,)], A0, UNI), upset_close(sys_, [()], A0, UNI)
+    family = [small, full] if first[0] < first[1] else [full, small]
+    f, o = dsets_to_witness(sys_, family, eta, A0, UNI)
+    back = witness_to_dsets(sys_, f, o, UNI)
+    indices = [nu for nu, _ in back.sets]
+    assert back.eta == eta and indices
+    assert indices == list(islice(enum_copy(eta), len(back.sets)))
 
 
 def ref_witness_violations(fn, witness, universe):
@@ -134,15 +150,15 @@ def ref_witness_violations(fn, witness, universe):
     for sigma, tau in universe.prefix_pairs():
         if sigma == tau or not ref_leq(sigma, tau, fn.level):
             continue
-        os, ot = witness.value(sigma), witness.value(tau)
+        os, ot = witness.table[sigma], witness.table[tau]
         if ref_compare(ot, os) > 0:
             out.append({"clause": "i", "sigma": list(sigma), "tau": list(tau),
                         "detail": f"o rose from {render(os)} to {render(ot)}"})
-        if fn.value(sigma) != fn.value(tau) and ref_compare(ot, os) >= 0:
+        if fn.table[sigma] != fn.table[tau] and ref_compare(ot, os) >= 0:
             out.append({"clause": "ii", "sigma": list(sigma), "tau": list(tau),
                         "detail": f"value changed but o kept {render(ot)}"})
     for sigma in universe.all_seqs():
-        if witness.value(sigma) == witness.eta and fn.value(sigma) != 0:
+        if witness.table[sigma] == witness.eta and fn.table[sigma] != 0:
             out.append({"clause": "iii", "sigma": list(sigma), "tau": list(sigma),
                         "detail": "o reached eta with a nonzero value"})
     return out
@@ -153,8 +169,8 @@ def planted_witness(sys_, alpha, fault):
     of the named clause planted at a single stage."""
     rng = random.Random(f"{render(alpha)}-{fault}")
     fn = ApproxFn(alpha, {s: rng.randrange(2) for s in REF.all_seqs()})
-    eta, witness = approx_to_witness(sys_, fn, REF)
-    table, o = dict(fn.table), dict(witness.table)
+    witness = approx_to_witness(sys_, fn, REF)
+    eta, table, o = witness.eta, dict(fn.table), dict(witness.table)
     tau = REF.maximal()[rng.randrange(len(REF.maximal()))]
     sigma = ref_chain(tau, alpha)[-2]
     if fault == "i":  # o rises from sigma to tau
@@ -203,43 +219,43 @@ def test_difference_value_reads_a_chain_per_level(sys_, eta):
         UpsetRep(high, frozenset({()})),
     ]
     eta = parse_ordinal(eta)
-    got = {x: difference_value(sys_, family, eta, x) for x in REF.maximal()}
+    indexed = DifferenceFamily(eta, tuple(zip(enum_copy(eta), family)))
+    got = {x: difference_value(sys_, indexed, x) for x in REF.maximal()}
     assert got == {x: ref_difference_value(sys_, family, eta, x) for x in REF.maximal()}
     assert set(got.values()) == {0, 1}
 
 
 def test_difference_value_names_the_first_member_beyond_the_copy(sys_):
-    # The copy of 2 has indices 0 and 1; (1,) lies in sets 1, 3 and 4.
-    family = [UpsetRep(A0, frozenset(g)) for g in
-              [{(0,)}, {(1,)}, {(0,)}, {(1,)}, {()}]]
-    with pytest.raises(ValueError, match="index 3 is beyond the copy of 2"):
-        difference_value(sys_, family, from_int(2), (1,))
-    assert difference_value(sys_, family[:2], from_int(2), (1,)) == 1
-    assert difference_value(sys_, family[:4], from_int(2), ()) == 0
-    with pytest.raises(ValueError, match="eta must be positive"):
-        difference_value(sys_, family[:2], from_int(0), ())
+    # A family holds at most one set per index of the copy, so neither a
+    # set beyond the copy of eta nor an eta of 0 can reach
+    # difference_value.  The copy of 2 has indices 0 and 1; (1,) lies in
+    # set 1 alone, and () in neither.
+    eta = from_int(2)
+    family = DifferenceFamily(eta, tuple(zip(
+        enum_copy(eta), [UpsetRep(A0, frozenset(g)) for g in [{(0,)}, {(1,)}]])))
+    assert difference_value(sys_, family, (1,)) == 1
+    assert difference_value(sys_, family, ()) == 0
 
 
-# (f, witness eta, o, eta passed in, the error named) on UNI at level 0.
+# (f, eta, o, the error named) on UNI at level 0.
 BAD_WITNESSES = {
-    "clause-i": (lambda s: 0, 3, lambda s: min(len(s), 2), 3, r"law \(i\)"),
-    "clause-ii": (lambda s: len(s) % 2, 3, lambda s: 0, 3, r"law \(ii\)"),
-    "clause-iii": (lambda s: 1, 3, lambda s: 3, 3, r"law \(iii\)"),
-    "two-valued": (lambda s: 2, 3, lambda s: 0, 3,
-                   "two-valued approximation required"),
-    "exceeds-eta": (lambda s: 0, 5, lambda s: 3, 2,
-                    "adjusted witness exceeds eta"),
+    "clause-i": (lambda s: 0, 3, lambda s: min(len(s), 2), r"law \(i\)"),
+    "clause-ii": (lambda s: len(s) % 2, 3, lambda s: 0, r"law \(ii\)"),
+    "clause-iii": (lambda s: 1, 3, lambda s: 3, r"law \(iii\)"),
+    "two-valued": (lambda s: 2, 3, lambda s: 0, "two-valued approximation required"),
+    # o = 3 keeps the laws, but its value lies beyond its own eta of 2.
+    "exceeds-eta": (lambda s: 0, 2, lambda s: 3, "adjusted witness exceeds eta"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_WITNESSES))
 def test_witness_to_dsets_names_violated_clause(sys_, case):
-    f, witness_eta, o, eta, message = BAD_WITNESSES[case]
+    f, eta, o, message = BAD_WITNESSES[case]
     seqs = UNI.all_seqs()
     fn = ApproxFn(A0, {s: f(s) for s in seqs})
-    witness = WitnessFn(from_int(witness_eta), {s: from_int(o(s)) for s in seqs})
+    witness = WitnessFn(from_int(eta), {s: from_int(o(s)) for s in seqs})
     with pytest.raises(ValueError, match=message):
-        witness_to_dsets(sys_, fn, witness, from_int(eta), A0, UNI)
+        witness_to_dsets(sys_, fn, witness, UNI)
 
 
 def test_witness_adjustment_rules(sys_):
@@ -250,37 +266,37 @@ def test_witness_adjustment_rules(sys_):
     table_f = {s: 0 for s in UNI.all_seqs()}
     fn = ApproxFn(A0, table_f)
     o = WitnessFn(eta, table_o)
-    fam = witness_to_dsets(sys_, fn, o, eta, A0, UNI)
+    fam = witness_to_dsets(sys_, fn, o, UNI)
     # f=0 with o=1 odd-against-eta: pushed to 2, outside every listed
     # set; f=0 with o=0 keeps 0, landing in both
     long_stages = frozenset(s for s in UNI.all_seqs() if len(s) >= 2)
-    assert fam[0].generators == long_stages
-    assert fam[1].generators == long_stages
+    assert [(nu, u.generators) for nu, u in fam.sets] == [
+        (from_int(0), long_stages), (from_int(1), long_stages)]
 
 
 def test_approx_to_witness_constant(sys_):
     fn = ApproxFn(A0, {s: 3 for s in UNI.all_seqs()})
-    eta, o = approx_to_witness(sys_, fn, UNI)
-    assert render(eta) == "1"
+    o = approx_to_witness(sys_, fn, UNI)
+    assert render(o.eta) == "1"
     assert all(render(v) == "0" for v in o.table.values())
 
 
 def test_approx_to_witness_parity_chain(sys_):
     narrow = Universe(2, 1)
     fn = ApproxFn(A0, {s: len(s) % 2 for s in narrow.all_seqs()})
-    eta, o = approx_to_witness(sys_, fn, narrow)
-    assert render(eta) == "3"
-    assert [render(o.value(s)) for s in [(), (0,), (0, 0)]] == ["2", "1", "0"]
+    o = approx_to_witness(sys_, fn, narrow)
+    assert render(o.eta) == "3"
+    assert [render(o.table[s]) for s in [(), (0,), (0, 0)]] == ["2", "1", "0"]
 
 
 def test_approx_to_witness_single_change(sys_):
     fn = ApproxFn(A0, {s: int(s[:1] == (0,)) for s in UNI.all_seqs()})
-    eta, o = approx_to_witness(sys_, fn, UNI)
-    assert render(eta) == "2"
-    assert render(o.value(())) == "1"
-    assert render(o.value((0,))) == "0"
-    assert render(o.value((0, 1))) == "0"
-    assert render(o.value((1,))) == "1"
+    o = approx_to_witness(sys_, fn, UNI)
+    assert render(o.eta) == "2"
+    assert render(o.table[()]) == "1"
+    assert render(o.table[(0,)]) == "0"
+    assert render(o.table[(0, 1)]) == "0"
+    assert render(o.table[(1,)]) == "1"
 
 
 def test_mind_change_tree_nodes(sys_):
@@ -301,7 +317,7 @@ def ref_mind_change_tree(fn, universe):
     parent = {(): None}
     for sigma in universe.all_seqs()[1:]:
         chain = ref_chain(sigma, fn.level)
-        if fn.value(chain[-2]) != fn.value(sigma):
+        if fn.table[chain[-2]] != fn.table[sigma]:
             parent[sigma] = ref_last_on_tree(chain[:-1], parent)
     return parent
 
@@ -315,8 +331,8 @@ def test_one_pass_tree_and_witness_match_the_chain_scan(bits, level):
     nodes = {s: ref_last_on_tree(ref_chain(s, fn.level), want) for s in seqs}
     assert mind_change_tree(_SHARED, fn, REF) == (want, nodes)
     want_eta, ranks = kb_rank(want)
-    eta, witness = approx_to_witness(_SHARED, fn, REF)
-    assert (eta, witness.eta) == (want_eta, want_eta)
+    witness = approx_to_witness(_SHARED, fn, REF)
+    assert witness.eta == want_eta
     assert witness.table == {s: from_int(ranks[nodes[s]]) for s in seqs}
 
 
@@ -327,13 +343,13 @@ def test_round_trip_reproduces_stable_limits(bits, a):
     alpha = from_int(a)
     seqs = UNI.all_seqs()
     fn = ApproxFn(alpha, {s: (bits >> i) & 1 for i, s in enumerate(seqs)})
-    eta, o = approx_to_witness(sys_, fn, UNI)
+    o = approx_to_witness(sys_, fn, UNI)
     assert verify_witness_laws(sys_, fn, o, UNI) == []
-    fam = witness_to_dsets(sys_, fn, o, eta, alpha, UNI)
+    fam = witness_to_dsets(sys_, fn, o, UNI)
     for x in UNI.maximal():
         value, stable = approx_limit(sys_, fn, x)
         if stable:
-            assert difference_value(sys_, fam, eta, x) == value
+            assert difference_value(sys_, fam, x) == value
 
 
 _SHARED = TrueStageSystem(DefaultOperator())
@@ -345,7 +361,7 @@ def test_json_round_trips(sys_):
     fn = ApproxFn(A0, {s: len(s) % 2 for s in UNI.all_seqs()})
     back = cli._approx_from_json(cli._approx_to_json(fn), UNI)
     assert back.level == fn.level and back.table == fn.table
-    eta, o = approx_to_witness(sys_, fn, UNI)
+    o = approx_to_witness(sys_, fn, UNI)
     data = cli._witness_to_json(o)
     assert parse_ordinal(data["eta"]) == o.eta
     assert {parse_seq(k): parse_ordinal(v) for k, v in data["table"].items()} == o.table
