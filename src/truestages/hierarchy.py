@@ -93,10 +93,20 @@ class WitnessFn:
 @dataclasses.dataclass(frozen=True)
 class DifferenceFamily:
     """An increasing difference family over a copy of eta: each set with
-    its index in the copy, in copy order."""
+    its index in the copy, in copy order.  An eta of 0 and an index
+    outside the copy, that is not below eta, raise `ValueError`."""
 
     eta: OrdinalNotation
     sets: tuple[tuple[OrdinalNotation, UpsetRep], ...]
+
+    def __post_init__(self) -> None:
+        if self.eta.is_zero():
+            raise ValueError("eta must be positive")
+        for nu, _ in self.sets:
+            if nu._key >= self.eta._key:
+                raise ValueError(
+                    f"index {render(nu)} is beyond the copy of {render(self.eta)}"
+                )
 
 
 def verify_witness_laws(

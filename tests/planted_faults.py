@@ -102,6 +102,11 @@ FAULTS = [
 ]
 
 
+def stale(fault: Fault) -> bool:
+    """Whether the fault's text is not found exactly once in its file."""
+    return (ROOT / fault.path).read_text(encoding="utf-8").count(fault.old) != 1
+
+
 def plant(fault: Fault, where: Path) -> None:
     for name in COPIED:
         source = ROOT / name
@@ -110,19 +115,21 @@ def plant(fault: Fault, where: Path) -> None:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         else:
             shutil.copy2(source, where / name)
-    target = where / fault.path
-    text = target.read_text(encoding="utf-8")
-    if text.count(fault.old) != 1:
+    if stale(fault):
         raise LookupError(f"{fault.name}: {fault.old!r} is not found exactly once "
                           f"in {fault.path}")
+    target = where / fault.path
+    text = target.read_text(encoding="utf-8")
     target.write_text(text.replace(fault.old, fault.new), encoding="utf-8")
 
 
 def run_suite(where: Path) -> Optional[str]:
-    """The first failing test's id, "timeout", or None when all pass."""
+    """The first failing test's id, "timeout", or None when all pass.
+    tests/test_fault_list.py is left out: in a planted copy the fault's
+    text is gone by design, so that file would catch every fault."""
     env = dict(os.environ, PYTHONPATH="src")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors"]
+            "--continue-on-collection-errors", "--ignore=tests/test_fault_list.py"]
     try:
         proc = subprocess.run(argv, cwd=where, env=env, capture_output=True,
                               text=True, timeout=TIMEOUT_S)

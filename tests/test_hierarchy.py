@@ -226,15 +226,20 @@ def test_difference_value_reads_a_chain_per_level(sys_, eta):
 
 
 def test_difference_value_names_the_first_member_beyond_the_copy(sys_):
-    # A family holds at most one set per index of the copy, so neither a
-    # set beyond the copy of eta nor an eta of 0 can reach
-    # difference_value.  The copy of 2 has indices 0 and 1; (1,) lies in
-    # set 1 alone, and () in neither.
+    # A family checks its indices when it is built, so neither a set
+    # beyond the copy of eta nor an eta of 0 reaches difference_value.
+    # The copy of 2 has indices 0 and 1; (1,) lies in set 1 alone, and ()
+    # in neither.
     eta = from_int(2)
-    family = DifferenceFamily(eta, tuple(zip(
-        enum_copy(eta), [UpsetRep(A0, frozenset(g)) for g in [{(0,)}, {(1,)}]])))
+    sets = [UpsetRep(A0, frozenset(g)) for g in [{(0,)}, {(1,)}, {(0,)}, {(1,)}]]
+    with pytest.raises(ValueError, match="index 2 is beyond the copy of 2"):
+        DifferenceFamily(eta, tuple(zip(map(from_int, range(4)), sets)))
+    family = DifferenceFamily(eta, tuple(zip(enum_copy(eta), sets)))
+    assert len(family.sets) == 2
     assert difference_value(sys_, family, (1,)) == 1
     assert difference_value(sys_, family, ()) == 0
+    with pytest.raises(ValueError, match="eta must be positive"):
+        DifferenceFamily(from_int(0), ())
 
 
 # (f, eta, o, the error named) on UNI at level 0.
