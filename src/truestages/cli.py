@@ -31,6 +31,7 @@ from .game import (
     PartialPlay,
     PlayTranscript,
     ResourceBoundError,
+    SolveResult,
     StrategyTable,
     adversarial_play,
     referee,
@@ -574,15 +575,17 @@ def _run_wadge_eval(args):
     return results, [], lambda: [f"{r['x']}\t{r['value']}" for r in results]
 
 
-def _game_setup(args):
-    if getattr(args, "depth", None) is not None:  # lsr referee has no --depth
-        _positive(args.depth, "--depth")
+def _game_setup(args, depth=None):
+    """The instance, its game and a fresh system, once the --depth flag
+    (lsr referee has none) is checked."""
+    if depth is not None:
+        _positive(depth, "--depth")
     data = _load_instance(args.instance)
     return data, _game_from_json(data), _fresh()
 
 
 def _run_lsr_solve(args):
-    data, game, sys_ = _game_setup(args)
+    data, game, sys_ = _game_setup(args, args.depth)
     outcome = solve(sys_, game, depth=args.depth)
     result = {
         "status": outcome.status,
@@ -615,56 +618,45 @@ def _run_lsr_referee(args):
     ]
 
 
-def _check_strategy(args, solve_depth, analyse, read_fields=lambda data, game: ()):
-    """The shared body of the commands that analyse player I's strategy
-    along the instance's y.
-
-    The command's own fields are read by read_fields(data, game) before
-    any solving.  The strategy is the instance's pinned side I table or,
-    failing that, the one solve finds at solve_depth; without a win for
-    player I the report is the solver status.  Otherwise
-    analyse(checker, *fields), with the checker built for y, gives the
-    result and the callable that gives its text lines.
-    """
-    data, game, sys_ = _game_setup(args)
-    y = _naturals(_required(data, "y"), "y", game.alphabet)
-    fields = read_fields(data, game)
+def _side_i_strategy(data: dict, game: GameInstance, sys_, depth) -> SolveResult:
+    """Player I's strategy for the commands that analyse it along the
+    instance's y: the instance's pinned table or, failing that, the one
+    solve finds at depth.  Only an IWins result carries a strategy to
+    analyse; otherwise the report is the solver status."""
     if "strategy" in data:
-        table = _strategy_from_json(data["strategy"], game.alphabet)
-    else:
-        outcome = solve(sys_, game, depth=solve_depth)
-        if outcome.status != "IWins":
-            return [{"solver": outcome.status}], [], lambda: [f"solver={outcome.status}"]
-        table = outcome.strategy
-    result, text = analyse(CorrectnessChecker(sys_, game, table, y), *fields)
-    return [result], [], text
+        return SolveResult("IWins", _strategy_from_json(data["strategy"], game.alphabet))
+    return solve(sys_, game, depth=depth)
 
 
 def _run_lsr_separator(args):
-    def analyse(checker):
-        found = checker.separator_evidence()
-        sigma = None if found.sigma is None else seq_str(found.sigma)
-        result = {"status": found.status, "sigma": sigma}
-        return result, lambda: [f"status={found.status} sigma={sigma}"]
-
-    return _check_strategy(args, args.depth, analyse)
+    data, game, sys_ = _game_setup(args, args.depth)
+    y = _naturals(_required(data, "y"), "y", game.alphabet)
+    outcome = _side_i_strategy(data, game, sys_, args.depth)
+    if outcome.status != "IWins":
+        return [{"solver": outcome.status}], [], lambda: [f"solver={outcome.status}"]
+    found = CorrectnessChecker(sys_, game, outcome.strategy, y).separator_evidence()
+    sigma = None if found.sigma is None else seq_str(found.sigma)
+    return [{"status": found.status, "sigma": sigma}], [], lambda: [
+        f"status={found.status} sigma={sigma}"
+    ]
 
 
 def _run_lsr_adversarial(args):
-    def read_fields(data, game):
-        v = _naturals(data["v"], "v", game.alphabet) if "v" in data else None
-        depth = args.depth if args.depth is not None else game.depth
-        return v, depth, _positive(data.get("searchBound", 3), "searchBound")
-
-    def analyse(checker, v, depth, bound):
-        transcript = adversarial_play(checker, v, depth, bound)
-        result = _transcript_to_json(transcript)
-        return result, lambda: [
-            f"outcome={transcript.outcome} steps={len(transcript.steps)}",
-            "transcript: " + json.dumps(result, sort_keys=True),
-        ]
-
-    return _check_strategy(args, None, analyse, read_fields)
+    data, game, sys_ = _game_setup(args, args.depth)
+    y = _naturals(_required(data, "y"), "y", game.alphabet)
+    v = _naturals(data["v"], "v", game.alphabet) if "v" in data else None
+    depth = args.depth if args.depth is not None else game.depth
+    bound = _positive(data.get("searchBound", 3), "searchBound")
+    outcome = _side_i_strategy(data, game, sys_, None)
+    if outcome.status != "IWins":
+        return [{"solver": outcome.status}], [], lambda: [f"solver={outcome.status}"]
+    checker = CorrectnessChecker(sys_, game, outcome.strategy, y)
+    transcript = adversarial_play(checker, v, depth, bound)
+    result = _transcript_to_json(transcript)
+    return [result], [], lambda: [
+        f"outcome={transcript.outcome} steps={len(transcript.steps)}",
+        "transcript: " + json.dumps(result, sort_keys=True),
+    ]
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -403,7 +403,7 @@ class EvidenceResult:
 _LIMIT_WINDOW = 4
 
 
-class CorrectnessChecker(Memo):
+class CorrectnessChecker:
     """Correctness predicates for II's candidate plays against a fixed
     side I strategy, along one fixed y.
 
@@ -424,7 +424,7 @@ class CorrectnessChecker(Memo):
     ) -> None:
         if table.side != "I":
             raise InputError("correctness analysis needs a side I strategy")
-        super().__init__()
+        self._memo = Memo(self)
         self.sys = sys
         self.game = game
         self.table = table
@@ -517,22 +517,18 @@ class CorrectnessChecker(Memo):
     # -- extension search ---------------------------------------------
 
     def extend_correct(
-        self, rho: Node, sigma: Seq, alpha: OrdinalNotation, search_bound: int
+        self, sigma: Seq, alpha: OrdinalNotation, search_bound: int
     ) -> ExtendResult:
         """The shortest strongly alpha-correct extension of sigma, the
         least in shortlex order among those by fewer than search_bound
         entries that y still covers.  This is what the defeating-play
-        construction needs.  BoundExhausted reports an exhausted search
-        space, not nonexistence.
+        construction needs: sigma's parent rho, the pre-root token for
+        (), must be strongly alpha-correct and sigma 0-correct.
+        BoundExhausted reports an exhausted search space, not
+        nonexistence.
         """
         sigma = tuple(sigma)
-        if rho is PRE_ROOT:
-            extends = sigma == ()
-        else:
-            rho = tuple(rho)
-            extends = len(sigma) == len(rho) + 1 and sigma[: len(rho)] == rho
-        if not extends:
-            raise ValueError("sigma must be a one-element extension of rho")
+        rho = sigma[:-1] if sigma else PRE_ROOT
         if not self.is_strongly_correct(rho, alpha):
             raise ValueError(f"rho is not strongly {render(alpha)}-correct")
         if not self.is_correct(sigma, ZERO):
@@ -632,7 +628,7 @@ def adversarial_play(
             outcome = "PlayerIWon"
             failed = sigma + (choices[-1],)
             break
-        ext = checker.extend_correct(sigma, sigma + (vi,), g.xi, search_bound)
+        ext = checker.extend_correct(sigma + (vi,), g.xi, search_bound)
         if ext.status != "Found":
             outcome = "BoundExhausted"
             break

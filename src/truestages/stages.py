@@ -27,8 +27,8 @@ import dataclasses
 import threading
 import weakref
 from bisect import bisect_left
-from itertools import islice
-from typing import Callable, Iterable
+from itertools import combinations, islice
+from typing import Iterable
 
 from .jump import (
     ContractViolationError,
@@ -40,18 +40,22 @@ from .ordinals import OrdinalNotation, classify, fund_seq, render, successor
 from .universe import Seq, Universe, seq_str
 
 
-class _Entries(dict):
-    """A memo's entries, keyed by (fill, *args).  A hit is a plain
-    subscript, served by the dict itself; only a miss runs Python code.
-    The miss takes the lock, reads the entry again and otherwise stores
-    fill(owner, *args), so each value is computed once even when threads
-    race.  The owner is held through a weak reference, so an owner and
-    its entries form no reference cycle and are freed together by
-    reference counting."""
+class Memo(dict):
+    """The one memo block: values computed once per owner and stored
+    under their fill function and arguments, keyed by (fill, *args).  A
+    reader subscripts `owner._memo[fill, *args]`: a hit is one dict read,
+    served by the dict itself with no lock and no Python frame, and only
+    a miss runs Python code.  The miss takes the lock, reads the entry
+    again and otherwise stores fill(owner, *args), so each value is
+    computed once even when threads race.  `get` peeks without filling.
+    One owner may be shared across threads: this rests on dict reads and
+    item assignment being atomic, as they are in CPython.  The owner is
+    held through a weak reference, so an owner and its memo form no
+    reference cycle and are freed together by reference counting."""
 
     __slots__ = ("_owner", "_lock")
 
-    def __init__(self, owner: "Memo"):
+    def __init__(self, owner):
         super().__init__()
         self._owner = weakref.ref(owner)
         self._lock = threading.RLock()
@@ -65,26 +69,7 @@ class _Entries(dict):
             return hit
 
 
-class Memo:
-    """The one memo block: values computed once per instance and stored
-    under their fill function and arguments.  A reader subscripts
-    `self._memo[fill, *args]`: a hit is one dict read, with no lock and
-    no Python frame, and a miss fills the entry under the lock (see
-    `_Entries`), so each value is computed once.  `_memo.get` peeks
-    without filling.  One instance may be shared across threads: this
-    rests on dict reads and item assignment being atomic, as they are in
-    CPython."""
-
-    def __init__(self):
-        self._memo = _Entries(self)
-
-    def _memoized(self, fill: Callable, *args):
-        """The value of fill(self, *args), computed once and stored
-        under (fill, *args)."""
-        return self._memo[(fill, *args)]
-
-
-class TrueStageSystem(Memo):
+class TrueStageSystem:
     """Memoizing evaluator for the level-indexed relations of one
     enumeration operator.
 
@@ -106,7 +91,7 @@ class TrueStageSystem(Memo):
     subclass that overrides `chain` still sees every height read."""
 
     def __init__(self, operator: EnumerationOperator):
-        super().__init__()
+        self._memo = Memo(self)
         self.operator = operator
         self._last_code = getattr(operator, "last_code", None)
         # The oracles of p-only fills, each kept until the trace of its
@@ -300,13 +285,11 @@ def ts_verify(
                 _example(res, alpha=alpha, tau=tau,
                          detail="chain does not start at the root")
                 continue
-            for i in range(len(ch)):
-                for j in range(i + 1, len(ch)):
-                    res.checked += 1
-                    if not sys.leq(ch[i], ch[j], alpha):
-                        _example(res, alpha=alpha, tau=tau,
-                                 sigma=ch[i], rho=ch[j],
-                                 detail="chain elements incomparable")
+            for sigma, rho in combinations(ch, 2):
+                res.checked += 1
+                if not sys.leq(sigma, rho, alpha):
+                    _example(res, alpha=alpha, tau=tau, sigma=sigma, rho=rho,
+                             detail="chain elements incomparable")
 
     # TS5: higher levels refine lower ones (consecutive listed levels).
     res = fresh("TS5")
@@ -360,29 +343,22 @@ def ts_verify(
     for alpha in levels:
         up = successor(alpha)
         for tau in seqs:
-            ch = sys.chain(tau, alpha)
-            for i in range(len(ch)):
-                for j in range(i + 1, len(ch)):
-                    res.checked += 1
-                    if sys.leq(ch[i], tau, up) and not sys.leq(ch[i], ch[j], up):
-                        _example(res, alpha=alpha, sigma=ch[i],
-                                 rho=ch[j], tau=tau,
-                                 detail="skipped an intermediate stage")
+            for sigma, rho in combinations(sys.chain(tau, alpha), 2):
+                res.checked += 1
+                if sys.leq(sigma, tau, up) and not sys.leq(sigma, rho, up):
+                    _example(res, alpha=alpha, sigma=sigma, rho=rho, tau=tau,
+                             detail="skipped an intermediate stage")
 
     # TS3 finite analog: on each maximal sequence the apparently true
     # stages are pairwise comparable.
     res = fresh("TS3-finite")
     for alpha in levels:
         for tau in universe.maximal():
-            ch = sys.chain(tau, alpha)
-            for i in range(len(ch)):
-                for j in range(i + 1, len(ch)):
-                    res.checked += 1
-                    if not (sys.leq(ch[i], ch[j], alpha)
-                            or sys.leq(ch[j], ch[i], alpha)):
-                        _example(res, alpha=alpha, tau=tau,
-                                 sigma=ch[i], rho=ch[j],
-                                 detail="true stages incomparable")
+            for sigma, rho in combinations(sys.chain(tau, alpha), 2):
+                res.checked += 1
+                if not (sys.leq(sigma, rho, alpha) or sys.leq(rho, sigma, alpha)):
+                    _example(res, alpha=alpha, tau=tau, sigma=sigma, rho=rho,
+                             detail="true stages incomparable")
 
     # TS9 stabilization: past the height index, the limit answer must
     # not flicker within the test window.

@@ -82,7 +82,9 @@ def _build(
         if len(tau) > len(node) and sys.leq(node, tau, lam)
     )
     if not kids:
-        raise ValueError(
+        # The sets leave this stage undecided with nothing one height up
+        # to split it on: like an overlap, a misfit of the instance.
+        raise InputError(
             f"undecided stage {seq_str(node)} has no extensions to split on"
         )
     level = fund_seq(lam, k + 1)

@@ -92,6 +92,13 @@ FAULTS = [
           "fund_seq(alpha, self.height(rho, alpha) + 1)]",
           "tests/test_cli.py::test_roundtrip_memo_entries_are_pinned",
           "only the pinned memo entries see it: TS9 makes the index immaterial to every verdict"),
+    Fault("memo-miss-skips-reread", "src/truestages/stages.py",
+          "hit = self.get(key)", "hit = None",
+          "tests/test_sharing.py::test_racing_misses_fill_each_entry_once"),
+    Fault("wadge-stall-is-internal", "src/truestages/wadge.py",
+          'raise InputError(\n            f"undecided stage',
+          'raise ValueError(\n            f"undecided stage',
+          "tests/test_cli.py::test_non_natural_x_entries_exit_two[decompose-stall]"),
     Fault("report-keys-unsorted", "src/truestages/cli.py",
           "for key, item in sorted(value.items()):", "for key, item in value.items():",
           "tests/test_cli.py::test_report_writer_matches_json_dumps"),

@@ -230,6 +230,15 @@ def with_fields(**fields):
     return lambda data: {**data, **fields}
 
 
+# W0 and W1 are disjoint and cover every maximal sequence, yet the
+# undecided stage [1,0] has no stage one height up to split on.
+WADGE_STALL = {
+    "lambda": "w*2", "maxLen": 3, "alphabet": 2,
+    "W0": {"level": "w*2", "generators": [[0], [0, 1, 0]]},
+    "W1": {"level": "w*2", "generators": [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]},
+}
+
+
 side_two_strategy = with_fields(strategy={"side": "II", "depth": 3, "moves": []})
 
 
@@ -324,6 +333,8 @@ def approx_value(value):
      "pair lengths differ: [0], [0,1]"),
     (["wadge", "eval"], with_fields(queries=[[]]),
      "0 separators match [] at node []"),
+    (["wadge", "decompose"], with_fields(**WADGE_STALL),
+     "undecided stage [1,0] has no extensions to split on"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative",
         "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
@@ -336,7 +347,8 @@ def approx_value(value):
         "adversarial-search-bound-zero", "solve-w-level", "decompose-overlap",
         "decompose-uncovered", "decompose-successor-lambda", "convert-not-increasing",
         "convert-not-two-valued", "decompose-w0-level", "referee-unanswered",
-        "referee-no-round", "solve-pair-lengths", "eval-undecided-query"])
+        "referee-no-round", "solve-pair-lengths", "eval-undecided-query",
+        "decompose-stall"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,22 @@ def test_instance_level_mismatch_rejected():
     w = UpsetRep(LEVELS["1"], frozenset())
     with pytest.raises(ValueError, match="W lives at level 1, expected 2"):
         GameInstance(LEVELS["2"], w, FULL, FULL, 2, 3)
+
+
+def empty_w_game(alphabet, depth):
+    return GameInstance(ZERO, UpsetRep(ZERO, frozenset()), FULL, FULL, alphabet, depth)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PairTree(pairs=frozenset({((0,), (0, 1))})), "pair lengths differ: [0], [0,1]"),
+    (lambda: empty_w_game(0, 3), "alphabet bound must be positive"),
+    (lambda: empty_w_game(2, 0), "depth bound must be positive"),
+    (lambda: StrategyTable("III", 3, {}), "unknown side 'III'"),
+], ids=["explicit-pair-lengths", "alphabet", "depth", "strategy-side"])
+def test_game_parts_reject_bad_values(build, message):
+    # The library's own checks, met without the CLI's readers in front.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # -- referee --------------------------------------------------------------
@@ -672,7 +689,7 @@ def test_limit_level_correctness_runs(sys_):
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 1, 0, 1))
     assert chk.is_strongly_correct(PRE_ROOT, w)
     assert chk.is_correct((), w)
-    r = chk.extend_correct(PRE_ROOT, (), w, search_bound=3)
+    r = chk.extend_correct((), w, search_bound=3)
     assert r.status == "Found"
     assert chk.is_strongly_correct(r.tau, w)
     assert r.tau == next(
@@ -681,19 +698,30 @@ def test_limit_level_correctness_runs(sys_):
     )
 
 
+@pytest.mark.parametrize("sigma, tau, related", [
+    (PRE_ROOT, (0,), True),
+    ((1,), (0, 1), False),
+    ((0,), PRE_ROOT, False),
+    ((), PRE_ROOT, False),
+], ids=["pre-root-below-all", "not-a-prefix", "above-pre-root", "root-above-pre-root"])
+def test_tri_leq_needs_a_prefix_pair(sys_, never_win, sigma, tau, related):
+    chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
+    assert chk.tri_leq(sigma, tau, ZERO) is related
+
+
 # -- extension search -----------------------------------------------------
 
 
 def test_extend_at_level_zero_returns_sigma(sys_, never_win):
     chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
-    assert chk.extend_correct(PRE_ROOT, (), ZERO, 3) == ExtendResult("Found", ())
+    assert chk.extend_correct((), ZERO, 3) == ExtendResult("Found", ())
 
 
 def test_extend_with_empty_search_space(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0))
-    r = chk.extend_correct(PRE_ROOT, (), one, search_bound=0)
+    r = chk.extend_correct((), one, search_bound=0)
     assert r == ExtendResult("BoundExhausted")
 
 
@@ -708,15 +736,15 @@ def test_extend_search_bound_edge(sys_):
     g = GameInstance(w, UpsetRep(w, frozenset()), FULL, ROOT_ONLY, 2, 3)
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0))
     assert chk.is_strongly_correct((), w)
-    assert chk.extend_correct(PRE_ROOT, (), w, 1) == ExtendResult("Found", ())
-    assert chk.extend_correct(PRE_ROOT, (), w, 0) == ExtendResult("BoundExhausted")
+    assert chk.extend_correct((), w, 1) == ExtendResult("Found", ())
+    assert chk.extend_correct((), w, 0) == ExtendResult("BoundExhausted")
 
 
 def test_extend_found_is_independently_verified(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0, 0))
-    r = chk.extend_correct(PRE_ROOT, (), one, search_bound=3)
+    r = chk.extend_correct((), one, search_bound=3)
     assert r.status == "Found"
     assert chk.is_strongly_correct(r.tau, one)
     exhaustive = [
@@ -728,12 +756,10 @@ def test_extend_found_is_independently_verified(sys_):
 
 def test_extend_precondition_errors(sys_, quick_win):
     chk = CorrectnessChecker(sys_, quick_win, constant_zero(), (0, 0, 0))
-    with pytest.raises(ValueError, match="one-element extension"):
-        chk.extend_correct(PRE_ROOT, (0, 0), ZERO, 3)
     with pytest.raises(ValueError, match="rho is not strongly 0-correct"):
-        chk.extend_correct((0,), (0, 0), ZERO, 3)
+        chk.extend_correct((0, 0), ZERO, 3)
     with pytest.raises(ValueError, match="sigma is not 0-correct"):
-        chk.extend_correct((), (0,), LEVELS["1"], 3)
+        chk.extend_correct((0,), LEVELS["1"], 3)
 
 
 # -- evidence and adversarial play ----------------------------------------

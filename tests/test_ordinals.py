@@ -1,6 +1,7 @@
 import copy
 import functools
 import pickle
+import re
 from itertools import islice
 
 import pytest
@@ -56,6 +57,18 @@ ROUND_TRIPS = [
 @pytest.mark.parametrize("text", ROUND_TRIPS)
 def test_parse_render_round_trip(text):
     assert render(parse_ordinal(text)) == text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("3", 3), ("w", None), ("w+1", None),
+])
+def test_as_int_reads_finite_notations_only(text, value):
+    nu = parse_ordinal(text)
+    if value is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)} is not finite$"):
+            nu.as_int()
+    else:
+        assert nu.as_int() == value
 
 
 def test_term_structure():

@@ -60,7 +60,8 @@ def answers_from_threads(ask, questions):
 def test_racing_misses_fill_each_entry_once():
     # Threads that miss the same key together queue on the lock; each must
     # read the memo again under it, so no entry is filled twice.
-    memo = Memo()
+    owner = TrueStageSystem(DefaultOperator())
+    memo = Memo(owner)
     fills = Counter()
     counting = threading.Lock()
 
@@ -71,7 +72,7 @@ def test_racing_misses_fill_each_entry_once():
         return (n,)
 
     questions = [(n,) for n in range(16)]
-    for got in answers_from_threads(lambda n: memo._memoized(fill, n), questions):
+    for got in answers_from_threads(lambda n: memo[fill, n], questions):
         assert got == {(n,): (n,) for n in range(16)}
     assert fills == Counter(range(16))
 

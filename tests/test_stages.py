@@ -22,20 +22,20 @@ def sys_():
 
 
 def test_a_memo_hit_never_fills_again_and_get_never_fills():
-    memo = Memo()
+    owner = TrueStageSystem(DefaultOperator())
+    memo = Memo(owner)
     fills = []
 
     def fill(owner, n):
         fills.append(n)
         return (owner, n)
 
-    assert memo._memo.get((fill, 1)) is None
-    assert fills == [] and not memo._memo
-    first = memo._memoized(fill, 1)
-    assert first == (memo, 1)
-    assert memo._memoized(fill, 1) is first
-    assert memo._memo[fill, 1] is first
-    assert memo._memo.get((fill, 1)) is first
+    assert memo.get((fill, 1)) is None
+    assert fills == [] and not memo
+    first = memo[fill, 1]
+    assert first == (owner, 1)
+    assert memo[fill, 1] is first
+    assert memo.get((fill, 1)) is first
     assert fills == [1]
 
 

@@ -21,3 +21,12 @@ def test_shortlex_is_lazy():
 
 def test_shortlex_of_a_negative_length_is_empty():
     assert list(shortlex(-1, 2)) == []
+
+
+@pytest.mark.parametrize("max_len, alphabet, message", [
+    (-1, 2, "max_len must be a natural"),
+    (2, 0, "alphabet must contain at least one value"),
+], ids=["negative-length", "empty-alphabet"])
+def test_universe_rejects_bad_bounds(max_len, alphabet, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Universe(max_len, alphabet)
