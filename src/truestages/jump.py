@@ -11,11 +11,13 @@ which makes the running "last number enumerated" drop and recover as
 sequences extend.  It computes the pairing inline and keeps each
 value's triangular number, so a value that recurs across oracles is
 squared once per operator; `cantor_pair` is the reference definition it
-must agree with.  Its `last_code` gives a trace's p, the last code,
-without building the trace: an oracle's last entry i enters as
-pair(i, k), where k counts the earlier occurrences of i, and
-`tuple.count` finds k at C speed.  A stage system reads p through
-`last_code` when its operator has one, and through a checked trace
+must agree with.  Its `last_code(parts)` gives p, the last code, of the
+trace of the parts' concatenation, with neither the trace nor the
+concatenation built: the last entry i of the last non-empty part enters
+as pair(i, k), where k counts the earlier occurrences of i, summed over
+the parts by `tuple.count` at C speed; p is 0 when every part is empty.
+A stage system reads p through `last_code` on its memoised oracle
+segments when its operator has one, and through a checked trace
 otherwise.
 
 `checked_trace` is the one checked way to a trace.  It checks the bounds
@@ -108,14 +110,15 @@ class DefaultOperator:
                 append(t)
         return JumpTrace(tuple(codes))
 
-    def last_code(self, sigma: Seq) -> int:
-        """trace(sigma).p, without the trace: the pair of sigma's last
-        value and its count of earlier occurrences; 0 when sigma is
-        empty."""
-        if not sigma:
-            return 0
-        i = sigma[-1]
-        return cantor_pair(i, sigma.count(i) - 1)
+    def last_code(self, parts: list[Seq]) -> int:
+        """The p of the trace of the parts' concatenation, without the
+        trace or the concatenation: the pair of its last value and that
+        value's count of earlier occurrences; 0 when it is empty."""
+        for last in reversed(parts):
+            if last:
+                i = last[-1]
+                return cantor_pair(i, sum([part.count(i) for part in parts]) - 1)
+        return 0
 
 
 def checked_trace(op: EnumerationOperator, sigma: Seq) -> tuple[JumpTrace, list[int]]:

@@ -16,9 +16,11 @@ codes again.
 
 A successor chain reads only p, the last code of a stage's jump trace.
 When the operator has a `last_code` method, a p whose trace is not yet
-memoised is computed from the oracle without building the trace; the
-traces themselves are filled only for the readers of their codes, the
-segments and the verifier's TS7 extension check.
+memoised is read from the oracle's parts, the memoised segments
+themselves, so neither the trace nor the oracle is built for it.  The
+traces are filled only for the readers of their codes, the segments and
+the verifier's TS7 extension check, and a trace's fill is the one place
+that builds an oracle.
 """
 
 from __future__ import annotations
@@ -77,14 +79,13 @@ class TrueStageSystem:
     system; a trace's entry also holds the oracle segment its own fill
     cuts, so every fill writes only its own entry.  A p entry is filled
     on the first read of that p: from the memoised trace when there is
-    one, otherwise from the operator's `last_code` on the oracle, so no
-    trace is built for it.  Such a p-only fill keeps its oracle until
-    that trace is filled, as it most often is once a segment needs it,
-    so no oracle is built twice.  An operator without `last_code` gives
-    every p through a memoised, checked trace.  No leq answer is stored:
-    leq reads membership in a memoised chain.
+    one, otherwise from the operator's `last_code` on the oracle's
+    parts, so neither the trace nor the oracle is built for it.  An
+    operator without `last_code` gives every p through a memoised,
+    checked trace.  No leq answer is stored: leq reads membership in a
+    memoised chain.
 
-    The readers `leq`, `chain`, `oracle`, `p`, `trace_at` and the chain
+    The readers `leq`, `chain`, `p`, `trace_at`, `_parts` and the chain
     fill itself subscript the memo under `TrueStageSystem._chain` (and so
     on), looked up when they run, so a hit costs one dict read and a
     patched fill still fills.  `height` reads through `chain`, so a
@@ -94,10 +95,6 @@ class TrueStageSystem:
         self._memo = Memo(self)
         self.operator = operator
         self._last_code = getattr(operator, "last_code", None)
-        # The oracles of p-only fills, each kept until the trace of its
-        # (sigma, alpha) is filled; an oracle holds the memoised
-        # segments' own ints, so it costs a pointer per entry.
-        self._untraced: dict[tuple, Seq] = {}
 
     def leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
         sigma, tau = tuple(sigma), tuple(tau)
@@ -156,16 +153,24 @@ class TrueStageSystem:
         """The sequence fed back to the operator to climb one level: sigma
         itself at level 0; above it, the segments of sigma's chain
         elements past the root, in chain order."""
+        out: list[int] = []
+        for part in self._parts(sigma, alpha):
+            out.extend(part)
+        return tuple(out)
+
+    def _parts(self, sigma: Seq, alpha: OrdinalNotation) -> list[Seq]:
+        """The oracle in consecutive parts, each a memoised segment above
+        level 0, so that p is read from them with no oracle built."""
         cls = classify(alpha)
         if cls.kind == "zero":
-            return tuple(sigma)
+            return [tuple(sigma)]
         memo = self._memo
-        out: list[int] = []
+        parts = []
         for rho in memo[TrueStageSystem._chain, tuple(sigma), alpha][1:]:
             level = (cls.predecessor if cls.kind == "successor"
                      else fund_seq(alpha, self.height(rho, alpha)))
-            out.extend(memo[TrueStageSystem._trace_at, rho, level][1])
-        return tuple(out)
+            parts.append(memo[TrueStageSystem._trace_at, rho, level][1])
+        return parts
 
     def trace_at(self, sigma: Seq, alpha: OrdinalNotation) -> JumpTrace:
         return self._memo[TrueStageSystem._trace_at, tuple(sigma), alpha][0]
@@ -176,10 +181,7 @@ class TrueStageSystem:
         order, cut from the codes the check sorted.  A segment is shared
         by every later stage whose chain contains sigma, so it is cut
         once per (sigma, alpha) and read from the memo."""
-        oracle = self._untraced.pop((sigma, alpha), None)
-        if oracle is None:
-            oracle = self.oracle(sigma, alpha)
-        trace, ordered = checked_trace(self.operator, oracle)
+        trace, ordered = checked_trace(self.operator, self.oracle(sigma, alpha))
         bound = trace.p
         n = bisect_left(ordered, bound)
         return trace, (bound, n, *islice(ordered, n))
@@ -192,8 +194,7 @@ class TrueStageSystem:
         if entry is not None:
             return entry[0].p
         if self._last_code is not None:
-            oracle = self._untraced[sigma, alpha] = self.oracle(sigma, alpha)
-            return self._last_code(oracle)
+            return self._last_code(self._parts(sigma, alpha))
         return self.trace_at(sigma, alpha).p
 
 

@@ -51,7 +51,8 @@ FAULTS = [
           "n = bisect_left(ordered, bound)", "n = bisect_left(ordered, bound + 1)",
           "tests/test_cli.py::test_exit_one_when_a_check_fails"),
     Fault("last-code-off-by-one", "src/truestages/jump.py",
-          "return cantor_pair(i, sigma.count(i) - 1)", "return cantor_pair(i, sigma.count(i))",
+          "return cantor_pair(i, sum([part.count(i) for part in parts]) - 1)",
+          "return cantor_pair(i, sum([part.count(i) for part in parts]))",
           "tests/test_jump.py::test_last_code_is_the_p_of_the_checked_trace"),
     Fault("ts9-window-1", "src/truestages/stages.py",
           "_TS9_WINDOW = 4", "_TS9_WINDOW = 1",
@@ -84,9 +85,6 @@ FAULTS = [
           "room = min(search_bound - 1, len(self.y) - len(sigma))",
           "room = min(search_bound - 2, len(self.y) - len(sigma))",
           "tests/test_game.py::test_extend_search_bound_edge"),
-    Fault("limit-window-3", "src/truestages/game.py",
-          "_LIMIT_WINDOW = 4", "_LIMIT_WINDOW = 3",
-          None, "no tested instance needs the fourth level (see the comment on _LIMIT_WINDOW)"),
     Fault("limit-chain-index-plus-one", "src/truestages/stages.py",
           "fund_seq(alpha, self.height(rho, alpha))]",
           "fund_seq(alpha, self.height(rho, alpha) + 1)]",

@@ -682,6 +682,26 @@ def test_checker_matches_reference_on_random_games(seed, moves, y):
             assert got == want[sigma], (sigma, render(alpha))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.integers(0, 1), min_size=len(HISTORIES), max_size=len(HISTORIES)),
+       st.tuples(*[st.integers(0, 1)] * 3))
+def test_limit_correctness_is_the_same_at_every_index(seed, moves, y):
+    """The checker decides a limit level at the member of the fundamental
+    sequence that the induced play's height k selects, and at no other.
+    That rests on this law: correctness at lam[j] is the same for every
+    j from 0 to k + 4."""
+    g = seeded_game_instance(seed)
+    table = StrategyTable("I", 8, dict(zip(HISTORIES, moves)))
+    sys2 = TrueStageSystem(DefaultOperator())
+    chk = CorrectnessChecker(sys2, g, table, y)
+    for lam in (parse_ordinal("w"), parse_ordinal("w*2")):
+        for sigma in [PRE_ROOT] + Universe(3, 2).all_seqs():
+            k = sys2.height(chk.play(sigma), lam)
+            verdicts = {chk.is_correct(sigma, fund_seq(lam, j)) for j in range(k + 5)}
+            assert len(verdicts) == 1, (sigma, render(lam))
+
+
 def test_limit_level_correctness_runs(sys_):
     base = seeded_game_instance(7)
     w = LEVELS["w"]

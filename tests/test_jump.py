@@ -76,12 +76,17 @@ _repeating_seqs = _pools.map(lambda pool: pool + [2**4000 - 1, 2**4000 + 1]).fla
     lambda pool: st.lists(st.sampled_from(pool), max_size=60))
 
 
-@example([])
-@example([2**4000] * 40 + [2**4000 - 1, 2**4000])
-@given(_repeating_seqs)
-def test_last_code_is_the_p_of_the_checked_trace(seq):
+@example([], [])
+@example([2**4000] * 40 + [2**4000 - 1, 2**4000], [0, 41, 41, 60])
+@given(_repeating_seqs, st.lists(st.integers(0, 60), max_size=6))
+def test_last_code_is_the_p_of_the_checked_trace(seq, cuts):
+    # last_code reads the oracle in consecutive parts: the drawn sequence
+    # cut at the drawn points, so parts may be empty, and an empty
+    # sequence with no cuts is the single empty part.
+    bounds = [0, *sorted(min(cut, len(seq)) for cut in cuts), len(seq)]
+    parts = [tuple(seq[a:b]) for a, b in zip(bounds, bounds[1:])]
     op = DefaultOperator()
-    assert op.last_code(tuple(seq)) == enumerate_jump(op, tuple(seq)).p
+    assert op.last_code(parts) == enumerate_jump(op, tuple(seq)).p
 
 
 def test_p_values():

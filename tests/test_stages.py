@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -331,13 +332,35 @@ def test_p_builds_no_trace_when_the_operator_has_last_code(monkeypatch):
     alpha = LEVELS["w+1"]
     for tau in Universe(3, 2).all_seqs():
         sys_ = TrueStageSystem(DefaultOperator())
+        built.clear()
         p = sys_.p(tau, alpha)
+        # p is read from the memoised segments: no level-alpha trace or
+        # oracle is built for it.
         assert (tau, alpha) not in filled
-        # The trace filled later agrees with the p read without it, and
-        # reuses the oracle that p read.
+        assert all(level != alpha for _, level in built)
+        # The trace filled later agrees with that p, and its fill builds
+        # the oracle, once.
         assert sys_.trace_at(tau, alpha).p == p
         assert filled[-1] == (tau, alpha)
-        assert built.count((tau, alpha)) == 1
+        assert [key for key in built if key[1] == alpha] == [(tau, alpha)]
+
+
+def test_a_long_sequence_sweep_stays_small():
+    # Memory gate for long sequences: every prefix pair of Universe(60, 1)
+    # at level 3.  The memo is the system's only store and a p read builds
+    # no oracle, so the sweep peaks near 2 MB; an oracle kept per p read
+    # would take it past 7 MB.
+    pairs = list(Universe(60, 1).prefix_pairs())
+    alpha = LEVELS["3"]
+    tracemalloc.start()
+    try:
+        sys_ = TrueStageSystem(DefaultOperator())
+        for sigma, tau in pairs:
+            sys_.leq(sigma, tau, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_an_operator_without_last_code_gives_p_through_a_checked_trace(monkeypatch):
