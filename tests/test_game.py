@@ -560,8 +560,9 @@ class ReferenceCorrectness:
     pair and is built straight from the tables below it: tri_leq asked
     about the pre-root token and every prefix, 0-correctness graded
     round by round with the referee, and at a limit the first four
-    fundamental-sequence levels plus the one sys.height selects, as the
-    checker documents.  The nodes must be closed under prefixes.
+    fundamental-sequence levels plus the one sys.height selects, where
+    the checker reads only the last; the law test below pins that the
+    two agree.  The nodes must be closed under prefixes.
     """
 
     def __init__(self, chk: CorrectnessChecker, nodes: list):
