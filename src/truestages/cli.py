@@ -48,7 +48,9 @@ from .hierarchy import (
     witness_to_dsets,
 )
 from .jump import DefaultOperator, enumerate_jump
-from .ordinals import CeilingError, ParseError, parse_ordinal, render, successor
+from .ordinals import (
+    CeilingError, OrdinalNotation, ParseError, parse_ordinal, render, successor,
+)
 from .stages import TrueStageSystem, ts_verify
 from .universe import InputError, Universe, parse_seq, seq_str
 from .wadge import DecompositionTree, decomposition_eval, wadge_tree
@@ -108,12 +110,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instance(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read instance file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"instance file is not valid JSON: {exc}") from exc
     return _object(data, "instance")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; json.load alone keeps a repeated key's last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise InputError(f"instance repeats the key {key!r} in one object")
+        data[key] = value
+    return data
 
 
 def _levels(text: str):
@@ -229,13 +241,17 @@ def _upset_to_json(upset: UpsetRep) -> dict:
 def _approx_from_json(data: dict, universe: Universe) -> ApproxFn:
     data = _object(data, "approx")
     table = _object(_required(data, "approx.table"), "approx.table")
-    keys = []
+    keys: dict = {}  # the stages in key order
     for k in table:
         try:
             stage = parse_seq(k)
         except ValueError as exc:
             raise InputError(f"bad approx.table key {k!r}: {exc}") from exc
-        keys.append(_stage(list(stage), "approx.table key", universe))
+        stage = _stage(list(stage), "approx.table key", universe)
+        # Keys such as "[1]" and "[+1]" name one stage.
+        if stage in keys:
+            raise InputError(f"approx.table names the stage {seq_str(stage)} twice")
+        keys[stage] = None
     level = _notation(_required(data, "approx.level"), "approx.level")
     table = dict(zip(keys, _naturals(list(table.values()), "approx.table")))
     # The function is total: every stage of the universe is a key.
@@ -313,9 +329,12 @@ def _strategy_from_json(data: dict, alphabet: int) -> StrategyTable:
         key, move = _pair(entry, field)
         if side == "I":
             history = tuple(read(_pair(p, field)) for p in _list(key, field))
-            moves[history] = read([move])[0]
+            value = read([move])[0]
         else:
-            moves[read(key)] = read(_pair(move, field))
+            history, value = read(key), read(_pair(move, field))
+        if history in moves:
+            raise InputError(f"{field} lists the key {key!r} twice")
+        moves[history] = value
     depth = _count(_required(data, "strategy.depth"), "strategy.depth")
     return StrategyTable(side, depth, moves)
 
@@ -430,7 +449,10 @@ def _run_verify(args):
         for r in report.results.values()
     ]
     failures = [
-        {"property": r.name, **ce}
+        {"property": r.name, **{
+            k: render(v) if isinstance(v, OrdinalNotation) else
+            list(v) if isinstance(v, tuple) else v
+            for k, v in ce.items()}}
         for r in report.results.values()
         for ce in r.counterexamples
     ]
@@ -635,9 +657,10 @@ def _run_lsr_separator(args):
     if outcome.status != "IWins":
         return [{"solver": outcome.status}], [], lambda: [f"solver={outcome.status}"]
     found = CorrectnessChecker(sys_, game, outcome.strategy, y).separator_evidence()
-    sigma = None if found.sigma is None else seq_str(found.sigma)
-    return [{"status": found.status, "sigma": sigma}], [], lambda: [
-        f"status={found.status} sigma={sigma}"
+    status = "NoneWithin" if found is None else "Evidence"
+    sigma = None if found is None else seq_str(found)
+    return [{"status": status, "sigma": sigma}], [], lambda: [
+        f"status={status} sigma={sigma}"
     ]
 
 

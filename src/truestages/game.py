@@ -383,18 +383,6 @@ def extract_reduction(
     return tuple(ys), tuple(zs)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExtendResult:
-    status: str  # "Found" or "BoundExhausted"
-    tau: Optional[Seq] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class EvidenceResult:
-    status: str  # "Evidence" or "NoneWithin"
-    sigma: Optional[Seq] = None
-
-
 class CorrectnessChecker:
     """Correctness predicates for II's candidate plays against a fixed
     side I strategy, along one fixed y.
@@ -509,14 +497,13 @@ class CorrectnessChecker:
 
     def extend_correct(
         self, sigma: Seq, alpha: OrdinalNotation, search_bound: int
-    ) -> ExtendResult:
+    ) -> Optional[Seq]:
         """The shortest strongly alpha-correct extension of sigma, the
         least in shortlex order among those by fewer than search_bound
         entries that y still covers.  This is what the defeating-play
         construction needs: sigma's parent rho, the pre-root token for
-        (), must be strongly alpha-correct and sigma 0-correct.
-        BoundExhausted reports an exhausted search space, not
-        nonexistence.
+        (), must be strongly alpha-correct and sigma 0-correct.  None
+        reports an exhausted search space, not nonexistence.
         """
         sigma = tuple(sigma)
         rho = sigma[:-1] if sigma else PRE_ROOT
@@ -525,26 +512,26 @@ class CorrectnessChecker:
         if not self.is_correct(sigma, ZERO):
             raise ValueError("sigma is not 0-correct")
         if classify(alpha).kind == "zero":
-            return ExtendResult("Found", sigma)
+            return sigma
         room = min(search_bound - 1, len(self.y) - len(sigma))
         for s in shortlex(room, self.game.alphabet):
             if self.is_strongly_correct(sigma + s, alpha):
-                return ExtendResult("Found", sigma + s)
-        return ExtendResult("BoundExhausted")
+                return sigma + s
+        return None
 
     # -- evidence for the separating set ------------------------------
 
-    def separator_evidence(self) -> EvidenceResult:
+    def separator_evidence(self) -> Optional[Seq]:
         """Shortest strongly xi-correct sigma whose induced play lands
-        in W, scanning every length that y covers.  NoneWithin is a
-        bounded negative, not a nonmembership claim."""
+        in W, scanning every length that y covers.  None is a bounded
+        negative, not a nonmembership claim."""
         xi = self.game.xi
         for sigma in shortlex(len(self.y), self.game.alphabet):
             if not eval_at(self.sys, self.game.w, self.play(sigma)):
                 continue
             if self.is_strongly_correct(sigma, xi):
-                return EvidenceResult("Evidence", sigma)
-        return EvidenceResult("NoneWithin")
+                return sigma
+        return None
 
 
 def _prefix_of(sigma: Node, tau: Node) -> bool:
@@ -596,10 +583,9 @@ def adversarial_play(
     g = checker.game
     if v_prefix is not None:
         mode = "T1"
-        found = checker.separator_evidence()
-        if found.status != "Evidence":
+        sigma = checker.separator_evidence()
+        if sigma is None:
             return PlayTranscript(mode, (), "NoEvidence")
-        sigma = found.sigma
     else:
         mode = "T0"
         sigma = ()
@@ -620,10 +606,10 @@ def adversarial_play(
             failed = sigma + (choices[-1],)
             break
         ext = checker.extend_correct(sigma + (vi,), g.xi, search_bound)
-        if ext.status != "Found":
+        if ext is None:
             outcome = "BoundExhausted"
             break
-        sigma = ext.tau
+        sigma = ext
         sigmas.append(sigma)
         steps.append(_record(checker, v_prefix, sigmas, vi))
     return PlayTranscript(mode, tuple(steps), outcome, failed_extension=failed)

@@ -103,7 +103,7 @@ class DifferenceFamily:
         if self.eta.is_zero():
             raise ValueError("eta must be positive")
         for nu, _ in self.sets:
-            if nu._key >= self.eta._key:
+            if nu >= self.eta:
                 raise ValueError(
                     f"index {render(nu)} is beyond the copy of {render(self.eta)}"
                 )
@@ -132,12 +132,12 @@ def verify_witness_laws(
         guesses = [fn.table[sigma] for sigma in below]
         ft = fn.table[tau]
         for sigma, os, fs in zip(below, before, guesses):
-            if ot._key > os._key:
+            if ot > os:
                 violations.append({
                     "clause": "i", "sigma": list(sigma), "tau": list(tau),
                     "detail": f"o rose from {render(os)} to {render(ot)}",
                 })
-            if fs != ft and ot._key >= os._key:
+            if fs != ft and ot >= os:
                 violations.append({
                     "clause": "ii", "sigma": list(sigma), "tau": list(tau),
                     "detail": f"value changed but o kept {render(ot)}",
@@ -230,7 +230,7 @@ def witness_to_dsets(
                              f"got {want} at {seq_str(sigma)}")
         if int(parity(o_val) != odd) != want:
             o_val = successor(o_val)
-        if o_val._key > eta._key:
+        if o_val > eta:
             raise ValueError(f"adjusted witness exceeds eta at {seq_str(sigma)}")
         adjusted[sigma] = o_val
     copy = enum_copy(eta)
@@ -239,16 +239,16 @@ def witness_to_dsets(
     else:
         # An infinite copy is read up to the last item that an adjusted
         # value below eta takes.
-        pending = {v for v in adjusted.values() if v._key < eta._key}
+        pending = {v for v in adjusted.values() if v < eta}
         indices = []
         while pending:
             indices.append(next(copy))
             pending.discard(indices[-1])
-    # Sorted and cut on order keys, whose order is the notation order.
-    ranked = sorted(adjusted, key=lambda s: adjusted[s]._key)
-    keys = [adjusted[s]._key for s in ranked]
+    # Sorted and cut in notation order.
+    ranked = sorted(adjusted, key=adjusted.__getitem__)
+    values = [adjusted[s] for s in ranked]
     return DifferenceFamily(eta, tuple(
-        (nu, UpsetRep(fn.level, frozenset(ranked[: bisect_right(keys, nu._key)])))
+        (nu, UpsetRep(fn.level, frozenset(ranked[: bisect_right(values, nu)])))
         for nu in indices
     ))
 
@@ -269,7 +269,7 @@ def difference_value(
             members.append(nu)
     if not members:
         return 0
-    best = min(members, key=lambda nu: nu._key)
+    best = min(members)
     return int(parity(best) != parity(family.eta))
 
 

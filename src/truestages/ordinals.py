@@ -21,8 +21,8 @@ for that sum, so ``==`` is identity and a notation is a cheap dict key.
 Each interned notation carries an order key, the tuple of its
 (exponent key, coefficient) pairs, built once; Python's tuple order,
 with a proper prefix first, is exactly the notation order, so a
-comparison reads two keys.  :func:`classify` caches its answer on the
-notation.
+comparison reads two keys.  :func:`classify`, :func:`from_int` and
+:func:`fund_seq` are ``functools.cache`` functions.
 
 The ceiling is fixed at ``w^w``: constructing a notation above it raises
 :class:`CeilingError`, and every notation below it has finite exponents.
@@ -60,7 +60,7 @@ class OrdinalNotation:
     There is one object per notation, so equality is identity and the
     hash is the object's.  The terms and the ceiling are checked when a
     notation is first built; a notation that fails is never interned.
-    ``_key`` is the order key and ``_cls`` the cached classification.
+    ``_key`` is the order key; no other module reads it.
     """
 
     terms: tuple[tuple["OrdinalNotation", int], ...] = ()
@@ -79,7 +79,6 @@ class OrdinalNotation:
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
-        object.__setattr__(self, "_cls", None)
         if _CEILING is not None and self._key > _CEILING._key:
             raise CeilingError(
                 f"notation {render(self)} exceeds the ceiling {render(_CEILING)}"
@@ -171,17 +170,10 @@ class Classified:
     predecessor: Optional[OrdinalNotation]
 
 
+@functools.cache
 def classify(a: OrdinalNotation) -> Classified:
-    """Zero, successor (with its predecessor) or limit; computed once per
-    notation and kept on it.  Two threads that race store equal values."""
-    cls = a._cls
-    if cls is None:
-        cls = _classify(a)
-        object.__setattr__(a, "_cls", cls)
-    return cls
-
-
-def _classify(a: OrdinalNotation) -> Classified:
+    """Zero, successor (with its predecessor) or limit.  Cached like
+    from_int: a hit is one C-level cache read."""
     if a.is_zero():
         return Classified("zero", None)
     exp, coeff = a.terms[-1]

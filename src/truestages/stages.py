@@ -228,7 +228,7 @@ class PropertyReport:
         return lines
 
 
-# Counterexamples kept per property; `failures` counts every one.
+# Counterexamples kept per property, as given; `failures` counts every one.
 _MAX_COUNTEREXAMPLES = 5
 # TS9 compares the limit answer at this many fundamental-sequence
 # levels past the height index.
@@ -239,11 +239,7 @@ def _example(res: PropertyResult, **data) -> None:
     res.passed = False
     res.failures += 1
     if len(res.counterexamples) < _MAX_COUNTEREXAMPLES:
-        res.counterexamples.append(
-            {k: (render(v) if isinstance(v, OrdinalNotation) else
-                 list(v) if isinstance(v, tuple) else v)
-             for k, v in data.items()}
-        )
+        res.counterexamples.append(data)
 
 
 def ts_verify(

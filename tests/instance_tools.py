@@ -7,10 +7,56 @@ import random
 
 from truestages.game import GameInstance, PairTree
 from truestages.hierarchy import UpsetRep
+from truestages.jump import DefaultOperator, JumpTrace, cantor_pair
 from truestages.ordinals import OrdinalNotation, parse_ordinal
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe
 from truestages.wadge import DecompositionTree, wadge_tree
+
+
+def occurrences(sigma):
+    """The pairs (i, k) of each entry i of sigma and its count k of
+    earlier occurrences, in order."""
+    seen: dict[int, int] = {}
+    for i in sigma:
+        k = seen[i] = seen.get(i, -1) + 1
+        yield i, k
+
+
+# Three lawful operators besides the default: each enumerates at most
+# one code per entry, never the same code twice, and extends its traces
+# along prefixes, which is all the true-stage machinery may rely on.
+# None has `last_code`, so a stage system reads every p through a
+# checked trace.
+
+class Swap:
+    """Enumerates pair(k, i), not pair(i, k), at the (k+1)-th occurrence
+    of value i."""
+
+    def trace(self, sigma):
+        return JumpTrace(tuple(cantor_pair(k, i) for i, k in occurrences(sigma)))
+
+
+class Even:
+    """Enumerates pair(i, k) at the (k+1)-th occurrence of value i only
+    when i + k is even, so a trace can be shorter than its oracle."""
+
+    def trace(self, sigma):
+        return JumpTrace(tuple(
+            cantor_pair(i, k) for i, k in occurrences(sigma) if (i + k) % 2 == 0))
+
+
+class NoLast:
+    """The default operator's traces without its `last_code`."""
+
+    def __init__(self):
+        self._op = DefaultOperator()
+
+    def trace(self, sigma):
+        return self._op.trace(sigma)
+
+
+LAWFUL_OPERATORS = [Swap, Even, NoLast]
 
 
 class Rootless(TrueStageSystem):

@@ -65,8 +65,7 @@ FAULTS = [
           "return all(tau in kept for tau in proper)", "return True",
           "tests/test_game.py::test_checker_matches_straight_line_reference"),
     Fault("difference-value-largest-index", "src/truestages/hierarchy.py",
-          "best = min(members, key=lambda nu: nu._key)",
-          "best = max(members, key=lambda nu: nu._key)",
+          "best = min(members)", "best = max(members)",
           "tests/test_acceptance.py::test_criterion_03_round_trip_100_functions"),
     Fault("grade-ignores-x-opinion", "src/truestages/game.py",
           "if rho and (not in_w or eval_at(sys, g.w, rho))", "if rho",
@@ -97,6 +96,10 @@ FAULTS = [
           'raise InputError(\n            f"undecided stage',
           'raise ValueError(\n            f"undecided stage',
           "tests/test_cli.py::test_non_natural_x_entries_exit_two[decompose-stall]"),
+    Fault("approx-stage-named-twice", "src/truestages/cli.py",
+          "        if stage in keys:\n"
+          "            raise InputError(f\"approx.table names the stage {seq_str(stage)} twice\")\n",
+          "", "tests/test_cli.py::test_entries_outside_the_alphabet_exit_two[convert-key-twice]"),
     Fault("report-keys-unsorted", "src/truestages/cli.py",
           "for key, item in sorted(value.items()):", "for key, item in value.items():",
           "tests/test_cli.py::test_report_writer_matches_json_dumps"),

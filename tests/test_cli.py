@@ -164,6 +164,9 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     # A tree is full only when its "full" is the JSON true.
     full_string = tmp_path / "full-string.json"
     full_string.write_text(json.dumps({**INSTANCES["solve.json"], "T0": {"full": "no"}}))
+    # json.load alone would keep the last of two values for one key.
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(QUICKWIN)[:-1] + ', "xi": "1"}')
     cases = [
         (["hk", "roundtrip", "--alpha", "w+"],
          "error: bad --alpha notation 'w+': expected a term (at position 2)\n"),
@@ -181,6 +184,8 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
          "error: approx.table must be an object, got [1]\n"),
         (["lsr", "solve", "--instance", str(full_string)],
          "error: T0.full must be a boolean, got 'no'\n"),
+        (["lsr", "solve", "--instance", str(repeated)],
+         "error: instance repeats the key 'xi' in one object\n"),
     ] + [
         # An approx instance's eta is the rank of its mind-change tree.
         (["hk", "convert", "--instance", str(approx), "--eta", eta],
@@ -335,6 +340,9 @@ def approx_value(value):
      "0 separators match [] at node []"),
     (["wadge", "decompose"], with_fields(**WADGE_STALL),
      "undecided stage [1,0] has no extensions to split on"),
+    (["lsr", "separator"],
+     with_fields(strategy={"side": "I", "depth": 3, "moves": [[[], 1], [[], 0]]}),
+     "strategy.moves lists the key [] twice"),
 ], ids=["eval-negative", "referee-negative", "referee-float", "referee-bool",
         "referee-string", "separator-negative", "adversarial-negative",
         "solve-alphabet-bool", "solve-depth-float", "adversarial-search-bound",
@@ -348,7 +356,7 @@ def approx_value(value):
         "decompose-uncovered", "decompose-successor-lambda", "convert-not-increasing",
         "convert-not-two-valued", "decompose-w0-level", "referee-unanswered",
         "referee-no-round", "solve-pair-lengths", "eval-undecided-query",
-        "decompose-stall"])
+        "decompose-stall", "separator-key-twice"])
 def test_non_natural_x_entries_exit_two(capsys, tmp_path, wadge_file, command,
                                         edit, message):
     # The jump operator reads x, so an x entry that is not a natural is
@@ -426,13 +434,15 @@ def plus_stage(key):
      "bad approx.table key '[x]': invalid literal for int() with base 10: 'x'"),
     (["hk", "convert"], "hk-approx.json", plus_stage("[1.5]"),
      "bad approx.table key '[1.5]': invalid literal for int() with base 10: '1.5'"),
+    (["hk", "convert"], "hk-approx.json", plus_stage("[+1]"),
+     "approx.table names the stage [1] twice"),
 ], ids=["adversarial-y", "referee-yzs", "separator-y", "adversarial-v",
         "referee-xs", "adversarial-strategy", "convert-generator",
         "decompose-generator", "solve-generator", "solve-tree-pair",
         "adversarial-strategy-key", "eval-query-answered",
         "eval-query-no-separator", "eval-query-too-long", "convert-key-negative",
         "convert-key-outside", "convert-key-too-long",
-        "convert-key-letter", "convert-key-float"])
+        "convert-key-letter", "convert-key-float", "convert-key-twice"])
 def test_entries_outside_the_alphabet_exit_two(capsys, tmp_path, command,
                                                instance, edit, message):
     # Every move is drawn from the alphabet: x entries and side I
@@ -535,6 +545,10 @@ def test_exit_one_when_a_check_fails(capsys, monkeypatch):
     failures = json.loads(out)["failures"]
     assert len(failures) == 5
     assert {f["property"] for f in failures} == {"TS7-consistency"}
+    # ts_verify keeps the notation and the stages; cli renders them.
+    assert failures[0] == {"property": "TS7-consistency", "alpha": "0",
+                           "sigma": [0, 0], "tau": [0, 0, 0],
+                           "detail": "jump trace not extended along the chain"}
     code, out, _ = run_main(capsys, "verify")
     assert code == 1
     lines = out.splitlines()

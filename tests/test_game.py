@@ -17,8 +17,6 @@ from truestages import cli, game
 from truestages.game import (
     PRE_ROOT,
     CorrectnessChecker,
-    EvidenceResult,
-    ExtendResult,
     GameInstance,
     PairTree,
     PartialPlay,
@@ -710,10 +708,9 @@ def test_limit_level_correctness_runs(sys_):
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 1, 0, 1))
     assert chk.is_strongly_correct(PRE_ROOT, w)
     assert chk.is_correct((), w)
-    r = chk.extend_correct((), w, search_bound=3)
-    assert r.status == "Found"
-    assert chk.is_strongly_correct(r.tau, w)
-    assert r.tau == next(
+    tau = chk.extend_correct((), w, search_bound=3)
+    assert chk.is_strongly_correct(tau, w)
+    assert tau == next(
         tau for n in range(3) for tau in itertools.product(range(2), repeat=n)
         if chk.is_strongly_correct(tau, w)
     )
@@ -735,15 +732,14 @@ def test_tri_leq_needs_a_prefix_pair(sys_, never_win, sigma, tau, related):
 
 def test_extend_at_level_zero_returns_sigma(sys_, never_win):
     chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
-    assert chk.extend_correct((), ZERO, 3) == ExtendResult("Found", ())
+    assert chk.extend_correct((), ZERO, 3) == ()
 
 
 def test_extend_with_empty_search_space(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0))
-    r = chk.extend_correct((), one, search_bound=0)
-    assert r == ExtendResult("BoundExhausted")
+    assert chk.extend_correct((), one, search_bound=0) is None
 
 
 def test_extend_search_bound_edge(sys_):
@@ -757,22 +753,21 @@ def test_extend_search_bound_edge(sys_):
     g = GameInstance(w, UpsetRep(w, frozenset()), FULL, ROOT_ONLY, 2, 3)
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0))
     assert chk.is_strongly_correct((), w)
-    assert chk.extend_correct((), w, 1) == ExtendResult("Found", ())
-    assert chk.extend_correct((), w, 0) == ExtendResult("BoundExhausted")
+    assert chk.extend_correct((), w, 1) == ()
+    assert chk.extend_correct((), w, 0) is None
 
 
 def test_extend_found_is_independently_verified(sys_):
     one = LEVELS["1"]
     g = GameInstance(one, UpsetRep(one, frozenset()), FULL, ROOT_ONLY, 2, 3)
     chk = CorrectnessChecker(sys_, g, constant_zero(), (0, 0, 0, 0))
-    r = chk.extend_correct((), one, search_bound=3)
-    assert r.status == "Found"
-    assert chk.is_strongly_correct(r.tau, one)
+    tau = chk.extend_correct((), one, search_bound=3)
+    assert chk.is_strongly_correct(tau, one)
     exhaustive = [
         tau for n in range(3) for tau in itertools.product(range(2), repeat=n)
         if chk.is_strongly_correct(tau, one)
     ]
-    assert r.tau == exhaustive[0]  # the first in shortlex order
+    assert tau == exhaustive[0]  # the first in shortlex order
 
 
 def test_extend_precondition_errors(sys_, quick_win):
@@ -788,13 +783,13 @@ def test_extend_precondition_errors(sys_, quick_win):
 
 def test_evidence_on_full_w(sys_, quick_win):
     chk = CorrectnessChecker(sys_, quick_win, constant_zero(), (0, 0, 0))
-    assert chk.separator_evidence() == EvidenceResult("Evidence", ())
+    assert chk.separator_evidence() == ()
 
 
 def test_no_evidence_on_empty_w(sys_, never_win):
     for bound in (0, 1, 2, 3):
         chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0)[:bound])
-        assert chk.separator_evidence().status == "NoneWithin"
+        assert chk.separator_evidence() is None
 
 
 def test_evidence_separates_on_winning_instance(sys_):
@@ -802,11 +797,10 @@ def test_evidence_separates_on_winning_instance(sys_):
     r = solve(sys_, g)
     table = StrategyTable("I", 8, dict(r.strategy.moves))
     ev1 = CorrectnessChecker(sys_, g, table, (1, 1, 1, 1)).separator_evidence()
-    assert ev1.status == "NoneWithin"
+    assert ev1 is None
     chk = CorrectnessChecker(sys_, g, table, (0, 0, 0, 0))
     ev0 = chk.separator_evidence()
-    assert ev0.status == "Evidence"
-    assert chk.is_strongly_correct(ev0.sigma, g.xi)
+    assert chk.is_strongly_correct(ev0, g.xi)
 
 
 def test_adversarial_halts_on_winning_instance(sys_, quick_win):
@@ -965,7 +959,7 @@ def test_finite_depth_evidence_artifact(sys_):
     )
     y, v = carrier
     chk = CorrectnessChecker(sys_, g, table, y)
-    assert chk.separator_evidence() == EvidenceResult("Evidence", ())
+    assert chk.separator_evidence() == ()
     # every 0-correct sigma is still shorter than byTurn, and the
     # adversarial run never survives to the depth bound
     for n in range(4):

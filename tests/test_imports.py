@@ -6,7 +6,8 @@ in the tests alike.  `from __future__` imports bind no name and are
 skipped.  A public top-level function or class, or a public method of a
 top-level class, must be read by name in the package, in the README's
 python blocks or in the acceptance criteria; code that only its own unit
-tests reach fails here.
+tests reach fails here.  No package module but `ordinals` reads a
+notation's order key.
 """
 
 import ast
@@ -98,3 +99,20 @@ def test_every_public_definition_is_reached():
     readme = _BLOCK.findall(README.read_text(encoding="utf-8"))
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     assert unreached(package, package + readme + [acceptance]) == []
+
+
+def key_reads(source: str) -> list[int]:
+    """The lines that read a notation's private order key, `._key`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_key"]
+
+
+def test_the_guard_names_key_reads():
+    assert key_reads("a = nu._key\nb = min(xs, key=k)\nc = s._key < t._key\n") == [1, 3, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "ordinals.py"],
+                         ids=lambda p: p.name)
+def test_only_ordinals_reads_the_order_key(path):
+    # Notation order is `<` and its kin; the key behind it stays in ordinals.
+    assert key_reads(path.read_text(encoding="utf-8")) == []

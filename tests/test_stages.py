@@ -415,6 +415,10 @@ def test_verifier_reports_corrupted_operator():
     assert res.failures > 0
     assert res.counterexamples
     assert any("trace" in ce["detail"] for ce in res.counterexamples)
+    # The data as given; only cli renders it.
+    assert res.counterexamples[0] == {
+        "alpha": LEVELS["0"], "sigma": (0, 0), "tau": (0, 0, 0),
+        "detail": "jump trace not extended along the chain"}
 
 
 class _Flipped(TrueStageSystem):
