@@ -1,4 +1,4 @@
-"""Deterministic instance generators shared by the test modules."""
+"""Deterministic instance generators and lawful operators shared by the test modules."""
 
 from __future__ import annotations
 
