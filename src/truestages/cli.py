@@ -113,8 +113,12 @@ def _load_instance(path: str) -> dict:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except InputError:
+        raise
+    except ValueError as exc:  # bad JSON or UTF-8, or an int too long to convert
         raise InputError(f"instance file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("instance file nests arrays or objects too deeply") from exc
     return _object(data, "instance")
 
 

@@ -24,7 +24,7 @@ winning strategy are all implemented here at finite scale.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .hierarchy import UpsetRep, eval_at
 from .jump import ContractViolationError
@@ -285,7 +285,10 @@ class _Search:
         self.i_choice: dict[tuple, int] = {}
         self.ii_choice: dict[tuple, Pair] = {}
         # An x-play recurs under every reply sequence of II; grade it once.
-        self.grades: dict[Seq, Grade] = {}
+        self._memo = Memo(self)
+
+    def _graded(self, xs: Seq) -> Grade:
+        return _grade(self.sys, self.g, xs)
 
     def value(self, xs: Seq, yzs: tuple[Pair, ...]) -> Optional[int]:
         n = len(xs)
@@ -300,10 +303,7 @@ class _Search:
             if bar == n + 1:
                 break  # no move wins before round n + 1
             xs2 = xs + (x,)
-            grade = self.grades.get(xs2)
-            if grade is None:
-                grade = self.grades[xs2] = _grade(self.sys, self.g, xs2)
-            tree, f = grade
+            tree, f = self._memo[_Search._graded, xs2]
             full, pairs = tree.full, tree.pairs
             ypre, zpre = _read(f[:-1], yzs)
             last = len(f) - 1  # round |F|, as an index into the rounds
@@ -362,9 +362,7 @@ class _Search:
             self.fill_ii(moves, xs + (x,), yzs + (reply,))
 
 
-def extract_reduction(
-    g: GameInstance, table: StrategyTable, x_prefix: Seq
-) -> tuple[Seq, Seq]:
+def extract_reduction(table: StrategyTable, x_prefix: Seq) -> tuple[Seq, Seq]:
     """Player II's answers along x_prefix, split into the y and z parts.
 
     The result is prefix-monotone in x_prefix, which is the finite trace
@@ -410,15 +408,6 @@ class CorrectnessChecker:
         self.table = table
         self.y = tuple(y)
 
-    def _memoized(self, fill: Callable, sigma: Node, *args):
-        """The memo entry of fill at tuple(sigma), read once y is known
-        to cover sigma, so that (y, sigma) pairs every entry of sigma."""
-        if sigma is not PRE_ROOT:
-            sigma = tuple(sigma)
-            if len(self.y) < len(sigma):
-                raise ValueError(f"need {len(sigma)} values of y, got {len(self.y)}")
-        return self._memo[(fill, sigma, *args)]
-
     # -- induced plays ------------------------------------------------
 
     def play(self, sigma: Node) -> Seq:
@@ -428,12 +417,19 @@ class CorrectnessChecker:
         I has already won, and no move there bears on correctness."""
         if sigma is PRE_ROOT:
             return ()
-        return self._memoized(CorrectnessChecker._play, sigma)
+        return self._memo[CorrectnessChecker._play, tuple(sigma)]
 
     def _play(self, sigma: Seq) -> Seq:
         # I's answer to the last pair extends the play of sigma's parent.
-        before = self.play(sigma[:-1]) if sigma else ()
-        return before + (self.table.moves.get(tuple(zip(self.y, sigma)), 0),)
+        move = self.table.moves.get(self._pairs(sigma), 0)
+        before = self._memo[CorrectnessChecker._play, sigma[:-1]] if sigma else ()
+        return before + (move,)
+
+    def _pairs(self, sigma: Seq) -> tuple[Pair, ...]:
+        """The pair play (y, sigma), read by each fill before it recurses."""
+        if len(self.y) < len(sigma):
+            raise ValueError(f"need {len(sigma)} values of y, got {len(self.y)}")
+        return tuple(zip(self.y, sigma))
 
     def tri_leq(self, sigma: Node, tau: Node, alpha: OrdinalNotation) -> bool:
         if not _prefix_of(sigma, tau):
@@ -454,7 +450,8 @@ class CorrectnessChecker:
     # -- correctness --------------------------------------------------
 
     def is_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
-        return self._memoized(CorrectnessChecker._is_correct, sigma, alpha)
+        key = sigma if sigma is PRE_ROOT else tuple(sigma)
+        return self._memo[CorrectnessChecker._is_correct, key, alpha]
 
     def _is_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
         cls = classify(alpha)
@@ -462,36 +459,39 @@ class CorrectnessChecker:
             return self._zero_correct(sigma)
         if cls.kind == "successor":
             beta = cls.predecessor
-            if not self.is_strongly_correct(sigma, beta):
+            if not self._memo[CorrectnessChecker._is_strongly_correct, sigma, beta]:
                 return False
-            # Each proper node tau on sigma's beta chain is strongly
-            # beta-correct as well, since tau's own chain is the prefix of
-            # sigma's that ends at tau; so tau needs only to stay on
-            # sigma's alpha chain, which is read only when there is a tau.
-            proper = self._related(sigma, beta)[:-1]
+            # Each proper element of the play's beta chain is the play of a
+            # strongly beta-correct node tau (see _related), as tau's chain
+            # is the prefix of sigma's that ends at tau; so it needs only to
+            # stay on the alpha chain, read only when there is such a tau.
+            xs = self.play(sigma)
+            proper = self.sys.chain(xs, beta)[:-1]
             if not proper:
                 return True
-            kept = self._related(sigma, alpha)
-            return all(tau in kept for tau in proper)
+            kept = self.sys.chain(xs, alpha)
+            return all(x in kept for x in proper)
         k = self.sys.height(self.play(sigma), alpha)
-        return self.is_correct(sigma, fund_seq(alpha, k))
+        return self._memo[CorrectnessChecker._is_correct, sigma, fund_seq(alpha, k)]
 
     def is_strongly_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
-        return self._memoized(CorrectnessChecker._is_strongly_correct, sigma, alpha)
+        key = sigma if sigma is PRE_ROOT else tuple(sigma)
+        return self._memo[CorrectnessChecker._is_strongly_correct, key, alpha]
 
     def _is_strongly_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
-        return all(self.is_correct(tau, alpha) for tau in self._related(sigma, alpha))
+        return all(self._memo[CorrectnessChecker._is_correct, tau, alpha]
+                   for tau in self._related(sigma, alpha))
 
     def _zero_correct(self, sigma: Node) -> bool:
         # Every round continues: the earlier ones by the memoised answer
         # for sigma's parent, the last one graded here.
         if sigma is PRE_ROOT or not sigma:
             return True
-        if not self.is_correct(sigma[:-1], ZERO):
+        pairs = self._pairs(sigma)
+        if not self._memo[CorrectnessChecker._is_correct, sigma[:-1], ZERO]:
             return False
-        # y covers sigma, so zip pairs exactly the rounds played.
         tree, f = _grade(self.sys, self.game, self.play(sigma[:-1]))
-        return tree.contains(*_read(f, tuple(zip(self.y, sigma))))
+        return tree.contains(*_read(f, pairs))
 
     # -- extension search ---------------------------------------------
 

@@ -62,7 +62,7 @@ FAULTS = [
           "if bar == n + 1:", "if bar == n:",
           "tests/test_game.py::test_solve_node_count_is_pinned"),
     Fault("successor-correctness-always-true", "src/truestages/game.py",
-          "return all(tau in kept for tau in proper)", "return True",
+          "return all(x in kept for x in proper)", "return True",
           "tests/test_game.py::test_checker_matches_straight_line_reference"),
     Fault("difference-value-largest-index", "src/truestages/hierarchy.py",
           "best = min(members)", "best = max(members)",
@@ -78,8 +78,13 @@ FAULTS = [
           "level = fund_seq(lam, k + 1)", "level = fund_seq(lam, k + 2)",
           "tests/test_golden.py::test_report_bytes_match_pinned_digests"),
     Fault("zero-correct-without-parent-check", "src/truestages/game.py",
-          "        if not self.is_correct(sigma[:-1], ZERO):\n            return False\n", "",
+          "        if not self._memo[CorrectnessChecker._is_correct, sigma[:-1], ZERO]:\n"
+          "            return False\n", "",
           "tests/test_game.py::test_checker_matches_reference_on_random_games"),
+    Fault("checker-skips-y-check", "src/truestages/game.py",
+          "        if len(self.y) < len(sigma):\n"
+          "            raise ValueError(f\"need {len(sigma)} values of y, got {len(self.y)}\")\n",
+          "", "tests/test_game.py::test_correctness_needs_enough_y"),
     Fault("extension-room-one-short", "src/truestages/game.py",
           "room = min(search_bound - 1, len(self.y) - len(sigma))",
           "room = min(search_bound - 2, len(self.y) - len(sigma))",

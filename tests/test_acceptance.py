@@ -403,12 +403,12 @@ def test_criterion_09_separation_dichotomy():
         outcome = solve(SYS, g)
         depth = g.depth
         for x in itertools.product(range(g.alphabet), repeat=depth):
-            ys, zs = extract_reduction(g, outcome.strategy, x)
+            ys, zs = extract_reduction(outcome.strategy, x)
             yzs = tuple(zip(ys, zs))
             for n in range(1, depth + 1):
                 verdict = referee(SYS, g, PartialPlay(x[:n], yzs[:n]))
                 assert verdict.status == "Continues"
-            half = extract_reduction(g, outcome.strategy, x[:2])
+            half = extract_reduction(outcome.strategy, x[:2])
             assert half == (ys[:2], zs[:2])
     passed(9, "10 winning and 5 open instances behave as a separation")
 

@@ -167,6 +167,14 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
     # json.load alone would keep the last of two values for one key.
     repeated = tmp_path / "repeated.json"
     repeated.write_text(json.dumps(QUICKWIN)[:-1] + ', "xi": "1"}')
+    # json.load raises ValueError and RecursionError on these, not a
+    # JSONDecodeError.
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text('{"xi": ' + "9" * 5000 + "}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff{}")
     cases = [
         (["hk", "roundtrip", "--alpha", "w+"],
          "error: bad --alpha notation 'w+': expected a term (at position 2)\n"),
@@ -186,6 +194,15 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
          "error: T0.full must be a boolean, got 'no'\n"),
         (["lsr", "solve", "--instance", str(repeated)],
          "error: instance repeats the key 'xi' in one object\n"),
+        # The rest of this message differs between Python versions, so
+        # the row ends without a newline and is matched as a prefix.
+        (["lsr", "solve", "--instance", str(long_int)],
+         "error: instance file is not valid JSON: Exceeds the limit (4300"),
+        (["lsr", "solve", "--instance", str(deep)],
+         "error: instance file nests arrays or objects too deeply\n"),
+        (["lsr", "solve", "--instance", str(not_utf8)],
+         "error: instance file is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte\n"),
     ] + [
         # An approx instance's eta is the rank of its mind-change tree.
         (["hk", "convert", "--instance", str(approx), "--eta", eta],
@@ -214,9 +231,11 @@ def test_input_errors_exit_two_with_one_line(capsys, tmp_path, hk_file):
         inst.write_text(json.dumps({**QUICKWIN, **fields}))
         cases.append((["lsr", action, "--instance", str(inst)],
                       f"error: {field} entries must be pairs, got {shown}\n"))
+    # A message that ends in a newline is matched whole: err holds one line.
     for argv, message in cases:
         code, out, err = run_main(capsys, *argv)
-        assert (code, out, err) == (2, "", message)
+        assert (code, out, err[: len(message)]) == (2, "", message)
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def negative_query(data):

@@ -463,24 +463,29 @@ def test_apply_strategy_rejects_side_two(sys_, never_win):
         CorrectnessChecker(sys_, never_win, table, ())
 
 
-def test_undefined_play_raises(never_win):
+def test_undefined_play_raises():
     # A side II table answers only the x-plays it lists.
     table = StrategyTable("II", 3, {(0,): (0, 0)})
     with pytest.raises(StrategyUndefinedError, match="undefined after opponent moves"):
-        extract_reduction(never_win, table, (0, 1))
+        extract_reduction(table, (0, 1))
 
 
 # -- correctness ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("y, sigma", [((0,), (0, 0)), ((), (1,))])
+@pytest.mark.parametrize("y, sigma", [((0,), (0, 0)), ((), (1,)), ((0,), (0, 0, 0))])
 def test_correctness_needs_enough_y(sys_, y, sigma):
+    """The message names the sigma asked about, not a shorter prefix that
+    a fill reaches first, whatever the level."""
     chk = CorrectnessChecker(sys_, y_mismatch_game(ZERO), constant_zero(), y)
     msg = f"need {len(sigma)} values of y, got {len(y)}"
     with pytest.raises(ValueError, match=msg):
-        chk.is_correct(sigma, ZERO)
-    with pytest.raises(ValueError, match=msg):
-        chk.is_strongly_correct(sigma, ZERO)
+        chk.play(sigma)
+    for alpha in (LEVELS["0"], LEVELS["1"], LEVELS["w"]):
+        with pytest.raises(ValueError, match=msg):
+            chk.is_correct(sigma, alpha)
+        with pytest.raises(ValueError, match=msg):
+            chk.is_strongly_correct(sigma, alpha)
 
 
 def test_pre_root_is_strongly_correct_at_every_level(sys_, never_win):
@@ -876,7 +881,7 @@ def test_reduction_replay_never_loses(sys_, never_win):
     r = solve(sys_, never_win)
     assert r.status == "Undetermined"
     for xs in itertools.product(range(2), repeat=3):
-        ys, zs = extract_reduction(never_win, r.strategy, xs)
+        ys, zs = extract_reduction(r.strategy, xs)
         yzs = tuple(zip(ys, zs))
         for j in range(1, len(xs) + 1):
             v = referee(sys_, never_win, PartialPlay(xs[:j], yzs[:j]))
@@ -885,15 +890,15 @@ def test_reduction_replay_never_loses(sys_, never_win):
 
 def test_reduction_is_prefix_monotone(sys_, never_win):
     r = solve(sys_, never_win)
-    long = extract_reduction(never_win, r.strategy, (0, 1, 0))
-    short = extract_reduction(never_win, r.strategy, (0, 1))
+    long = extract_reduction(r.strategy, (0, 1, 0))
+    short = extract_reduction(r.strategy, (0, 1))
     assert long[0][:2] == short[0]
     assert long[1][:2] == short[1]
 
 
-def test_reduction_needs_side_two(sys_, never_win):
+def test_reduction_needs_side_two():
     with pytest.raises(ValueError, match="needs a side II strategy"):
-        extract_reduction(never_win, constant_zero(), (0,))
+        extract_reduction(constant_zero(), (0,))
 
 
 # -- serialization --------------------------------------------------------

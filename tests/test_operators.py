@@ -1,5 +1,6 @@
-"""The relations, the HK round trip and the correctness checker under
-lawful operators other than the default.
+"""The relations, the HK round trip, the Wadge decompositions, the game
+solver and the correctness checker under lawful operators other than
+the default.
 
 The machinery may rely only on an operator's laws: at most one code per
 entry, no code twice, and traces that extend along prefixes.  Each test
@@ -16,9 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instance_tools import LAWFUL_OPERATORS, Even, NoLast, Swap, seeded_game_instance
-from test_game import HISTORIES, ReferenceCorrectness
-from truestages.game import PRE_ROOT, CorrectnessChecker, StrategyTable
+from instance_tools import (
+    LAWFUL_OPERATORS,
+    Even,
+    NoLast,
+    Swap,
+    seeded_game_instance,
+    seeded_wadge_instance,
+)
+from test_game import HISTORIES, ReferenceCorrectness, reference_solve
+from truestages.game import PRE_ROOT, CorrectnessChecker, StrategyTable, solve
 from truestages.hierarchy import (
     ApproxFn,
     approx_limit,
@@ -31,6 +39,7 @@ from truestages.jump import DefaultOperator
 from truestages.ordinals import parse_ordinal, render
 from truestages.stages import TrueStageSystem, ts_verify
 from truestages.universe import Universe
+from truestages.wadge import decomposition_eval
 
 OPERATORS = pytest.mark.parametrize(
     "operator", LAWFUL_OPERATORS, ids=lambda op: op.__name__)
@@ -127,4 +136,43 @@ def test_checker_matches_reference_on_random_games(operator, seed, moves, y):
             for sigma in nodes:
                 got = (chk.is_correct(sigma, alpha), chk.is_strongly_correct(sigma, alpha))
                 assert got == want[sigma], (sigma, render(alpha))
+    assert reads
+
+
+@OPERATORS
+def test_decompositions_evaluate_correctly(operator):
+    # test_wadge's 6 seeds split among the operators, each seed on three
+    # universes at w and w*2.  W1 is generated by the maximal sequences
+    # it holds, so x lies in W1 exactly when it is a generator.
+    part = LAWFUL_OPERATORS.index(operator)
+    sys_ = TrueStageSystem(operator())
+    with traced_p_reads() as reads:
+        for uni in (Universe(3, 2), Universe(4, 2), Universe(3, 3)):
+            for lam in (parse_ordinal("w"), parse_ordinal("w*2")):
+                for seed in (2 * part, 2 * part + 1):
+                    _, w1, tree = seeded_wadge_instance(sys_, uni, lam, seed)
+                    assert tree.rank >= 1
+                    for x in uni.maximal():
+                        got = decomposition_eval(sys_, tree, x)
+                        assert got == (x in w1.generators), (render(lam), seed, x)
+    assert reads
+
+
+@OPERATORS
+def test_solve_matches_the_full_minimax_reference(operator):
+    # test_game's 96 seeded games split among the operators, a third of
+    # each shape's seeds (rounded up) to each.
+    shapes = [(2, 3, 40), (2, 4, 12), (3, 2, 40), (3, 3, 4)]  # alphabet, depth, seeds
+    part = LAWFUL_OPERATORS.index(operator)
+    statuses = set()
+    with traced_p_reads() as reads:
+        for b, d, n in shapes:
+            share = -(-n // 3)
+            for seed in range(part * share, min((part + 1) * share, n)):
+                g = seeded_game_instance(seed, b, d)
+                sys_ = TrueStageSystem(operator())
+                r = solve(sys_, g)
+                assert r == reference_solve(sys_, g), (b, d, seed)
+                statuses.add(r.status)
+    assert statuses == {"IWins", "Undetermined"}
     assert reads
