@@ -8,13 +8,21 @@ builds the tree and each stage's longest tree node on its chain), a
 lawful witness to an increasing difference family (`witness_to_dsets`),
 and an increasing difference family to an approximation and its
 witness (`dsets_to_witness`).  A `DifferenceFamily` carries each set's
-index in the copy of eta, so `difference_value` takes no copy."""
+index in the copy of eta, so `difference_value` takes no copy.
+
+Notation work follows distinct values, not stages or pairs: the witness
+laws compare each stage with its chain predecessor and walk every pair
+only when a step fails (`verify_witness_laws`), `witness_to_dsets`
+adjusts each distinct (o, f) pair once and sorts and cuts the distinct
+adjusted values, and `difference_value` scans a family's sets in the
+notation order the family computes once."""
 
 from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_right
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .ordinals import (
@@ -94,43 +102,48 @@ class WitnessFn:
 class DifferenceFamily:
     """An increasing difference family over a copy of eta: each set with
     its index in the copy, in copy order.  An eta of 0 and an index
-    outside the copy, that is not below eta, raise `ValueError`."""
+    outside the copy, that is not below eta, raise `ValueError`.
+
+    `ascending` holds the same items in notation order of their indices,
+    computed once here for `difference_value`.  A stable sort keeps copy
+    order where it is notation order, as it is for a finite eta, with
+    one comparison per set; then the largest index alone is checked
+    against eta, and the first index beyond it is named."""
 
     eta: OrdinalNotation
     sets: tuple[tuple[OrdinalNotation, UpsetRep], ...]
+    ascending: tuple[tuple[OrdinalNotation, UpsetRep], ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.eta.is_zero():
             raise ValueError("eta must be positive")
-        for nu, _ in self.sets:
-            if nu >= self.eta:
-                raise ValueError(
-                    f"index {render(nu)} is beyond the copy of {render(self.eta)}"
-                )
+        ascending = tuple(sorted(self.sets, key=itemgetter(0)))
+        if ascending and ascending[-1][0] >= self.eta:
+            nu = next(nu for nu, _ in self.sets if nu >= self.eta)
+            raise ValueError(
+                f"index {render(nu)} is beyond the copy of {render(self.eta)}"
+            )
+        object.__setattr__(self, "ascending", ascending)
 
 
-def verify_witness_laws(
-    sys: TrueStageSystem,
-    fn: ApproxFn,
-    witness: WitnessFn,
-    universe: Universe,
+def _pair_violations(
+    seqs: list[Seq],
+    chains: list[tuple[Seq, ...]],
+    o: dict[Seq, OrdinalNotation],
+    f: dict[Seq, int],
 ) -> list[dict]:
-    """Check the three monotonicity laws over every comparable pair;
-    returns one record per violation.  The strict predecessors of tau
-    are its chain without tau, shortest first, so the pairs come in
-    prefix order.  Each value of tau is read once, after its predecessors'
-    values of the same table, so a partial table fails where it did when
-    every pair read both values."""
+    """The violations of laws (i) and (ii) over every pair of a stage
+    and a strict predecessor on its chain, in prefix order."""
     violations: list[dict] = []
-    alpha = fn.level
-    for tau in universe.all_seqs():
-        below = sys.chain(tau, alpha)[:-1]
+    for tau, chain in zip(seqs, chains):
+        below = chain[:-1]
         if not below:
             continue
-        before = [witness.table[sigma] for sigma in below]
-        ot = witness.table[tau]
-        guesses = [fn.table[sigma] for sigma in below]
-        ft = fn.table[tau]
+        before = [o[sigma] for sigma in below]
+        ot = o[tau]
+        guesses = [f[sigma] for sigma in below]
+        ft = f[tau]
         for sigma, os, fs in zip(below, before, guesses):
             if ot > os:
                 violations.append({
@@ -142,8 +155,45 @@ def verify_witness_laws(
                     "clause": "ii", "sigma": list(sigma), "tau": list(tau),
                     "detail": f"value changed but o kept {render(ot)}",
                 })
-    for sigma in universe.all_seqs():
-        if witness.table[sigma] == witness.eta and fn.table[sigma] != 0:
+    return violations
+
+
+def verify_witness_laws(
+    sys: TrueStageSystem,
+    fn: ApproxFn,
+    witness: WitnessFn,
+    universe: Universe,
+) -> list[dict]:
+    """Check the three monotonicity laws over every comparable pair;
+    returns one record per violation.  The strict predecessors of tau
+    are its chain without tau, shortest first, so the pairs come in
+    prefix order.
+
+    Laws (i) and (ii) are first checked only from each stage's chain
+    predecessor to the stage.  When every such step holds, every pair
+    does: a predecessor's chain is the prefix of the chain that ends at
+    it, so any comparable pair is joined by steps, along which o never
+    rises (notation order is transitive) and falls strictly at a step
+    where the value changes, as one must between two different values.
+    Only when a step fails is every pair walked, so the records are
+    those of the pair walk.  Each chain is read once.  Each value of tau
+    is read after its predecessors' values of the same table, so a
+    partial table fails where it did when every pair read both values."""
+    seqs = universe.all_seqs()
+    chains = [sys.chain(tau, fn.level) for tau in seqs]
+    o, f = witness.table, fn.table
+    for tau, chain in zip(seqs, chains):
+        if len(chain) < 2:
+            continue
+        sigma = chain[-2]
+        os, ot = o[sigma], o[tau]
+        if ot > os or (f[sigma] != f[tau] and ot >= os):
+            violations = _pair_violations(seqs, chains, o, f)
+            break
+    else:
+        violations = []
+    for sigma in seqs:
+        if o[sigma] == witness.eta and f[sigma] != 0:
             violations.append({
                 "clause": "iii", "sigma": list(sigma), "tau": list(sigma),
                 "detail": "o reached eta with a nonzero value",
@@ -210,6 +260,10 @@ def witness_to_dsets(
 
     o is nudged to o or o+1 so that its parity against eta encodes f,
     then the family collects the stages at or below each copy index.
+    Each distinct (o, f) pair is nudged once, and the first stage whose
+    pair fails raises.  Only the distinct nudged values are sorted; the
+    set at a copy index is the cut of those values at or below it, and
+    one set object serves every index with the same cut.
     """
     violations = verify_witness_laws(sys, fn, witness, universe)
     if violations:
@@ -220,37 +274,52 @@ def witness_to_dsets(
             f"{first['detail']}"
         )
     eta = witness.eta
-    adjusted: dict[Seq, OrdinalNotation] = {}
     odd = parity(eta)
+    # The stages of each adjusted value, in shortlex order; each distinct
+    # (o, f) pair is adjusted once.
+    adjusted: dict[tuple[OrdinalNotation, int], OrdinalNotation] = {}
+    stages: dict[OrdinalNotation, list[Seq]] = {}
     for sigma in universe.all_seqs():
-        o_val = witness.table[sigma]
-        want = fn.table[sigma]
+        o_val, want = witness.table[sigma], fn.table[sigma]
         if want not in (0, 1):
             raise InputError(f"two-valued approximation required, "
                              f"got {want} at {seq_str(sigma)}")
-        if int(parity(o_val) != odd) != want:
-            o_val = successor(o_val)
-        if o_val > eta:
-            raise ValueError(f"adjusted witness exceeds eta at {seq_str(sigma)}")
-        adjusted[sigma] = o_val
+        value = adjusted.get((o_val, want))
+        if value is None:
+            value = o_val if int(parity(o_val) != odd) == want else successor(o_val)
+            if value > eta:
+                raise ValueError(f"adjusted witness exceeds eta at {seq_str(sigma)}")
+            adjusted[o_val, want] = value
+        stages.setdefault(value, []).append(sigma)
+    values = sorted(stages)
     copy = enum_copy(eta)
     if eta.is_finite():
         indices = list(copy)
     else:
         # An infinite copy is read up to the last item that an adjusted
-        # value below eta takes.
-        pending = {v for v in adjusted.values() if v < eta}
+        # value below eta takes; no value lies above eta.
+        pending = {v for v in values if v != eta}
         indices = []
         while pending:
             indices.append(next(copy))
             pending.discard(indices[-1])
-    # Sorted and cut in notation order.
-    ranked = sorted(adjusted, key=adjusted.__getitem__)
-    values = [adjusted[s] for s in ranked]
-    return DifferenceFamily(eta, tuple(
-        (nu, UpsetRep(fn.level, frozenset(ranked[: bisect_right(values, nu)])))
-        for nu in indices
-    ))
+    # The set at index nu holds the stages whose adjusted value is at
+    # most nu: the first ends[k] stages ranked by value, k the number of
+    # values at most nu.  Each cut is built once however many indices
+    # share it.
+    ranked: list[Seq] = []
+    ends = [0]
+    for v in values:
+        ranked += stages[v]
+        ends.append(len(ranked))
+    cuts: dict[int, UpsetRep] = {}
+    sets = []
+    for nu in indices:
+        k = bisect_right(values, nu)
+        if k not in cuts:
+            cuts[k] = UpsetRep(fn.level, frozenset(ranked[: ends[k]]))
+        sets.append((nu, cuts[k]))
+    return DifferenceFamily(eta, tuple(sets))
 
 
 def difference_value(
@@ -258,19 +327,22 @@ def difference_value(
 ) -> int:
     """The parity rule: odd-side membership is decided by the least
     ordinal index whose set contains the point; outside them all, 0.
-    x_prefix's chain is read once per level the family uses."""
+    The sets are scanned in notation order up to the first that holds
+    the point, and a set object just tested is not tested again, as
+    `witness_to_dsets` shares one object among the indices of a cut.
+    x_prefix's chain is read at most once per level the family uses."""
     chains: dict[OrdinalNotation, tuple[Seq, ...]] = {}
-    members = []
-    for nu, u in family.sets:
+    tested = None
+    for nu, u in family.ascending:
+        if u is tested:
+            continue
+        tested = u
         chain = chains.get(u.level)
         if chain is None:
             chain = chains[u.level] = sys.chain(x_prefix, u.level)
         if not u.generators.isdisjoint(chain):
-            members.append(nu)
-    if not members:
-        return 0
-    best = min(members)
-    return int(parity(best) != parity(family.eta))
+            return int(parity(nu) != parity(family.eta))
+    return 0
 
 
 def mind_change_tree(

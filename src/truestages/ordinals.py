@@ -373,7 +373,10 @@ def kb_rank(parent: dict[Node, Optional[Node]]) -> tuple[OrdinalNotation, dict[N
     """
     roots: list[Node] = []
     children: dict[Node, list[Node]] = {}
-    for node, p in parent.items():
+    # One sort of every node, shortest first and then lexicographically,
+    # leaves each node's children in sibling order.
+    for node in sorted(sorted(parent), key=len):
+        p = parent[node]
         if p is None:
             roots.append(node)
         else:
@@ -386,8 +389,7 @@ def kb_rank(parent: dict[Node, Optional[Node]]) -> tuple[OrdinalNotation, dict[N
             ranks[node] = len(ranks)
         else:
             stack.append((node, True))
-            kids = sorted(children.get(node, ()), key=lambda n: (len(n), n), reverse=True)
-            stack.extend((child, False) for child in kids)
+            stack.extend((child, False) for child in reversed(children.get(node, ())))
     if len(roots) != 1 or len(ranks) != len(parent):
         raise ValueError(
             "not a tree: the parent map needs a single root that reaches every node"

@@ -65,8 +65,13 @@ FAULTS = [
           "return all(x in kept for x in proper)", "return True",
           "tests/test_game.py::test_checker_matches_straight_line_reference"),
     Fault("difference-value-largest-index", "src/truestages/hierarchy.py",
-          "best = min(members)", "best = max(members)",
-          "tests/test_acceptance.py::test_criterion_03_round_trip_100_functions"),
+          "for nu, u in family.ascending:", "for nu, u in family.sets:",
+          "tests/test_hierarchy.py::test_difference_value_is_the_least_index_on_random_families",
+          "copy order is notation order for a finite eta, so only a family over w+k sees it"),
+    Fault("witness-steps-skip-law-ii", "src/truestages/hierarchy.py",
+          "if ot > os or (f[sigma] != f[tau] and ot >= os):\n            violations",
+          "if ot > os:\n            violations",
+          "tests/test_hierarchy.py::test_witness_laws_list_every_violation_in_pair_order"),
     Fault("grade-ignores-x-opinion", "src/truestages/game.py",
           "if rho and (not in_w or eval_at(sys, g.w, rho))", "if rho",
           "tests/test_acceptance.py::test_criterion_06_referee_matches_transcription"),

@@ -16,6 +16,7 @@ from test_golden import COMMANDS, DIGESTS, INSTANCES, report_digest, write_insta
 from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, DefaultOperator, JumpTrace
+from truestages.ordinals import OrdinalNotation
 from truestages.stages import TrueStageSystem
 from truestages.universe import Universe, seq_str
 
@@ -855,13 +856,22 @@ def test_roundtrip_work_counts_are_pinned(capsys, monkeypatch):
     # point that some set holds took its own, 180 when every stable
     # point did).  The count is of the public chain, which is every read
     # the hierarchy layer makes; the stage system's own reads subscript
-    # its memo (2,244 calls when they went through chain).  Counts must
-    # not depend on the string hash seed.
+    # its memo (2,244 calls when they went through chain).  Notation
+    # comparisons follow distinct values: the witness laws compare each
+    # stage with its chain predecessor, witness_to_dsets sorts and cuts
+    # the distinct adjusted values, and difference_value stops at the
+    # first set that holds the point (7,596 comparisons when every chain
+    # pair, every stage's value and every member set was compared).
+    # Counts must not depend on the string hash seed.
     counts = {}
     count_calls(monkeypatch, TrueStageSystem, "chain", counts)
     count_calls(monkeypatch, hierarchy, "enum_copy", counts)
+    order = ("__lt__", "__gt__", "__ge__")
+    for name in order:
+        count_calls(monkeypatch, OrdinalNotation, name, counts)
     code, out, _ = run_main(capsys, *ROUNDTRIP_ARGV)
     assert code == 0
+    assert sum(counts.pop(name) for name in order) == 3510
     assert counts == {"chain": 1864, "enum_copy": 20}
     assert hashlib.sha256(out.encode()).hexdigest() == ROUNDTRIP_DIGEST
 

@@ -3,9 +3,10 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from instance_tools import LAWFUL_OPERATORS
 from truestages import cli
 from truestages.hierarchy import (
     ApproxFn,
@@ -143,12 +144,13 @@ def test_family_indices_are_a_prefix_of_the_copy(sys_, name):
     assert indices == list(islice(enum_copy(eta), len(back.sets)))
 
 
-def ref_witness_violations(fn, witness, universe):
+def ref_witness_violations(fn, witness, universe, leq=ref_leq):
     """Every violation of the witness laws, read pair by pair off the
-    prefix pairs with the reference relation and the recursive order."""
+    prefix pairs with a pair relation (the reference one by default) and
+    the recursive order."""
     out = []
     for sigma, tau in universe.prefix_pairs():
-        if sigma == tau or not ref_leq(sigma, tau, fn.level):
+        if sigma == tau or not leq(sigma, tau, fn.level):
             continue
         os, ot = witness.table[sigma], witness.table[tau]
         if ref_compare(ot, os) > 0:
@@ -196,6 +198,41 @@ def test_witness_laws_list_every_violation_in_pair_order(sys_, name, fault):
         assert fault in {v["clause"] for v in want}
 
 
+# One system per operator, shared by every example: the default operator
+# is checked against the reference relation, the lawful ones against
+# their own leq, asked pair by pair.
+_LAW_SYSTEMS = {op.__name__: TrueStageSystem(op())
+                for op in [DefaultOperator, *LAWFUL_OPERATORS]}
+
+
+@given(st.sampled_from(sorted(_LAW_SYSTEMS)),
+       st.sampled_from(["0", "1", "2", "w", "w+1"]),
+       st.integers(0, 2 ** 31 - 1),
+       st.lists(st.tuples(st.integers(0, 30), st.integers(0, 63)), max_size=40),
+       st.lists(st.integers(0, 30), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_step_check_lists_what_the_pair_walk_lists(name, level, bits, o_edits, f_flips):
+    # A lawful witness with random stages set to random values up to eta
+    # (clause iii needs eta) and random guesses flipped: short edit lists
+    # keep the table near lawful, so both the step pass and the pair walk
+    # decide; long ones make o random.
+    sys_ = _LAW_SYSTEMS[name]
+    seqs = REF.all_seqs()
+    fn = ApproxFn(parse_ordinal(level), {s: (bits >> i) & 1 for i, s in enumerate(seqs)})
+    lawful = approx_to_witness(sys_, fn, REF)
+    o, f = dict(lawful.table), dict(fn.table)
+    for i, v in o_edits:
+        o[seqs[i]] = from_int(v % (lawful.eta.as_int() + 1))
+    for i in f_flips:
+        f[seqs[i]] = 1 - f[seqs[i]]
+    fn, witness = ApproxFn(fn.level, f), WitnessFn(lawful.eta, o)
+    leq = ref_leq if name == "DefaultOperator" else sys_.leq
+    want = ref_witness_violations(fn, witness, REF, leq)
+    assert verify_witness_laws(sys_, fn, witness, REF) == want
+    if not o_edits and not f_flips:
+        assert want == []
+
+
 def ref_difference_value(sys_, upsets, eta, x):
     """The parity rule with one eval_at per upset."""
     items = list(islice(enum_copy(eta), len(upsets)))
@@ -223,6 +260,34 @@ def test_difference_value_reads_a_chain_per_level(sys_, eta):
     got = {x: difference_value(sys_, indexed, x) for x in REF.maximal()}
     assert got == {x: ref_difference_value(sys_, family, eta, x) for x in REF.maximal()}
     assert set(got.values()) == {0, 1}
+
+
+@given(st.sampled_from(["1", "3", "6", "w", "w+1", "w+2", "w+3"]),
+       st.lists(st.tuples(st.sampled_from(["0", "1", "2", "w", "w+1"]),
+                          st.sets(st.sampled_from(REF.all_seqs()), max_size=4),
+                          st.booleans()),
+                min_size=1, max_size=7))
+@example("w+2", [("0", {()}, False), ("0", set(), False), ("0", {()}, False)])
+@settings(max_examples=100, deadline=None)
+def test_difference_value_is_the_least_index_on_random_families(name, draws):
+    # Mixed levels, bare generators, families that need not increase, and
+    # etas of w+k, whose copy starts at w and so is not notation order.
+    # A drawn repeat puts the previous set object at the next index too.
+    # In the example, the sets at w and 1 hold every point and the set at
+    # 0 holds none, so the least index is 1, not w, the first in the copy.
+    eta = parse_ordinal(name)
+    upsets = []
+    for level, gens, repeat in draws:
+        if repeat and upsets:
+            upsets.append(upsets[-1])
+        else:
+            upsets.append(UpsetRep(parse_ordinal(level), frozenset(gens)))
+    indices = list(islice(enum_copy(eta), len(upsets)))
+    upsets = upsets[: len(indices)]
+    family = DifferenceFamily(eta, tuple(zip(indices, upsets)))
+    for x in REF.all_seqs():
+        want = ref_difference_value(_SHARED, upsets, eta, x)
+        assert difference_value(_SHARED, family, x) == want, x
 
 
 def test_difference_value_names_the_first_member_beyond_the_copy(sys_):
