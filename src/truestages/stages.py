@@ -21,6 +21,18 @@ themselves, so neither the trace nor the oracle is built for it.  The
 traces are filled only for the readers of their codes, the segments and
 the verifier's TS7 extension check, and a trace's fill is the one place
 that builds an oracle.
+
+Checked traces are shared by oracle parts.  Each trace fill interns the
+segment it cuts, so equal segments are one object, found through the
+fingerprint (p, n) and a comparison of codes only under a matching
+fingerprint.  Above level 0 the fill keeps its checked trace and segment
+under the identities of its oracle's parts, which live as long as the
+system; a later fill whose oracle is made of the same parts reuses both
+and runs no operator, sort or duplicate check.  This is sound because
+the `EnumerationOperator` protocol makes a trace a function of its input
+sequence alone: an operator must be such a function, as every operator
+in the package and in its tests is.  Level-0 fills skip the table, since
+their oracle is sigma itself and no two of them can share.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import threading
 import weakref
 from bisect import bisect_left
 from itertools import combinations, islice
+from struct import pack
 from typing import Iterable
 
 from .jump import (
@@ -71,6 +84,15 @@ class Memo(dict):
             return hit
 
 
+def _joined(parts: list[Seq]) -> Seq:
+    """The parts' concatenation; the list it is built in is freed on
+    return, before any operator reads the oracle."""
+    out: list[int] = []
+    for part in parts:
+        out.extend(part)
+    return tuple(out)
+
+
 class TrueStageSystem:
     """Memoizing evaluator for the level-indexed relations of one
     enumeration operator.
@@ -83,7 +105,9 @@ class TrueStageSystem:
     parts, so neither the trace nor the oracle is built for it.  An
     operator without `last_code` gives every p through a memoised,
     checked trace.  No leq answer is stored: leq reads membership in a
-    memoised chain.
+    memoised chain.  Beside the memo, the system keeps its interned
+    segments and its traces by oracle parts; only trace fills write
+    them, under the memo's lock, and they are freed with the system.
 
     The readers `leq`, `chain`, `p`, `trace_at`, `_parts` and the chain
     fill itself subscript the memo under `TrueStageSystem._chain` (and so
@@ -95,6 +119,8 @@ class TrueStageSystem:
         self._memo = Memo(self)
         self.operator = operator
         self._last_code = getattr(operator, "last_code", None)
+        self._segments: dict[tuple[int, int], list[Seq]] = {}
+        self._traces: dict[bytes, tuple[JumpTrace, Seq]] = {}
 
     def leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
         sigma, tau = tuple(sigma), tuple(tau)
@@ -126,12 +152,23 @@ class TrueStageSystem:
         if cls.kind == "zero":
             return tuple(tau[:i] for i in range(len(tau) + 1))
         if cls.kind == "successor":
+            beta = cls.predecessor
+            memo = self._memo
+            below = classify(beta)
+            if below.kind == "successor" and (
+                    TrueStageSystem._chain, tau, below.predecessor) not in memo:
+                # Two or more levels are missing: fill them bottom-up, so
+                # that no fill recurses once per successor level.
+                run = [beta, below.predecessor]
+                while (below := classify(run[-1])).kind == "successor" and (
+                        TrueStageSystem._chain, tau, below.predecessor) not in memo:
+                    run.append(below.predecessor)
+                for level in reversed(run):
+                    memo[TrueStageSystem._chain, tau, level]
             # A suffix minimum: rho stays when no later stage of the
             # chain below has a smaller p.
-            beta = cls.predecessor
             kept: list[Seq] = []
             floor = None
-            memo = self._memo
             for rho in reversed(memo[TrueStageSystem._chain, tau, beta]):
                 p = memo[TrueStageSystem._p, rho, beta]
                 if floor is None or p <= floor:
@@ -153,10 +190,7 @@ class TrueStageSystem:
         """The sequence fed back to the operator to climb one level: sigma
         itself at level 0; above it, the segments of sigma's chain
         elements past the root, in chain order."""
-        out: list[int] = []
-        for part in self._parts(sigma, alpha):
-            out.extend(part)
-        return tuple(out)
+        return _joined(self._parts(sigma, alpha))
 
     def _parts(self, sigma: Seq, alpha: OrdinalNotation) -> list[Seq]:
         """The oracle in consecutive parts, each a memoised segment above
@@ -180,11 +214,34 @@ class TrueStageSystem:
         p, the number n of codes under it, then those codes in increasing
         order, cut from the codes the check sorted.  A segment is shared
         by every later stage whose chain contains sigma, so it is cut
-        once per (sigma, alpha) and read from the memo."""
-        trace, ordered = checked_trace(self.operator, self.oracle(sigma, alpha))
+        once per (sigma, alpha) and read from the memo.  Above level 0
+        the entry is shared by every stage whose oracle is made of the
+        same interned parts."""
+        if classify(alpha).kind == "zero":
+            return self._cut(*checked_trace(self.operator, sigma))
+        parts = self._parts(sigma, alpha)
+        # The parts' identities packed 8 bytes each: no int per part.
+        key = pack(f"{len(parts)}Q", *map(id, parts))
+        entry = self._traces.get(key)
+        if entry is None:
+            entry = self._traces[key] = self._cut(
+                *checked_trace(self.operator, _joined(parts)))
+        return entry
+
+    def _cut(self, trace: JumpTrace, ordered: list[int]) -> tuple[JumpTrace, Seq]:
+        """The trace and its interned segment, cut from its sorted codes
+        once the oracle is freed.  A segment is looked up by its
+        fingerprint (p, n), and its codes are compared only with the
+        segments kept under that fingerprint."""
         bound = trace.p
         n = bisect_left(ordered, bound)
-        return trace, (bound, n, *islice(ordered, n))
+        segment = (bound, n, *islice(ordered, n))
+        kept = self._segments.setdefault((bound, n), [])
+        for other in kept:
+            if other == segment:
+                return trace, other
+        kept.append(segment)
+        return trace, segment
 
     def p(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         return self._memo[TrueStageSystem._p, tuple(sigma), alpha]

@@ -99,6 +99,13 @@ FAULTS = [
           "fund_seq(alpha, self.height(rho, alpha) + 1)]",
           "tests/test_cli.py::test_roundtrip_memo_entries_are_pinned",
           "only the pinned memo entries see it: TS9 makes the index immaterial to every verdict"),
+    Fault("trace-key-drops-last-part", "src/truestages/stages.py",
+          'key = pack(f"{len(parts)}Q", *map(id, parts))',
+          'key = pack(f"{len(parts) - 1}Q", *map(id, parts[:-1]))',
+          "tests/test_stages.py::test_a_trace_is_the_operator_trace_of_its_oracle"),
+    Fault("segment-interned-by-fingerprint", "src/truestages/stages.py",
+          "if other == segment:", "if other[:2] == segment[:2]:",
+          "tests/test_stages.py::test_a_memoised_segment_is_the_cut_of_its_trace"),
     Fault("memo-miss-skips-reread", "src/truestages/stages.py",
           "hit = self.get(key)", "hit = None",
           "tests/test_sharing.py::test_racing_misses_fill_each_entry_once"),

@@ -91,6 +91,21 @@ def test_verify_runs_clean(capsys):
     assert "TS1: pass" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("truestages", "--levels", "400", "--max-len", "1"),
+    ("verify", "--levels", "0,w+400", "--max-len", "1"),
+], ids=["truestages-400", "verify-w+400"])
+def test_deep_successor_levels_give_a_report(capsys, argv):
+    # A chain fill walks the missing successor levels below its own in a
+    # loop, so a level past the recursion limit gives a report, not a
+    # RecursionError, and the limit is left as it is.
+    limit = sys.getrecursionlimit()
+    code, out, err = run_main(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.strip()
+    assert sys.getrecursionlimit() == limit
+
+
 def test_shared_parser_keeps_its_defaults(capsys):
     """The parser is built once per process, so one call's flags must not
     become a later call's values."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instance_tools import Rootless
+from instance_tools import LAWFUL_OPERATORS, Rootless
 from test_jump import straight_line_trace
 from truestages import stages
 from truestages.hierarchy import eval_at, upset_close
@@ -319,30 +319,61 @@ def count_trace_fills(monkeypatch):
     return filled
 
 
+def count_fill_work(monkeypatch):
+    """Record, for every trace fill as it ends, its (sigma, alpha), the
+    oracles it joined and the operator runs it made itself; the work of
+    the fills it ran for its oracle's parts is counted in theirs.  Also
+    returns the [joins, runs] made outside any fill."""
+    outside = [0, 0]
+    done, open_fills = [], [outside]
+
+    def fill(self, sigma, alpha):
+        open_fills.append([0, 0])
+        try:
+            entry = real_fill(self, sigma, alpha)
+        finally:
+            joined, ran = open_fills.pop()
+        done.append(((sigma, alpha), joined, ran))
+        return entry
+
+    def joined(parts):
+        open_fills[-1][0] += 1
+        return real_joined(parts)
+
+    def checked(op, oracle):
+        open_fills[-1][1] += 1
+        return real_checked(op, oracle)
+
+    real_fill, real_joined, real_checked = (
+        TrueStageSystem._trace_at, stages._joined, stages.checked_trace)
+    monkeypatch.setattr(TrueStageSystem, "_trace_at", fill)
+    monkeypatch.setattr(stages, "_joined", joined)
+    monkeypatch.setattr(stages, "checked_trace", checked)
+    return done, outside
+
+
 def test_p_builds_no_trace_when_the_operator_has_last_code(monkeypatch):
-    filled = count_trace_fills(monkeypatch)
-    built = []
-
-    def counting_oracle(self, sigma, alpha):
-        built.append((tuple(sigma), alpha))
-        return oracle(self, sigma, alpha)
-
-    oracle = TrueStageSystem.oracle
-    monkeypatch.setattr(TrueStageSystem, "oracle", counting_oracle)
+    done, outside = count_fill_work(monkeypatch)
     alpha = LEVELS["w+1"]
+    reused = 0
     for tau in Universe(3, 2).all_seqs():
         sys_ = TrueStageSystem(DefaultOperator())
-        built.clear()
+        done.clear()
         p = sys_.p(tau, alpha)
-        # p is read from the memoised segments: no level-alpha trace or
-        # oracle is built for it.
-        assert (tau, alpha) not in filled
-        assert all(level != alpha for _, level in built)
-        # The trace filled later agrees with that p, and its fill builds
-        # the oracle, once.
+        # p is read from the memoised segments: no level-alpha trace is
+        # filled for it, and only the fills of its parts build oracles.
+        assert all(level != alpha for (_, level), _, _ in done)
+        assert outside == [0, 0]
+        # The trace filled later agrees with that p.  A fill builds its
+        # oracle once when it runs the operator, and not at all when it
+        # reuses the trace of an oracle made of the same segments; at
+        # level 0 the oracle is sigma itself.
         assert sys_.trace_at(tau, alpha).p == p
-        assert filled[-1] == (tau, alpha)
-        assert [key for key in built if key[1] == alpha] == [(tau, alpha)]
+        assert done[-1][0] == (tau, alpha)
+        for (_, level), joined, ran in done:
+            assert (joined, ran) in ([(0, 1)] if level.is_zero() else [(1, 1), (0, 0)])
+        reused += done[-1][1:] == (0, 0)
+    assert reused
 
 
 def test_a_long_sequence_sweep_stays_small():
@@ -381,10 +412,79 @@ def test_an_operator_without_last_code_gives_p_through_a_checked_trace(monkeypat
         assert p == _Rewriter().trace(oracle).p
 
 
+# Stages whose oracles are made of the same segments share one checked
+# trace; each check below reads every trace entry a sweep of
+# Universe(4, 2) at these levels leaves in the memo, under the default
+# operator and each lawful one.
+SHARING_LEVELS = ["0", "1", "2", "w", "w+1", "w*2"]
+EVERY_OPERATOR = pytest.mark.parametrize(
+    "operator", [DefaultOperator, *LAWFUL_OPERATORS], ids=lambda op: op.__name__)
+
+
+@functools.cache
+def sharing_sweep(operator):
+    """A system of the operator after reading the trace of every stage
+    of Universe(4, 2) at SHARING_LEVELS; each trace entry of its memo,
+    keyed by (sigma, alpha), with that stage's oracle; and every oracle
+    the operator ran on."""
+    ran = []
+
+    def checked(op, oracle):
+        ran.append(oracle)
+        return real(op, oracle)
+
+    real = stages.checked_trace
+    sys_ = TrueStageSystem(operator())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stages, "checked_trace", checked)
+        for name in SHARING_LEVELS:
+            for sigma in Universe(4, 2).all_seqs():
+                sys_.trace_at(sigma, parse_ordinal(name))
+    entries = {(sigma, alpha): (entry, sys_.oracle(sigma, alpha))
+               for (fill, sigma, alpha), entry in list(sys_._memo.items())
+               if fill is TrueStageSystem._trace_at}
+    return sys_, entries, ran
+
+
+@EVERY_OPERATOR
+def test_a_trace_is_the_operator_trace_of_its_oracle(operator):
+    for (trace, _), oracle in sharing_sweep(operator)[1].values():
+        assert trace.codes == operator().trace(oracle).codes
+
+
+@EVERY_OPERATOR
+def test_a_memoised_segment_is_the_cut_of_its_trace(operator):
+    for (trace, segment), _ in sharing_sweep(operator)[1].values():
+        below = sorted(code for code in trace.codes if code < trace.p)
+        assert segment == (trace.p, len(below), *below)
+
+
+@EVERY_OPERATOR
+def test_stages_share_a_trace_only_when_their_oracles_are_equal(operator):
+    entries = sharing_sweep(operator)[1]
+    oracles = {}
+    for (trace, _), oracle in entries.values():
+        assert oracles.setdefault(id(trace), oracle) == oracle
+    assert len(oracles) < len(entries)
+
+
+@EVERY_OPERATOR
+def test_the_operator_runs_once_per_distinct_list_of_oracle_parts(operator):
+    # Level-0 fills share nothing: each runs the operator on sigma.
+    sys_, entries, ran = sharing_sweep(operator)
+    level_zero = [key for key in entries if key[1].is_zero()]
+    parts = {tuple(sys_._parts(sigma, alpha))
+             for sigma, alpha in entries if not alpha.is_zero()}
+    assert len(parts) < len(entries) - len(level_zero)
+    assert len(ran) == len(level_zero) + len(parts)
+
+
 def test_verify_work_counts_are_pinned(monkeypatch):
     # Exact counts for one verify run: p without a trace saves 38 trace
-    # fills and 1,236 jump events here.  Counts must not depend on the
-    # string hash seed.
+    # fills and 1,236 jump events here, and sharing the traces of equal
+    # oracle parts saves 356 events (181 operator runs, 4,568 events when
+    # every fill ran the operator, 106 runs now).  Counts must not depend
+    # on the string hash seed.
     filled = count_trace_fills(monkeypatch)
     events = []
 
@@ -400,7 +500,7 @@ def test_verify_work_counts_are_pinned(monkeypatch):
         [parse_ordinal(n) for n in ["0", "1", "w", "w+1", "w*2"]],
     )
     assert report.all_passed, report.summary_lines()
-    assert (len(filled), sum(events)) == (181, 4568)
+    assert (len(filled), len(events), sum(events)) == (181, 106, 4212)
 
 
 def test_verifier_reports_corrupted_operator():
