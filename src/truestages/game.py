@@ -503,7 +503,9 @@ class CorrectnessChecker:
         entries that y still covers.  This is what the defeating-play
         construction needs: sigma's parent rho, the pre-root token for
         (), must be strongly alpha-correct and sigma 0-correct.  None
-        reports an exhausted search space, not nonexistence.
+        reports an exhausted search space, not nonexistence.  At level 0
+        the first candidate, sigma itself, is the answer whenever the
+        bound is positive: it is 0-correct and its parent strongly so.
         """
         sigma = tuple(sigma)
         rho = sigma[:-1] if sigma else PRE_ROOT
@@ -511,8 +513,6 @@ class CorrectnessChecker:
             raise ValueError(f"rho is not strongly {render(alpha)}-correct")
         if not self.is_correct(sigma, ZERO):
             raise ValueError("sigma is not 0-correct")
-        if classify(alpha).kind == "zero":
-            return sigma
         room = min(search_bound - 1, len(self.y) - len(sigma))
         for s in shortlex(room, self.game.alphabet):
             if self.is_strongly_correct(sigma + s, alpha):

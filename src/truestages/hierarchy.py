@@ -11,11 +11,11 @@ witness (`dsets_to_witness`).  A `DifferenceFamily` carries each set's
 index in the copy of eta, so `difference_value` takes no copy.
 
 Notation work follows distinct values, not stages or pairs: the witness
-laws compare each stage with its chain predecessor and walk every pair
-only when a step fails (`verify_witness_laws`), `witness_to_dsets`
-adjusts each distinct (o, f) pair once and sorts and cuts the distinct
-adjusted values, and `difference_value` scans a family's sets in the
-notation order the family computes once."""
+laws compare each stage with its chain predecessor and walk a stage's
+pairs only when a step on its chain fails (`verify_witness_laws`),
+`witness_to_dsets` adjusts each distinct (o, f) pair once and sorts and
+cuts the distinct adjusted values, and `difference_value` tests a
+family's sets in the notation order the family computes once."""
 
 from __future__ import annotations
 
@@ -127,37 +127,6 @@ class DifferenceFamily:
         object.__setattr__(self, "ascending", ascending)
 
 
-def _pair_violations(
-    seqs: list[Seq],
-    chains: list[tuple[Seq, ...]],
-    o: dict[Seq, OrdinalNotation],
-    f: dict[Seq, int],
-) -> list[dict]:
-    """The violations of laws (i) and (ii) over every pair of a stage
-    and a strict predecessor on its chain, in prefix order."""
-    violations: list[dict] = []
-    for tau, chain in zip(seqs, chains):
-        below = chain[:-1]
-        if not below:
-            continue
-        before = [o[sigma] for sigma in below]
-        ot = o[tau]
-        guesses = [f[sigma] for sigma in below]
-        ft = f[tau]
-        for sigma, os, fs in zip(below, before, guesses):
-            if ot > os:
-                violations.append({
-                    "clause": "i", "sigma": list(sigma), "tau": list(tau),
-                    "detail": f"o rose from {render(os)} to {render(ot)}",
-                })
-            if fs != ft and ot >= os:
-                violations.append({
-                    "clause": "ii", "sigma": list(sigma), "tau": list(tau),
-                    "detail": f"value changed but o kept {render(ot)}",
-                })
-    return violations
-
-
 def verify_witness_laws(
     sys: TrueStageSystem,
     fn: ApproxFn,
@@ -169,29 +138,44 @@ def verify_witness_laws(
     are its chain without tau, shortest first, so the pairs come in
     prefix order.
 
-    Laws (i) and (ii) are first checked only from each stage's chain
-    predecessor to the stage.  When every such step holds, every pair
-    does: a predecessor's chain is the prefix of the chain that ends at
-    it, so any comparable pair is joined by steps, along which o never
-    rises (notation order is transitive) and falls strictly at a step
-    where the value changes, as one must between two different values.
-    Only when a step fails is every pair walked, so the records are
-    those of the pair walk.  Each chain is read once.  Each value of tau
-    is read after its predecessors' values of the same table, so a
+    One shortlex walk checks laws (i) and (ii) from each stage's chain
+    predecessor to the stage, and walks the stage's pairs only when a
+    step on its chain fails: its own step, or one on its predecessor's
+    chain, which is the prefix of its chain that ends there.  Along a
+    chain whose steps all hold, o never rises (notation order is
+    transitive) and falls strictly at a step where the value changes,
+    as one must between two different values, so every pair on it
+    holds; the records are those of the full pair walk.  Each value of
+    tau is read after its predecessors' values of the same table, so a
     partial table fails where it did when every pair read both values."""
-    seqs = universe.all_seqs()
-    chains = [sys.chain(tau, fn.level) for tau in seqs]
     o, f = witness.table, fn.table
-    for tau, chain in zip(seqs, chains):
+    violations: list[dict] = []
+    failed: set[Seq] = set()
+    seqs = universe.all_seqs()
+    for tau in seqs:
+        chain = sys.chain(tau, fn.level)
         if len(chain) < 2:
             continue
         sigma = chain[-2]
         os, ot = o[sigma], o[tau]
-        if ot > os or (f[sigma] != f[tau] and ot >= os):
-            violations = _pair_violations(seqs, chains, o, f)
-            break
-    else:
-        violations = []
+        if not (ot > os or (f[sigma] != f[tau] and ot >= os) or sigma in failed):
+            continue
+        failed.add(tau)
+        below = chain[:-1]
+        before = [o[rho] for rho in below]
+        guesses = [f[rho] for rho in below]
+        ft = f[tau]
+        for rho, os, fs in zip(below, before, guesses):
+            if ot > os:
+                violations.append({
+                    "clause": "i", "sigma": list(rho), "tau": list(tau),
+                    "detail": f"o rose from {render(os)} to {render(ot)}",
+                })
+            if fs != ft and ot >= os:
+                violations.append({
+                    "clause": "ii", "sigma": list(rho), "tau": list(tau),
+                    "detail": f"value changed but o kept {render(ot)}",
+                })
     for sigma in seqs:
         if o[sigma] == witness.eta and f[sigma] != 0:
             violations.append({
@@ -328,15 +312,10 @@ def difference_value(
     """The parity rule: odd-side membership is decided by the least
     ordinal index whose set contains the point; outside them all, 0.
     The sets are scanned in notation order up to the first that holds
-    the point, and a set object just tested is not tested again, as
-    `witness_to_dsets` shares one object among the indices of a cut.
-    x_prefix's chain is read at most once per level the family uses."""
+    the point.  x_prefix's chain is read at most once per level the
+    family uses."""
     chains: dict[OrdinalNotation, tuple[Seq, ...]] = {}
-    tested = None
     for nu, u in family.ascending:
-        if u is tested:
-            continue
-        tested = u
         chain = chains.get(u.level)
         if chain is None:
             chain = chains[u.level] = sys.chain(x_prefix, u.level)

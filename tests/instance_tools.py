@@ -1,4 +1,5 @@
-"""Deterministic instance generators and lawful operators shared by the test modules."""
+"""Deterministic instance generators, lawful operators and the unlawful
+operator and stage systems shared by the test modules."""
 
 from __future__ import annotations
 
@@ -57,6 +58,19 @@ class NoLast:
 
 
 LAWFUL_OPERATORS = [Swap, Even, NoLast]
+
+
+class Rewriter:
+    """An unlawful operator: it tampers with the time-2 code of length-2
+    sequences only, which breaks trace extension from length 2 to
+    length 3."""
+
+    def trace(self, sigma):
+        base = DefaultOperator().trace(sigma)
+        if len(sigma) == 2:
+            first, second = base.codes
+            return JumpTrace((first, second + 1000))
+        return base
 
 
 class Rootless(TrueStageSystem):

@@ -69,9 +69,13 @@ FAULTS = [
           "tests/test_hierarchy.py::test_difference_value_is_the_least_index_on_random_families",
           "copy order is notation order for a finite eta, so only a family over w+k sees it"),
     Fault("witness-steps-skip-law-ii", "src/truestages/hierarchy.py",
-          "if ot > os or (f[sigma] != f[tau] and ot >= os):\n            violations",
-          "if ot > os:\n            violations",
+          "if not (ot > os or (f[sigma] != f[tau] and ot >= os) or sigma in failed):",
+          "if not (ot > os or sigma in failed):",
           "tests/test_hierarchy.py::test_witness_laws_list_every_violation_in_pair_order"),
+    Fault("witness-walk-forgets-failed-step", "src/truestages/hierarchy.py",
+          "(f[sigma] != f[tau] and ot >= os) or sigma in failed):",
+          "(f[sigma] != f[tau] and ot >= os)):",
+          "tests/test_hierarchy.py::test_a_failed_step_is_walked_from_every_stage_above_it"),
     Fault("grade-ignores-x-opinion", "src/truestages/game.py",
           "if rho and (not in_w or eval_at(sys, g.w, rho))", "if rho",
           "tests/test_acceptance.py::test_criterion_06_referee_matches_transcription"),
@@ -94,6 +98,12 @@ FAULTS = [
           "room = min(search_bound - 1, len(self.y) - len(sigma))",
           "room = min(search_bound - 2, len(self.y) - len(sigma))",
           "tests/test_game.py::test_extend_search_bound_edge"),
+    Fault("extend-level-zero-shortcut", "src/truestages/game.py",
+          "            raise ValueError(\"sigma is not 0-correct\")\n",
+          "            raise ValueError(\"sigma is not 0-correct\")\n"
+          "        if classify(alpha).kind == \"zero\":\n"
+          "            return sigma\n",
+          "tests/test_game.py::test_extend_at_level_zero_returns_sigma"),
     Fault("limit-chain-index-plus-one", "src/truestages/stages.py",
           "fund_seq(alpha, self.height(rho, alpha))]",
           "fund_seq(alpha, self.height(rho, alpha) + 1)]",

@@ -12,6 +12,7 @@ import sys as _sys
 import time
 
 from instance_tools import (
+    Rewriter,
     seeded_game_instance,
     seeded_wadge_instance,
     y_mismatch_game,
@@ -40,7 +41,7 @@ from truestages.hierarchy import (
     verify_witness_laws,
     witness_to_dsets,
 )
-from truestages.jump import DefaultOperator, JumpTrace, enumerate_jump
+from truestages.jump import DefaultOperator, enumerate_jump
 from truestages.ordinals import ZERO, compare, from_int, parse_ordinal
 from truestages.stages import TrueStageSystem, ts_verify
 from truestages.universe import Universe
@@ -59,18 +60,6 @@ def passed(n: int, label: str) -> None:
 # -- criterion 1: relation verification suite -----------------------------
 
 
-class _Rewriter:
-    """Tampers with the time-2 code of length-2 sequences only, which
-    breaks trace extension from length 2 to length 3."""
-
-    def trace(self, sigma):
-        base = DefaultOperator().trace(sigma)
-        if len(sigma) == 2:
-            first, second = base.codes
-            return JumpTrace((first, second + 1000))
-        return base
-
-
 def test_criterion_01_verification_suite():
     start = time.monotonic()
     report = ts_verify(
@@ -83,7 +72,7 @@ def test_criterion_01_verification_suite():
     assert elapsed < 60
 
     broken = ts_verify(
-        TrueStageSystem(_Rewriter()),
+        TrueStageSystem(Rewriter()),
         Universe(3, 2),
         [LEVELS[s] for s in ["0", "1", "2"]],
     )

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instance_tools import Selfless
+from instance_tools import Rewriter, Selfless
 from test_golden import COMMANDS, DIGESTS, INSTANCES, report_digest, write_instances
-from test_stages import _Rewriter
 from truestages import cli, game, hierarchy, wadge
 from truestages.jump import ContractViolationError, DefaultOperator, JumpTrace
 from truestages.ordinals import OrdinalNotation
@@ -574,7 +573,7 @@ def test_exhausted_solver_budget_exits_three(capsys, monkeypatch, quickwin_file,
 def test_exit_one_when_a_check_fails(capsys, monkeypatch):
     # The tampering operator breaks trace extension, so the real verify
     # body assembles a failure report from ts_verify's counterexamples.
-    monkeypatch.setattr(cli, "DefaultOperator", _Rewriter)
+    monkeypatch.setattr(cli, "DefaultOperator", Rewriter)
     code, out, _ = run_main(capsys, "verify", "--format", "json")
     assert code == 1
     failures = json.loads(out)["failures"]

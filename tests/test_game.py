@@ -738,6 +738,10 @@ def test_tri_leq_needs_a_prefix_pair(sys_, never_win, sigma, tau, related):
 def test_extend_at_level_zero_returns_sigma(sys_, never_win):
     chk = CorrectnessChecker(sys_, never_win, constant_zero(), (0, 0, 0))
     assert chk.extend_correct((), ZERO, 3) == ()
+    # sigma itself is the search's first candidate, so a bound of 0,
+    # which searches nothing, finds nothing at level 0 as at any level.
+    assert chk.extend_correct((), ZERO, 1) == ()
+    assert chk.extend_correct((), ZERO, 0) is None
 
 
 def test_extend_with_empty_search_space(sys_):

@@ -198,6 +198,22 @@ def test_witness_laws_list_every_violation_in_pair_order(sys_, name, fault):
         assert fault in {v["clause"] for v in want}
 
 
+def test_a_failed_step_is_walked_from_every_stage_above_it(sys_):
+    # o rises from () to (0,) and stays at (0, 0): the step of (0, 0)
+    # holds, yet its pair with () fails, so the walk must remember the
+    # failed step below (0, 0).
+    uni = Universe(2, 1)
+    fn = ApproxFn(A0, {s: 0 for s in uni.all_seqs()})
+    o = {(): from_int(2), (0,): from_int(3), (0, 0): from_int(3)}
+    witness = WitnessFn(from_int(4), o)
+    want = [
+        {"clause": "i", "sigma": [], "tau": [0], "detail": "o rose from 2 to 3"},
+        {"clause": "i", "sigma": [], "tau": [0, 0], "detail": "o rose from 2 to 3"},
+    ]
+    assert ref_witness_violations(fn, witness, uni) == want
+    assert verify_witness_laws(sys_, fn, witness, uni) == want
+
+
 # One system per operator, shared by every example: the default operator
 # is checked against the reference relation, the lawful ones against
 # their own leq, asked pair by pair.

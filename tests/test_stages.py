@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instance_tools import LAWFUL_OPERATORS, Rootless
+from instance_tools import LAWFUL_OPERATORS, Rewriter, Rootless
 from test_jump import straight_line_trace
 from truestages import stages
 from truestages.hierarchy import eval_at, upset_close
-from truestages.jump import DefaultOperator, JumpTrace
+from truestages.jump import DefaultOperator
 from truestages.ordinals import classify, fund_seq, parse_ordinal
 from truestages.stages import Memo, TrueStageSystem, ts_verify
 from truestages.universe import Universe
@@ -294,18 +294,6 @@ def test_verifier_passes_on_small_universe():
     assert report.all_passed, report.summary_lines()
 
 
-class _Rewriter:
-    """Tampers with the time-2 code of length-2 sequences only, which
-    breaks trace extension from length 2 to length 3."""
-
-    def trace(self, sigma):
-        base = DefaultOperator().trace(sigma)
-        if len(sigma) == 2:
-            first, second = base.codes
-            return JumpTrace((first, second + 1000))
-        return base
-
-
 def count_trace_fills(monkeypatch):
     """Record the (sigma, alpha) of every trace the memo fills."""
     filled = []
@@ -405,11 +393,11 @@ def test_an_operator_without_last_code_gives_p_through_a_checked_trace(monkeypat
     monkeypatch.setattr(stages, "checked_trace", counting)
     alpha = LEVELS["1"]
     for tau in Universe(3, 2).all_seqs():
-        sys_ = TrueStageSystem(_Rewriter())
+        sys_ = TrueStageSystem(Rewriter())
         p = sys_.p(tau, alpha)
         oracle = sys_.oracle(tau, alpha)
         assert checked[-1] == oracle
-        assert p == _Rewriter().trace(oracle).p
+        assert p == Rewriter().trace(oracle).p
 
 
 # Stages whose oracles are made of the same segments share one checked
@@ -505,7 +493,7 @@ def test_verify_work_counts_are_pinned(monkeypatch):
 
 def test_verifier_reports_corrupted_operator():
     report = ts_verify(
-        TrueStageSystem(_Rewriter()),
+        TrueStageSystem(Rewriter()),
         Universe(3, 2),
         [LEVELS[n] for n in ["0", "1", "2"]],
     )
