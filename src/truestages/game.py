@@ -464,13 +464,11 @@ class CorrectnessChecker:
             # Each proper element of the play's beta chain is the play of a
             # strongly beta-correct node tau (see _related), as tau's chain
             # is the prefix of sigma's that ends at tau; so it needs only to
-            # stay on the alpha chain, read only when there is such a tau.
+            # stay on the alpha chain.  The alpha chain is cut from the beta
+            # chain and keeps its last element, so it keeps every proper one
+            # exactly when the two chains are equal.
             xs = self.play(sigma)
-            proper = self.sys.chain(xs, beta)[:-1]
-            if not proper:
-                return True
-            kept = self.sys.chain(xs, alpha)
-            return all(x in kept for x in proper)
+            return self.sys.chain(xs, alpha) == self.sys.chain(xs, beta)
         k = self.sys.height(self.play(sigma), alpha)
         return self._memo[CorrectnessChecker._is_correct, sigma, fund_seq(alpha, k)]
 

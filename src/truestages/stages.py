@@ -123,12 +123,8 @@ class TrueStageSystem:
         self._traces: dict[bytes, tuple[JumpTrace, Seq]] = {}
 
     def leq(self, sigma: Seq, tau: Seq, alpha: OrdinalNotation) -> bool:
-        sigma, tau = tuple(sigma), tuple(tau)
-        if sigma == tau:
-            return True
-        if tau[: len(sigma)] != sigma:
-            return False
-        return sigma in self._memo[TrueStageSystem._chain, tau, alpha]
+        """Whether sigma is on tau's memoised level-alpha chain."""
+        return tuple(sigma) in self._memo[TrueStageSystem._chain, tuple(tau), alpha]
 
     def height(self, sigma: Seq, alpha: OrdinalNotation) -> int:
         """Number of strict predecessors; at a limit this recursion only

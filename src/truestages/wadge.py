@@ -78,8 +78,7 @@ def _build(
         return DecompositionTree(node, "leaf", 0, value=0,
                                  witness_level=fund_seq(lam, k))
     kids = sorted(
-        tau for tau in by_height.get(k + 1, ())
-        if len(tau) > len(node) and sys.leq(node, tau, lam)
+        tau for tau in by_height.get(k + 1, ()) if sys.leq(node, tau, lam)
     )
     if not kids:
         # The sets leave this stage undecided with nothing one height up

@@ -6,11 +6,13 @@ Run from the repository root, for every fault or for the named ones:
 
 Each fault is one textual edit to one file of the package.  For each,
 the script copies src, tests, README.md and pyproject.toml into a fresh
-temporary directory, applies the edit there, and runs the tier-1 suite
-with -x, so a caught fault stops at its first failing test.  Progress
-goes to stderr; stdout gets a markdown table of every fault, the test
-that should catch it and the test that did, and then the faults that
-survived.  The exit status is 0 whatever survives, and 2 when a fault's
+temporary directory and applies the edit there.  It runs the fault's
+named catcher alone first; when no catcher is named, or the named one
+passes, it runs the tier-1 suite with -x, so a caught fault stops at its
+first failing test.  Progress goes to stderr; stdout gets a markdown
+table of every fault, the test that should catch it, whether that test
+failed and the test that caught it, and then the faults that survived.
+The exit status is 0 whatever survives, and 2 when a fault's
 text is no longer found exactly once in its file, so that a stale list
 shows.  The name does not match test_*.py, so pytest does not collect
 this file.
@@ -62,8 +64,12 @@ FAULTS = [
           "if bar == n + 1:", "if bar == n:",
           "tests/test_game.py::test_solve_node_count_is_pinned"),
     Fault("successor-correctness-always-true", "src/truestages/game.py",
-          "return all(x in kept for x in proper)", "return True",
+          "return self.sys.chain(xs, alpha) == self.sys.chain(xs, beta)", "return True",
           "tests/test_game.py::test_checker_matches_straight_line_reference"),
+    Fault("leq-drops-the-stage-itself", "src/truestages/stages.py",
+          "tuple(sigma) in self._memo[TrueStageSystem._chain, tuple(tau), alpha]",
+          "tuple(sigma) in self._memo[TrueStageSystem._chain, tuple(tau), alpha][:-1]",
+          "tests/test_stages.py::test_relations_match_the_reference"),
     Fault("difference-value-largest-index", "src/truestages/hierarchy.py",
           "for nu, u in family.ascending:", "for nu, u in family.sets:",
           "tests/test_hierarchy.py::test_difference_value_is_the_least_index_on_random_families",
@@ -158,13 +164,15 @@ def plant(fault: Fault, where: Path) -> None:
     target.write_text(text.replace(fault.old, fault.new), encoding="utf-8")
 
 
-def run_suite(where: Path) -> Optional[str]:
-    """The first failing test's id, "timeout", or None when all pass.
-    tests/test_fault_list.py is left out: in a planted copy the fault's
-    text is gone by design, so that file would catch every fault."""
+def run_tests(where: Path, *selection: str) -> Optional[str]:
+    """The first failing test's id, "timeout", or None when all pass;
+    the whole suite when no tests are selected.  tests/test_fault_list.py
+    is left out: in a planted copy the fault's text is gone by design, so
+    that file would catch every fault."""
     env = dict(os.environ, PYTHONPATH="src")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors", "--ignore=tests/test_fault_list.py"]
+            "--continue-on-collection-errors", "--ignore=tests/test_fault_list.py",
+            *selection]
     try:
         proc = subprocess.run(argv, cwd=where, env=env, capture_output=True,
                               text=True, timeout=TIMEOUT_S)
@@ -193,15 +201,19 @@ def main(names: list[str]) -> int:
             except LookupError as exc:
                 print(f"stale fault list: {exc}", file=sys.stderr)
                 return 2
-            caught = run_suite(Path(tmp))
+            caught = run_tests(Path(tmp), fault.catcher) if fault.catcher else None
+            named = "(none)" if not fault.catcher else "yes" if caught else "**no**"
+            if caught is None:
+                caught = run_tests(Path(tmp))
         print(f"{fault.name}: {caught or 'SURVIVED'} ({time.perf_counter() - start:.0f} s)",
               file=sys.stderr)
-        rows.append((fault, caught))
-    print("| planted fault | should be caught by | caught by |")
-    print("| --- | --- | --- |")
-    for fault, caught in rows:
-        print(f"| `{fault.name}` | {fault.catcher or '(none)'} | {caught or '**survived**'} |")
-    survivors = [(f, c) for f, c in rows if c is None]
+        rows.append((fault, named, caught))
+    print("| planted fault | should be caught by | named catcher failed | caught by |")
+    print("| --- | --- | --- | --- |")
+    for fault, named, caught in rows:
+        print(f"| `{fault.name}` | {fault.catcher or '(none)'} | {named} "
+              f"| {caught or '**survived**'} |")
+    survivors = [(f, c) for f, _, c in rows if c is None]
     print()
     print(f"{len(survivors)} of {len(rows)} planted faults survived"
           + (":" if survivors else "."))

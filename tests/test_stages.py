@@ -213,6 +213,21 @@ def test_relations_match_the_reference(sys_, name):
             assert sys_.leq(sigma, tau, alpha) == ref_leq(sigma, tau, alpha), (sigma, tau)
 
 
+@pytest.mark.parametrize("name", ["0", "1", "w", "w+1"])
+def test_leq_fills_what_the_chain_fills(name):
+    """leq is membership in tau's memoised chain for every pair, the
+    identity and the non-prefix pairs too: on two fresh systems, it
+    answers as the chain read does and leaves the same memo entries."""
+    alpha = LEVELS[name]
+    seqs = Universe(3, 2).all_seqs()
+    for tau in seqs:
+        for sigma in seqs:
+            asked = TrueStageSystem(DefaultOperator())
+            read = TrueStageSystem(DefaultOperator())
+            assert asked.leq(sigma, tau, alpha) == (sigma in read.chain(tau, alpha)), (sigma, tau)
+            assert asked._memo.keys() == read._memo.keys(), (sigma, tau)
+
+
 @pytest.mark.parametrize("universe, name", [
     *((REF_UNIVERSE, name) for name in REF_LEVELS),
     (Universe(3, 2), "w*3"),
