@@ -394,7 +394,8 @@ class CorrectnessChecker:
     quantifier over lower levels is decided at the member of the
     fundamental sequence that the height of the induced play selects, as
     the stage system's limit chains are.  Every sigma asked about must
-    be covered by y.
+    be covered by y.  The memo holds plays and correctness only: strong
+    correctness is read from the correctness memo along one chain.
     """
 
     def __init__(
@@ -456,10 +457,18 @@ class CorrectnessChecker:
     def _is_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
         cls = classify(alpha)
         if cls.kind == "zero":
-            return self._zero_correct(sigma)
+            # Every round continues: the earlier ones by the memoised answer
+            # for sigma's parent, the last one graded here.
+            if sigma is PRE_ROOT or not sigma:
+                return True
+            pairs = self._pairs(sigma)
+            if not self._memo[CorrectnessChecker._is_correct, sigma[:-1], ZERO]:
+                return False
+            tree, f = _grade(self.sys, self.game, self.play(sigma[:-1]))
+            return tree.contains(*_read(f, pairs))
         if cls.kind == "successor":
             beta = cls.predecessor
-            if not self._memo[CorrectnessChecker._is_strongly_correct, sigma, beta]:
+            if not self.is_strongly_correct(sigma, beta):
                 return False
             # Each proper element of the play's beta chain is the play of a
             # strongly beta-correct node tau (see _related), as tau's chain
@@ -474,22 +483,8 @@ class CorrectnessChecker:
 
     def is_strongly_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
         key = sigma if sigma is PRE_ROOT else tuple(sigma)
-        return self._memo[CorrectnessChecker._is_strongly_correct, key, alpha]
-
-    def _is_strongly_correct(self, sigma: Node, alpha: OrdinalNotation) -> bool:
         return all(self._memo[CorrectnessChecker._is_correct, tau, alpha]
-                   for tau in self._related(sigma, alpha))
-
-    def _zero_correct(self, sigma: Node) -> bool:
-        # Every round continues: the earlier ones by the memoised answer
-        # for sigma's parent, the last one graded here.
-        if sigma is PRE_ROOT or not sigma:
-            return True
-        pairs = self._pairs(sigma)
-        if not self._memo[CorrectnessChecker._is_correct, sigma[:-1], ZERO]:
-            return False
-        tree, f = _grade(self.sys, self.game, self.play(sigma[:-1]))
-        return tree.contains(*_read(f, pairs))
+                   for tau in self._related(key, alpha))
 
     # -- extension search ---------------------------------------------
 

@@ -145,9 +145,7 @@ def verify_witness_laws(
     chain whose steps all hold, o never rises (notation order is
     transitive) and falls strictly at a step where the value changes,
     as one must between two different values, so every pair on it
-    holds; the records are those of the full pair walk.  Each value of
-    tau is read after its predecessors' values of the same table, so a
-    partial table fails where it did when every pair read both values."""
+    holds; the records are those of the full pair walk."""
     o, f = witness.table, fn.table
     violations: list[dict] = []
     failed: set[Seq] = set()
@@ -161,17 +159,15 @@ def verify_witness_laws(
         if not (ot > os or (f[sigma] != f[tau] and ot >= os) or sigma in failed):
             continue
         failed.add(tau)
-        below = chain[:-1]
-        before = [o[rho] for rho in below]
-        guesses = [f[rho] for rho in below]
         ft = f[tau]
-        for rho, os, fs in zip(below, before, guesses):
+        for rho in chain[:-1]:
+            os = o[rho]
             if ot > os:
                 violations.append({
                     "clause": "i", "sigma": list(rho), "tau": list(tau),
                     "detail": f"o rose from {render(os)} to {render(ot)}",
                 })
-            if fs != ft and ot >= os:
+            if f[rho] != ft and ot >= os:
                 violations.append({
                     "clause": "ii", "sigma": list(rho), "tau": list(tau),
                     "detail": f"value changed but o kept {render(ot)}",

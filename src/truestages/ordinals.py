@@ -12,6 +12,7 @@ integer coefficients.  The empty sum is zero.  The concrete syntax is
 
     expr := term ("+" term)*
     term := "w" ["^" expr] ["*" nat] | nat
+    nat  := ASCII digits, with no leading zero
 
 with no whitespace.  Rendering always emits the minimal form, so
 ``w^1`` renders back as ``w`` and coefficients of one are dropped.
@@ -213,10 +214,7 @@ def fund_seq(lam: OrdinalNotation, k: int) -> OrdinalNotation:
     base = lam.terms[:-1] if coeff == 1 else lam.terms[:-1] + ((exp, coeff - 1),)
     cls = classify(exp)
     if cls.kind == "successor":
-        gamma = cls.predecessor
-        if gamma.is_zero():
-            return OrdinalNotation(base + ((ZERO, k + 1),))
-        return OrdinalNotation(base + ((gamma, k + 1),))
+        return OrdinalNotation(base + ((cls.predecessor, k + 1),))
     return OrdinalNotation(base + ((fund_seq(exp, k), 1),))
 
 
@@ -275,13 +273,16 @@ def _parse_term(s: str, i: int) -> tuple[tuple[OrdinalNotation, int], int]:
 
 def _parse_nat(s: str, i: int) -> tuple[int, int]:
     j = i
-    while j < len(s) and s[j].isdigit():
+    while j < len(s) and "0" <= s[j] <= "9":
         j += 1
     if j == i:
         raise ParseError("expected a number", i)
     if s[i] == "0" and j - i > 1:
         raise ParseError("leading zero", i)
-    return int(s[i:j]), j
+    try:
+        return int(s[i:j]), j
+    except ValueError:
+        raise ParseError("number too long", i) from None
 
 
 # ---------------------------------------------------------------------------

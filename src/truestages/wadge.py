@@ -71,12 +71,10 @@ def _build(
     itself keeps itself, and with it sys and its memo, alive until a
     full garbage collection."""
     k = sys.height(node, lam)
-    if eval_at(sys, w1, node):
-        return DecompositionTree(node, "leaf", 0, value=1,
-                                 witness_level=fund_seq(lam, k))
-    if eval_at(sys, w0, node):
-        return DecompositionTree(node, "leaf", 0, value=0,
-                                 witness_level=fund_seq(lam, k))
+    for value, w in ((1, w1), (0, w0)):
+        if eval_at(sys, w, node):
+            return DecompositionTree(node, "leaf", 0, value=value,
+                                     witness_level=fund_seq(lam, k))
     kids = sorted(
         tau for tau in by_height.get(k + 1, ()) if sys.leq(node, tau, lam)
     )

@@ -93,8 +93,11 @@ FAULTS = [
           "level = fund_seq(lam, k + 1)", "level = fund_seq(lam, k + 2)",
           "tests/test_golden.py::test_report_bytes_match_pinned_digests"),
     Fault("zero-correct-without-parent-check", "src/truestages/game.py",
-          "        if not self._memo[CorrectnessChecker._is_correct, sigma[:-1], ZERO]:\n"
-          "            return False\n", "",
+          "            if not self._memo[CorrectnessChecker._is_correct, sigma[:-1], ZERO]:\n"
+          "                return False\n", "",
+          "tests/test_game.py::test_checker_matches_reference_on_random_games"),
+    Fault("strongly-correct-skips-the-node-itself", "src/truestages/game.py",
+          "self._related(key, alpha))", "self._related(key, alpha)[:-1])",
           "tests/test_game.py::test_checker_matches_reference_on_random_games"),
     Fault("checker-skips-y-check", "src/truestages/game.py",
           "        if len(self.y) < len(sigma):\n"

@@ -140,7 +140,15 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     # ceiling has no successor.
     (["verify", "--max-len", "1", "--alphabet", "2", "--levels", "0,w^w"],
      "notation w^w+1 exceeds the ceiling w^w"),
-], ids=["notation", "verify-none", "truestages-none", "verify-ceiling"])
+    # Digits that str.isdigit accepts but int() does not read, and more
+    # digits than int() converts.
+    (["verify", "--max-len", "1", "--levels", "\u00b2"], "bad level notation"),
+    (["verify", "--max-len", "1", "--levels", "9" * 5000],
+     "bad level notation: number too long"),
+    (["hk", "roundtrip", "--max-len", "1", "--alpha", "w*\u00b2"],
+     "bad --alpha notation"),
+], ids=["notation", "verify-none", "truestages-none", "verify-ceiling",
+        "non-ascii-digit", "too-many-digits", "non-ascii-coefficient"])
 def test_bad_level_notation_exits_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
     assert (code, out) == (2, "")

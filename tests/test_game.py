@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -654,6 +655,22 @@ def test_checker_matches_straight_line_reference(xi, table_kind):
                 assert got == want[sigma], (y, sigma, render(alpha))
                 seen.add(got)
     assert {(False, False), (True, True)} <= seen
+
+
+@pytest.mark.parametrize("generators, v, entries", [
+    ({(1,), (0, 1)}, None, {"_is_correct": 64, "_play": 6}),
+    ({(0, 0)}, (0, 1, 1, 0, 1, 0), {"_is_correct": 81, "_play": 7}),
+], ids=["T0", "T1"])
+def test_checker_memo_holds_plays_and_correctness_only(generators, v, entries):
+    # The golden adversarial games: strong correctness is read from the
+    # correctness memo, so it adds no memo entries of its own.
+    xi = parse_ordinal("w+1")
+    g = GameInstance(xi, UpsetRep(xi, frozenset(generators)), FULL, FULL,
+                     alphabet=2, depth=5)
+    chk = CorrectnessChecker(TrueStageSystem(DefaultOperator()), g,
+                             StrategyTable("I", 6, {}), (0, 1, 1, 0, 1, 0))
+    adversarial_play(chk, v, depth=5, search_bound=3)
+    assert collections.Counter(fill.__name__ for fill, *_ in chk._memo) == entries
 
 
 # Every history of up to 3 pairs over {0, 1}, the keys of a random table.

@@ -84,7 +84,10 @@ def test_sum_binds_to_outer_expression():
 @pytest.mark.parametrize(
     "bad",
     ["", "x", "01", "w^0", "w*0", "1+1", "w+w", "w+0", "+w", "w^", "w*",
-     "2+w", "w^2+w^3", "1 + 1", "w^w*2", "w^w+1"],
+     "2+w", "w^2+w^3", "1 + 1", "w^w*2", "w^w+1",
+     # non-ASCII digits, and more digits than int() converts
+     "\u00b2", "1\u00b2", "w^\u00b2", "\u0663",
+     pytest.param("9" * 5000, id="5000-digits")],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
